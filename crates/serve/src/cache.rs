@@ -122,16 +122,13 @@ impl ResultCache {
         self.dir.join(key.file_name())
     }
 
-    /// The canonical entry body: key provenance plus the record. The
-    /// checksum is computed over this text.
-    fn body_text(key: CacheKey, app: &str, record: &SweepRecord) -> String {
-        let v = Json::obj([
-            ("key", Json::str(hex16(key.0))),
-            ("code_version", Json::str(CODE_VERSION)),
-            ("app", Json::str(app)),
-            ("record", record.to_json()),
-        ]);
-        format!("{v:#}\n")
+    /// The checksum of an entry body: FNV-1a over its canonical
+    /// pretty text.
+    fn body_checksum(body: &Json) -> String {
+        format!(
+            "fnv1a64:{}",
+            hex16(fnv1a64(format!("{body:#}\n").as_bytes()))
+        )
     }
 
     /// Stores `record` under `key` with an embedded checksum, via a
@@ -142,14 +139,16 @@ impl ResultCache {
     /// Propagates filesystem errors; a failed store leaves no partial
     /// entry behind.
     pub fn store(&self, key: CacheKey, app: &str, record: &SweepRecord) -> std::io::Result<()> {
-        let body = Self::body_text(key, app, record);
-        let v = Json::obj([
-            ("body", Json::parse(&body).expect("body is valid json")),
-            (
-                "checksum",
-                Json::str(format!("fnv1a64:{}", hex16(fnv1a64(body.as_bytes())))),
-            ),
+        // The canonical body is key provenance plus the record; the
+        // checksum covers its pretty text.
+        let body = Json::obj([
+            ("key", Json::str(hex16(key.0))),
+            ("code_version", Json::str(CODE_VERSION)),
+            ("app", Json::str(app)),
+            ("record", record.to_json()),
         ]);
+        let checksum = Self::body_checksum(&body);
+        let v = Json::obj([("body", body), ("checksum", Json::str(checksum))]);
         let path = self.entry_path(key);
         let tmp = self
             .dir
@@ -198,8 +197,7 @@ impl ResultCache {
             .get("checksum")
             .and_then(Json::as_str)
             .ok_or("missing checksum")?;
-        let body_text = format!("{body:#}\n");
-        let computed = format!("fnv1a64:{}", hex16(fnv1a64(body_text.as_bytes())));
+        let computed = Self::body_checksum(body);
         if stated != computed {
             return Err(format!(
                 "checksum mismatch: entry says {stated}, content hashes to {computed}"
@@ -330,6 +328,44 @@ mod tests {
         assert_eq!(cache.lookup(key), Lookup::Miss);
         cache.store(key, "x264", &record()).unwrap();
         assert_eq!(cache.lookup(key), Lookup::Hit(record()));
+        std::fs::remove_dir_all(cache.dir()).unwrap();
+    }
+
+    #[test]
+    fn store_writes_the_same_entry_bytes_as_ever() {
+        // Pinned entry text: existing cache directories stay valid only
+        // while a store writes exactly these bytes. (A CODE_VERSION
+        // bump changes them, and is meant to invalidate old entries.)
+        const ENTRY: &str = r#"{
+  "body": {
+    "key": "0123456789abcdef",
+    "code_version": "spb-0.1.0-g1",
+    "app": "x264",
+    "record": {
+      "app": "x264",
+      "policy": "spb-burst(48)",
+      "sb": 14,
+      "cycles": 123456,
+      "uops": 300000,
+      "ipc": 2.4300155520995332,
+      "wall_ms": 10.5,
+      "energy_nj": 4321.25,
+      "coh_msgs": 99
+    }
+  },
+  "checksum": "fnv1a64:d945c287b94c0e62"
+}
+"#;
+        let cache = tmp_cache("pinned");
+        let key = CacheKey(0x0123_4567_89ab_cdef);
+        let record = SweepRecord {
+            policy: "spb-burst(48)".into(),
+            ..record()
+        };
+        cache.store(key, "x264", &record).unwrap();
+        let text = std::fs::read_to_string(cache.dir().join(key.file_name())).unwrap();
+        assert_eq!(text, ENTRY);
+        assert_eq!(cache.lookup(key), Lookup::Hit(record));
         std::fs::remove_dir_all(cache.dir()).unwrap();
     }
 

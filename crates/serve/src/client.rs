@@ -20,10 +20,11 @@ use std::net::TcpStream;
 pub fn request(addr: &str, line: &Json) -> Result<Json, String> {
     let mut stream =
         TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let text = line.to_string();
+    let mut text = line.to_string();
     debug_assert!(!text.contains('\n'), "requests are one line");
+    text.push('\n');
     stream
-        .write_all(format!("{text}\n").as_bytes())
+        .write_all(text.as_bytes())
         .and_then(|()| stream.flush())
         .map_err(|e| format!("send: {e}"))?;
     let mut reply = String::new();

@@ -36,7 +36,11 @@
 //! Sweep replies carry `report` (checksummed
 //! [`spb_sim::sweep::SweepReport`] JSON, records in request order) and
 //! `stats` (`cache_hits`, `computed`, `retries`, `failed`). Every
-//! error is an explicit `{"ok": false, "error": "…"}` line.
+//! error is an explicit `{"ok": false, "error": "…"}` line. Requests
+//! are bounded: JSON nested deeper than [`spb_stats::json::MAX_DEPTH`]
+//! is a bad request, and a line longer than
+//! [`service::MAX_REQUEST_BYTES`] gets an error and the connection is
+//! closed.
 //!
 //! # Example
 //!

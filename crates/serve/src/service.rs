@@ -30,7 +30,7 @@ use spb_sim::sweep::{
 use spb_stats::json::Json;
 use spb_trace::profile::AppProfile;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -74,6 +74,12 @@ impl ServeConfig {
         }
     }
 }
+
+/// The longest request line the server reads, newline included. A
+/// full quick-grid job is about 12 KB; a client that sends more
+/// without a newline gets an error and the connection is closed, so it
+/// cannot grow server memory without bound.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
 /// One queued job; recovered jobs have no reply channel.
 struct QueuedJob {
@@ -190,26 +196,47 @@ impl Server {
     }
 
     /// One connection: serve line-delimited requests until EOF (or a
-    /// shutdown request closes the server).
+    /// shutdown request closes the server). A line longer than
+    /// [`MAX_REQUEST_BYTES`] is answered with an error and ends the
+    /// connection.
     fn handle(&self, stream: TcpStream) {
         let Ok(read_half) = stream.try_clone() else {
             return;
         };
         let mut reader = BufReader::new(read_half);
         let mut write_half = stream;
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
             line.clear();
-            match reader.read_line(&mut line) {
+            let limit = MAX_REQUEST_BYTES as u64;
+            match (&mut reader).take(limit).read_until(b'\n', &mut line) {
                 Ok(0) | Err(_) => break,
                 Ok(_) => {}
             }
-            let request = line.trim();
-            if request.is_empty() {
-                continue;
+            let oversized = line.len() == MAX_REQUEST_BYTES && line.last() != Some(&b'\n');
+            let mut reply = if oversized {
+                Self::error(format!(
+                    "request line longer than {MAX_REQUEST_BYTES} bytes; closing the connection"
+                ))
+            } else {
+                match std::str::from_utf8(&line).map(str::trim) {
+                    Ok("") => continue,
+                    Ok(request) => self.dispatch(request),
+                    Err(_) => Self::error("bad request: the line is not UTF-8"),
+                }
+            };
+            reply.push('\n');
+            if write_half
+                .write_all(reply.as_bytes())
+                .and_then(|()| write_half.flush())
+                .is_err()
+            {
+                break;
             }
-            let reply = self.dispatch(request);
-            if writeln!(write_half, "{reply}").and_then(|()| write_half.flush()).is_err() {
+            if oversized {
+                // Send the reply ahead of the close; the rest of the
+                // line is never read.
+                let _ = write_half.shutdown(std::net::Shutdown::Write);
                 break;
             }
             if self.shutdown.load(Ordering::SeqCst) {
@@ -444,11 +471,13 @@ impl Server {
             failed,
             metrics: Some(Json::obj([("serve_job", job_stats.clone())])),
         };
-        // Durable copy under reports/ (crash-safe save); the reply does
-        // not depend on it succeeding.
-        let _ = report.save(&self.cfg.dir.join("reports"));
-        let report_json = Json::parse(&report.to_json_string_checksummed())
-            .expect("reports serialize to valid json");
+        // One render serves both copies: the checksummed text goes to
+        // reports/ (crash-safe save; the reply does not depend on it
+        // succeeding) and the value it was rendered from goes on the
+        // wire.
+        let (report_json, text) = report.to_json_checksummed();
+        let _ = report.save_rendered(&self.cfg.dir.join("reports"), &text);
+        drop(text);
         Json::obj([
             ("ok", Json::Bool(true)),
             ("report", report_json),

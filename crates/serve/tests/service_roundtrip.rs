@@ -1,8 +1,11 @@
 //! End-to-end service tests over a real TCP socket: submit/receive,
 //! cache hits on resubmission, journal recovery, injected-fault
-//! convergence, and explicit overload shedding.
+//! convergence, explicit overload shedding, and bounded request
+//! parsing (nesting depth and line length).
 
+use spb_serve::service::MAX_REQUEST_BYTES;
 use spb_serve::{client, Budget, CellSpec, JobSpec, ServeConfig, Server};
+use spb_sim::sweep::SweepReport;
 use spb_stats::json::Json;
 use std::path::PathBuf;
 
@@ -258,6 +261,99 @@ fn malformed_requests_get_explicit_errors() {
     let err = client::submit(&addr, &bad).expect_err("unknown app");
     assert!(err.contains("not-a-benchmark"), "err: {err}");
 
+    client::shutdown(&addr).expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sends one raw line on a fresh connection and reads one reply line.
+fn raw_request(addr: &str, line: &str) -> Json {
+    use std::io::{BufRead, BufReader, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send");
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_line(&mut reply)
+        .expect("receive");
+    Json::parse(reply.trim()).expect("replies are json")
+}
+
+#[test]
+fn a_too_deep_request_is_rejected_and_the_next_job_still_runs() {
+    let dir = state_dir("deep");
+    let addr = spawn_server(ServeConfig::at(&dir));
+
+    // Unbounded recursion on this line would overflow the stack and
+    // abort the whole server.
+    let reply = raw_request(&addr, &"[".repeat(100_000));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply}");
+    let err = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(err.contains("nesting"), "err: {err}");
+
+    let job = tiny_job("after-deep");
+    let reply = client::submit(&addr, &job).expect("the server survived");
+    assert_eq!(stat(&reply, "computed"), 3);
+
+    // The report on the wire and the one saved under reports/ come
+    // from one render: same checksum, same report, and the saved text
+    // is exactly what the report renders to.
+    let wire = reply.get("report").expect("reply carries a report");
+    let saved_text = std::fs::read_to_string(dir.join("reports/after-deep.json")).unwrap();
+    let saved = SweepReport::parse(&saved_text).expect("saved report validates");
+    let on_wire = SweepReport::parse(&wire.to_string()).expect("wire report validates");
+    assert_eq!(on_wire, saved);
+    assert_eq!(
+        wire.get("checksum"),
+        Json::parse(&saved_text).unwrap().get("checksum")
+    );
+    assert_eq!(saved.to_json_string_checksummed(), saved_text);
+    assert_eq!(
+        wire.to_string(),
+        Json::parse(&saved_text).unwrap().to_string()
+    );
+
+    client::shutdown(&addr).expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_endless_request_line_is_cut_off_with_an_error() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = state_dir("longline");
+    let addr = spawn_server(ServeConfig::at(&dir));
+
+    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    // A server that reads on forever fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    // A client that never sends a newline: it writes until the server
+    // stops reading and closes the connection.
+    let sender = std::thread::spawn(move || {
+        let chunk = vec![b' '; 1 << 16];
+        let mut sent = 0usize;
+        while sent <= 2 * MAX_REQUEST_BYTES && writer.write_all(&chunk).is_ok() {
+            sent += chunk.len();
+        }
+        sent
+    });
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("an error reply");
+    let reply = Json::parse(reply.trim()).unwrap();
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply}");
+    let err = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(err.contains("longer than"), "err: {err}");
+    // The server closed the connection instead of reading on.
+    let mut rest = String::new();
+    assert!(matches!(reader.read_line(&mut rest), Ok(0) | Err(_)));
+    let sent = sender.join().unwrap();
+    assert!(sent <= 2 * MAX_REQUEST_BYTES, "the server kept reading");
+
+    // Other clients are unaffected.
+    client::health(&addr).expect("health after the cut-off");
     client::shutdown(&addr).expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }

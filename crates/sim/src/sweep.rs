@@ -860,11 +860,29 @@ impl SweepReport {
     /// [`SweepReport::parse`] validates. This is what
     /// [`SweepReport::save`] writes.
     pub fn to_json_string_checksummed(&self) -> String {
+        self.to_json_checksummed().1
+    }
+
+    /// The checksummed report both as a value and as the text
+    /// [`SweepReport::to_json_string_checksummed`] returns, from one
+    /// pretty render: the canonical text is hashed, then the checksum
+    /// member is spliced in before the closing brace, where rendering
+    /// the value with it appended would put it.
+    pub fn to_json_checksummed(&self) -> (Json, String) {
         let mut v = self.body_json();
+        let mut text = format!("{v:#}\n");
+        let checksum = Json::str(format!("fnv1a64:{}", hex16(fnv1a64(text.as_bytes()))));
+        let close = "\n}\n";
+        debug_assert!(
+            text.ends_with(close),
+            "a report renders as a non-empty object"
+        );
+        text.truncate(text.len() - close.len());
+        text.push_str(&format!(",\n  \"checksum\": {checksum}{close}"));
         if let Json::Obj(pairs) = &mut v {
-            pairs.push(("checksum".to_string(), Json::str(self.content_checksum())));
+            pairs.push(("checksum".to_string(), checksum));
         }
-        format!("{v:#}\n")
+        (v, text)
     }
 
     /// Parses a report back from its JSON text.
@@ -925,9 +943,21 @@ impl SweepReport {
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        self.save_rendered(dir, &self.to_json_string_checksummed())
+    }
+
+    /// [`SweepReport::save`] for a caller that already holds the
+    /// report's checksummed text (the second half of
+    /// [`SweepReport::to_json_checksummed`]), so it is not rendered
+    /// twice.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn save_rendered(&self, dir: &Path, text: &str) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.name));
-        self.save_as(&path)?;
+        write_atomically(&path, text)?;
         Ok(path)
     }
 
@@ -938,23 +968,31 @@ impl SweepReport {
     /// new one, never a torn write, and the embedded checksum catches
     /// anything the filesystem mangles later.
     pub fn save_as(&self, path: &Path) -> std::io::Result<()> {
-        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-        let tmp = match dir {
-            Some(d) => d.join(format!(
-                ".{}.tmp{}",
-                path.file_name().and_then(|n| n.to_str()).unwrap_or("report"),
-                std::process::id()
-            )),
-            None => PathBuf::from(format!(".{}.tmp{}", path.display(), std::process::id())),
-        };
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(self.to_json_string_checksummed().as_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path).inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })
+        write_atomically(path, &self.to_json_string_checksummed())
     }
+}
+
+/// Writes `text` to a same-directory temporary file, syncs it, and
+/// renames it over `path`.
+fn write_atomically(path: &Path, text: &str) -> std::io::Result<()> {
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+    let tmp = match dir {
+        Some(d) => d.join(format!(
+            ".{}.tmp{}",
+            path.file_name()
+                .and_then(|n| n.to_str())
+                .unwrap_or("report"),
+            std::process::id()
+        )),
+        None => PathBuf::from(format!(".{}.tmp{}", path.display(), std::process::id())),
+    };
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(text.as_bytes())?;
+    f.sync_all()?;
+    drop(f);
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 #[cfg(test)]

@@ -7,6 +7,15 @@
 //! back. Integers and floats are kept as distinct variants so `u64`
 //! counters round-trip exactly.
 //!
+//! # Cost contract
+//!
+//! Parsing and rendering are linear in the size of the text. The
+//! parser copies each run of plain string bytes (everything up to the
+//! next `"` or `\`) as one slice, and the writer emits each run that
+//! needs no escaping with one `write_str`. Nesting is bounded by
+//! [`MAX_DEPTH`]: a deeper document is a [`JsonError`], not a stack
+//! overflow, so a hostile request line cannot abort a server.
+//!
 //! # Examples
 //!
 //! ```
@@ -24,6 +33,11 @@
 //! ```
 
 use std::fmt;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. The
+/// workspace's own documents nest fewer than ten levels; the bound only
+/// keeps the recursive parser's stack use fixed.
+pub const MAX_DEPTH: usize = 256;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,8 +177,10 @@ impl Json {
     /// Parses a JSON document (rejects trailing garbage).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -176,19 +192,31 @@ impl Json {
     }
 }
 
+/// Writes `s` as a JSON string literal. Every byte that needs an
+/// escape is ASCII, so the runs between them are whole UTF-8 text and
+/// go out with one `write_str` each.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(f, "\\u{b:04x}")?;
+        } else {
+            f.write_str(escape)?;
         }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -276,8 +304,11 @@ impl fmt::Display for Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -323,11 +354,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -421,13 +467,20 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy the whole UTF-8 character, not just one byte.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash as one slice. Both delimiters are ASCII
+                    // and every escape consumes ASCII only, so the run
+                    // starts and ends on character boundaries.
+                    let start = self.pos;
+                    self.pos += self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    let run = self
+                        .text
+                        .get(start..self.pos)
+                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -552,6 +605,205 @@ mod tests {
         }
         let e = Json::parse("[1,]").unwrap_err();
         assert!(e.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_an_error_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        assert_eq!(e.offset, MAX_DEPTH);
+        // Unbounded recursion on this line overflows the stack.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects)
+            .unwrap_err()
+            .message
+            .contains("nesting"));
+        // Depth is nesting, not the number of values: long flat
+        // documents and many sibling containers stay fine.
+        let siblings = format!("[{}[]]", "[[1]],".repeat(10_000));
+        assert!(Json::parse(&siblings).is_ok());
+    }
+
+    /// Reference string decoder: one character at a time, the plainest
+    /// reading of the grammar. The properties below hold the
+    /// run-copying parser to it: same accepted language, same decoded
+    /// text, same error offsets and messages.
+    fn char_at_a_time_string_doc(text: &str) -> Result<Json, JsonError> {
+        let bytes = text.as_bytes();
+        let mut pos = 0;
+        let err = |pos: usize, message: &str| JsonError {
+            offset: pos,
+            message: message.to_string(),
+        };
+        if bytes.first() != Some(&b'"') {
+            return Err(err(0, "expected '\"'"));
+        }
+        pos += 1;
+        let mut out = String::new();
+        loop {
+            match bytes.get(pos).copied() {
+                None => return Err(err(pos, "unterminated string")),
+                Some(b'"') => {
+                    pos += 1;
+                    break;
+                }
+                Some(b'\\') => {
+                    pos += 1;
+                    match bytes.get(pos).copied() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(pos + 1..pos + 5)
+                                .ok_or_else(|| err(pos, "truncated \\u escape"))?;
+                            let hex = std::str::from_utf8(hex)
+                                .map_err(|_| err(pos, "invalid \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| err(pos, "invalid \\u escape"))?;
+                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                            pos += 4;
+                        }
+                        _ => return Err(err(pos, "invalid escape")),
+                    }
+                    pos += 1;
+                }
+                Some(_) => {
+                    let c = text[pos..].chars().next().expect("in bounds");
+                    out.push(c);
+                    pos += c.len_utf8();
+                }
+            }
+        }
+        while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            pos += 1;
+        }
+        if pos != bytes.len() {
+            return Err(err(pos, "trailing characters after document"));
+        }
+        Ok(Json::Str(out))
+    }
+
+    /// Reference string writer: one character at a time.
+    fn char_at_a_time_escape(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// String-literal fragments: plain runs of 1–4-byte characters,
+    /// every escape the parser knows (valid, odd and invalid), raw
+    /// control characters, stray quotes and backslashes.
+    const FRAGMENTS: &[&str] = &[
+        "a",
+        "plain text",
+        "é",
+        "—",
+        "😀",
+        "ü—é😀z",
+        " ",
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\n",
+        "\\r",
+        "\\t",
+        "\\b",
+        "\\f",
+        "\\u00e9",
+        "\\u0041",
+        "\\u2014",
+        "\\ud83d",
+        "\\u+041",
+        "\\u12",
+        "\\uZZZZ",
+        "\\u00é",
+        "\\x",
+        "\\",
+        "\"",
+        "\u{1}",
+        "\u{1f}",
+        "\n",
+        "\t",
+        "\r",
+        "\u{7f}",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn string_literals_decode_as_char_at_a_time(
+            picks in proptest::collection::vec(0..FRAGMENTS.len(), 0..12),
+            close in proptest::any::<bool>(),
+        ) {
+            let mut doc = String::from("\"");
+            for &i in &picks {
+                doc.push_str(FRAGMENTS[i]);
+            }
+            if close {
+                doc.push('"');
+            }
+            proptest::prop_assert_eq!(Json::parse(&doc), char_at_a_time_string_doc(&doc));
+        }
+
+        #[test]
+        fn strings_round_trip_and_render_as_char_at_a_time(
+            picks in proptest::collection::vec(0..FRAGMENTS.len(), 0..12),
+        ) {
+            let s: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            let text = Json::str(s.as_str()).to_string();
+            proptest::prop_assert_eq!(&text, &char_at_a_time_escape(&s));
+            proptest::prop_assert_eq!(Json::parse(&text), Ok(Json::Str(s.clone())));
+            let pretty = format!("{:#}", Json::obj([(s.as_str(), Json::arr([Json::str(s.as_str())]))]));
+            let back = Json::parse(&pretty).unwrap();
+            proptest::prop_assert_eq!(back.get(&s).and_then(|a| a.as_arr()).map(|a| a[0].clone()), Some(Json::Str(s.clone())));
+        }
+    }
+
+    #[test]
+    fn a_mebibyte_of_strings_parses_in_linear_time() {
+        let item = "cell x264/spb-burst(48) sb=14 — é😀 \"quoted\" path\\to\\it\t";
+        let mut items = Vec::new();
+        let mut len = 0;
+        while len < 1 << 20 {
+            let s = format!("{item}{}", items.len());
+            len += s.len() + 4;
+            items.push(Json::Str(s));
+        }
+        let doc = Json::Arr(items);
+        let text = doc.to_string();
+        assert!(text.len() >= 1 << 20);
+        let start = std::time::Instant::now();
+        let back = Json::parse(&text).unwrap();
+        let took = start.elapsed();
+        assert_eq!(back, doc);
+        // A decoder that rescans the rest of the input for every
+        // character needs about 50 s here.
+        assert!(took.as_secs_f64() < 2.0, "parsed 1 MiB in {took:?}");
     }
 
     #[test]
