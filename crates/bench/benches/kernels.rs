@@ -21,8 +21,8 @@ fn kernels(c: &mut Criterion) {
     // experiment takes — under each kernel. A hand-rolled
     // mem.tick/core.cycle loop here would silently drift from the real
     // runner (and did: it skipped warm-up and the invariant checker),
-    // so instead the bench pins both kernels to the cycle count of a
-    // reference `Simulation` run.
+    // so instead the bench pins every kernel to the cycle count of a
+    // reference `Simulation` run (made with the default kernel).
     let mut g = c.benchmark_group("sim_throughput");
     const UOPS: u64 = 100_000;
     g.throughput(Throughput::Elements(UOPS));
@@ -31,7 +31,7 @@ fn kernels(c: &mut Criterion) {
         let mut cfg = SimConfig::quick();
         cfg.measure_uops = UOPS;
         let reference = Simulation::with_config(&app, &cfg).run_or_panic().cycles;
-        for kernel in [KernelMode::Tick, KernelMode::Event] {
+        for kernel in [KernelMode::Tick, KernelMode::Event, KernelMode::Wheel] {
             let cfg = cfg.clone().with_kernel(kernel);
             g.bench_function(format!("{}_{name}", kernel.label()), |b| {
                 b.iter(|| {

@@ -13,7 +13,7 @@ fn main() {
             ("at-commit", PolicyKind::AtCommit),
             ("spb", PolicyKind::spb_default()),
         ] {
-            let cfg = SimConfig::quick().with_sb(14).with_policy(policy.clone());
+            let cfg = SimConfig::quick().with_sb(14).with_policy(policy);
             let mut nochk = cfg.clone();
             nochk.mem.checker_interval = 0;
             nochk.watchdog_cycles = 0;

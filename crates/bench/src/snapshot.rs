@@ -373,7 +373,7 @@ pub fn record_quick_grid(
         for (label, policy) in &policies {
             let cfg = SimConfig::quick()
                 .with_sb(14)
-                .with_policy(policy.clone())
+                .with_policy(*policy)
                 .with_kernel(mode);
             let name = format!("quick_grid/{}-{label}-sb14", app.name());
             let mut samples_ns = Vec::with_capacity(samples);

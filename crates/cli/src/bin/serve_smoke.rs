@@ -22,7 +22,7 @@
 use spb_serve::{client, JobSpec};
 use spb_stats::json::Json;
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -164,7 +164,7 @@ fn run() -> Result<(), String> {
     result
 }
 
-fn scenario(dir: &PathBuf, golden_records: &[Json]) -> Result<(), String> {
+fn scenario(dir: &Path, golden_records: &[Json]) -> Result<(), String> {
     // Life 1: serial workers keep the sweep slow enough (a few
     // milliseconds per cell, ~230 cells) that the SIGKILL reliably
     // lands mid-run.

@@ -1049,7 +1049,7 @@ RUN OPTIONS:
   --jobs N        sweep worker threads            (default $SPB_JOBS or all cores)
   --fault-rate R  uniform memory fault-injection rate in [0,1] (default 0 = off)
   --fault-seed N  fault-injection seed            (default 1)
-  --kernel K      execution kernel: wheel (push-based timing wheel,
+  --kernel K      execution kernel: wheel (push-based skip-ahead,
                   default), event (probe-polling skip-ahead) or tick
                   (legacy lock-step reference; bit-identical results)
   --squash SPEC   wrong-path squash model — SPEC is a comma list of

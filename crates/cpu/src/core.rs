@@ -1,15 +1,13 @@
 //! The out-of-order core: dispatch, completion, commit, and SB drain.
 
 use crate::config::CoreConfig;
-use crate::rob::{RobEntry, RobRing, SbRing};
+use crate::rob::{IssueQueue, RobEntry, RobRing, SbRing};
 use spb_mem::blockmap::BlockMap;
 use crate::policy::StorePrefetchPolicy;
 use spb_mem::MemorySystem;
 use spb_obs::{Event, EventKind, Observer};
 use spb_stats::{Histogram, StallCause, TopDown};
 use spb_trace::{CodeRegion, MicroOp, OpKind, TraceSource};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Size of the completion ring (max dependency distance honoured).
 const RING: usize = 1024;
@@ -79,7 +77,7 @@ pub struct Core {
     pending_op: Option<MicroOp>,
     completion_ring: [u64; RING],
     seq: u64,
-    iq: BinaryHeap<Reverse<u64>>,
+    iq: IssueQueue,
     loads_in_flight: usize,
     stores_in_machine: usize,
     sb_pending: SbRing, // (addr, pc, commit cycle)
@@ -143,7 +141,7 @@ impl Core {
             pending_op: None,
             completion_ring: [0; RING],
             seq: 0,
-            iq: BinaryHeap::new(),
+            iq: IssueQueue::new(config.iq_entries),
             loads_in_flight: 0,
             stores_in_machine: 0,
             sb_pending: SbRing::new(config.sb_entries),
@@ -350,7 +348,7 @@ impl Core {
                         // which only commit, drain, or issue can change
                         // — all covered by the other wake candidates.
                         if cause == StallCause::IssueQueue {
-                            iq_wake = self.iq.peek().map(|&Reverse(t)| t).filter(|&t| t > now);
+                            iq_wake = self.iq.earliest();
                         }
                     }
                 },
@@ -597,15 +595,7 @@ impl Core {
         if self.rob.len() >= self.config.rob_entries {
             return Some(StallCause::Rob);
         }
-        // Reclaim issued entries before checking IQ occupancy.
-        while let Some(&Reverse(t)) = self.iq.peek() {
-            if t <= now {
-                self.iq.pop();
-            } else {
-                break;
-            }
-        }
-        if self.iq.len() >= self.config.iq_entries {
+        if self.iq.is_full(now) {
             return Some(StallCause::IssueQueue);
         }
         if self.rob.len() >= self.config.int_regs + self.config.fp_regs {
@@ -676,7 +666,7 @@ impl Core {
 
         self.completion_ring[(seq as usize) % RING] = complete_at;
         if issue_at > now + 1 {
-            self.iq.push(Reverse(issue_at));
+            self.iq.push(issue_at);
         }
         self.rob.push_back(RobEntry {
             complete_at,

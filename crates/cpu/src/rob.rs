@@ -1,9 +1,10 @@
 //! Struct-of-arrays rings for the two FIFO structures on the commit
-//! path: the reorder buffer and the post-commit store buffer.
+//! path — the reorder buffer and the post-commit store buffer — plus
+//! the issue queue's occupancy set.
 //!
-//! Both are bounded by configuration (dispatch gates on ROB occupancy;
-//! a store cannot commit into the SB without holding one of the
-//! `sb_entries` slots it acquired at dispatch), so each ring is a set
+//! The rings are bounded by configuration (dispatch gates on ROB
+//! occupancy; a store cannot commit into the SB without holding one of
+//! the `sb_entries` slots it acquired at dispatch), so each ring is a set
 //! of fixed-capacity parallel lanes indexed by `(head + i) % cap`.
 //! The hot loops touch one lane each — commit and the skip-ahead probe
 //! poll only `complete_at`, coalescing polls only the tail address —
@@ -178,6 +179,65 @@ impl SbRing {
     }
 }
 
+/// The issue queue's occupancy: the issue cycles of dispatched µops
+/// that issue later than the next cycle, as an unordered set with a
+/// cached minimum. An entry occupies the queue while its issue cycle is
+/// in the future, so the occupancy at `now` is the count of entries
+/// `> now`.
+///
+/// Entries that have issued are reclaimed lazily: only a queue holding
+/// `cap` entries, the earliest of which has issued, is filtered. Below
+/// capacity, stale entries cannot make the queue look full, so the
+/// common case is two compares.
+#[derive(Debug)]
+pub(crate) struct IssueQueue {
+    cap: usize,
+    issue_at: Vec<u64>,
+    /// Minimum of `issue_at` (`u64::MAX` when empty).
+    min: u64,
+}
+
+impl IssueQueue {
+    pub fn new(cap: usize) -> Self {
+        assert!(cap > 0, "IQ needs at least one entry");
+        Self {
+            cap,
+            issue_at: Vec::with_capacity(cap),
+            min: u64::MAX,
+        }
+    }
+
+    pub fn push(&mut self, issue_at: u64) {
+        assert!(
+            self.issue_at.len() < self.cap,
+            "IQ overflow: dispatch gate broken"
+        );
+        self.issue_at.push(issue_at);
+        self.min = self.min.min(issue_at);
+    }
+
+    /// Whether `cap` entries are still waiting to issue at `now`.
+    /// `now` must not decrease between calls.
+    #[inline]
+    pub fn is_full(&mut self, now: u64) -> bool {
+        if self.issue_at.len() < self.cap {
+            return false;
+        }
+        if self.min <= now {
+            self.issue_at.retain(|&t| t > now);
+            self.min = self.issue_at.iter().copied().min().unwrap_or(u64::MAX);
+        }
+        self.issue_at.len() >= self.cap
+    }
+
+    /// The earliest pending issue cycle. Once [`IssueQueue::is_full`]
+    /// has returned `true` at `now`, this is the cycle at which the
+    /// first slot frees up (always `> now`).
+    pub fn earliest(&self) -> Option<u64> {
+        (self.min != u64::MAX).then_some(self.min)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,5 +309,70 @@ mod tests {
         s.pop_front();
         s.pop_front();
         assert_eq!(s.front(), Some((256, 0x40c, 13)));
+    }
+
+    #[test]
+    fn issue_queue_matches_naive_model() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut rand = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for cap in [1usize, 2, 8, 15, 97] {
+            let mut iq = IssueQueue::new(cap);
+            // The naive model reclaims eagerly: it holds exactly the
+            // entries still waiting to issue.
+            let mut live: Vec<u64> = Vec::new();
+            let mut now = 0u64;
+            for _ in 0..20_000 {
+                now += rand(3);
+                live.retain(|&t| t > now);
+                let full = iq.is_full(now);
+                assert_eq!(full, live.len() >= cap, "cap {cap} now {now}");
+                if full {
+                    let min = live.iter().copied().min();
+                    assert_eq!(iq.earliest(), min, "cap {cap} now {now}");
+                    assert!(iq.earliest().unwrap() > now);
+                } else if rand(4) != 0 {
+                    // Dispatch pushes only µops that issue after the
+                    // next cycle; DRAM-dependent ones issue far out.
+                    let lead = if rand(8) == 0 {
+                        200 + rand(400)
+                    } else {
+                        2 + rand(12)
+                    };
+                    iq.push(now + lead);
+                    live.push(now + lead);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn issue_queue_reclaims_only_when_full_and_then_exactly() {
+        let mut iq = IssueQueue::new(4);
+        for t in 10..13 {
+            iq.push(t);
+        }
+        // Three of four slots hold entries that issued long ago: stale
+        // entries never make a queue below capacity look full.
+        assert!(!iq.is_full(100));
+        iq.push(200);
+        // At capacity the reclaim yields the exact count: one live entry.
+        assert!(!iq.is_full(100));
+        assert_eq!(iq.earliest(), Some(200));
+        // A queue full of far-future entries stays full, no reclaim.
+        for t in 1..4 {
+            iq.push(1_000_000 + t);
+        }
+        for now in 100..200 {
+            assert!(iq.is_full(now));
+        }
+        assert_eq!(iq.earliest(), Some(200));
+        // The earliest entry issues: exactly one slot frees up.
+        assert!(!iq.is_full(200));
+        assert_eq!(iq.earliest(), Some(1_000_001));
     }
 }

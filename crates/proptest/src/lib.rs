@@ -412,7 +412,7 @@ mod tests {
         /// The macro itself works end to end.
         #[test]
         fn macro_smoke(x in 1u64..100, v in collection::vec(0u32..7, 1..20)) {
-            prop_assert!(x >= 1 && x < 100);
+            prop_assert!((1..100).contains(&x));
             prop_assert!(!v.is_empty());
             for e in v {
                 prop_assert!(e < 7, "element {e} escaped range");

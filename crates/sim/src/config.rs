@@ -20,7 +20,7 @@ pub const IDEAL_SB_ENTRIES: usize = 1024;
 /// property); they differ only in wall-clock time. The tick kernel is
 /// the permanent reference implementation, and the probe-polling event
 /// kernel is kept as a second verification point between it and the
-/// default timing-wheel kernel.
+/// default push-based `wheel` kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Legacy lock-step kernel: tick every component every cycle.
@@ -30,11 +30,13 @@ pub enum KernelMode {
     /// `next_event_at` horizon and replay the skipped span's
     /// accounting in bulk.
     Event,
-    /// Push-based timing-wheel kernel (DESIGN.md §12): components
-    /// register wakeups with a hierarchical timing wheel when their
-    /// state settles instead of being probed every cycle, the memory
-    /// system is ticked only on cycles where it has observable work,
-    /// and quiescent spans are replayed in bulk as under `Event`.
+    /// Push-based kernel (DESIGN.md §12): the memory system publishes
+    /// its next wakeup as its state changes and is ticked only on
+    /// cycles where it has observable work, cores are probed only on
+    /// cycles where nothing committed, and a quiescent probe jumps to
+    /// the minimum of the wakeups it read, replaying the span in bulk
+    /// as under `Event`. (Spelled `wheel` for the timing wheel it once
+    /// used; cache keys keep the spelling.)
     #[default]
     Wheel,
 }

@@ -42,7 +42,6 @@
 pub mod config;
 pub mod report;
 pub mod runner;
-pub mod scheduler;
 pub mod simulation;
 pub mod suite;
 pub mod sweep;

@@ -1,16 +1,17 @@
-//! Run results, run errors, and the advance loop (both kernels).
+//! Run results, run errors, and the advance loop (all three kernels).
 //!
 //! The execution entry point is [`crate::simulation::Simulation`]. The
-//! loop itself comes in two bit-identical flavours selected by
-//! [`crate::config::KernelMode`]: the legacy lock-step kernel
-//! ([`advance_tick`]) ticks every component every cycle, while the
+//! loop itself comes in three bit-identical flavours selected by
+//! [`crate::config::KernelMode`]: the lock-step reference kernel
+//! ([`advance_tick`]) ticks every component every cycle; the
 //! skip-ahead kernel ([`advance_event`]) asks the memory system and
 //! every core for a `next_event_at` horizon and jumps the clock to the
-//! minimum whenever nobody has same-cycle work (see DESIGN.md §9 for
-//! the contract).
+//! minimum whenever nobody has same-cycle work; and the default
+//! [`advance_wheel`] ticks the memory system only when it has work and
+//! probes the cores only on cycles where nothing committed (see
+//! DESIGN.md §9 and §12 for the contract).
 
 use crate::config::KernelMode;
-use crate::scheduler::TimingWheel;
 use spb_cpu::core::{Core, CpuStats};
 use spb_energy::EnergyBreakdown;
 use spb_mem::checker::{InvariantKind, InvariantViolation};
@@ -159,9 +160,9 @@ impl std::error::Error for RunError {
 }
 
 /// Advances the simulation until the slowest core has committed
-/// `target` µops, using the selected kernel. Both kernels poll the
-/// memory system's invariant checker and watch for forward progress,
-/// and produce bit-identical results.
+/// `target` µops, using the selected kernel. Every kernel polls the
+/// memory system's invariant checker and watches for forward progress,
+/// and all three produce bit-identical results.
 pub(crate) fn advance(
     cores: &mut [Core],
     mem: &mut MemorySystem,
@@ -177,7 +178,7 @@ pub(crate) fn advance(
     }
 }
 
-/// Builds the forward-progress violation both kernels report when no
+/// Builds the forward-progress violation every kernel reports when no
 /// core commits a µop for `watchdog` consecutive cycles.
 fn watchdog_violation(
     mem: &MemorySystem,
@@ -340,7 +341,7 @@ pub(crate) fn advance_event(
     }
 }
 
-/// The push-based timing-wheel kernel (DESIGN.md §12).
+/// The push-based `wheel` kernel (DESIGN.md §12).
 ///
 /// Differences from [`advance_event`]:
 ///
@@ -350,18 +351,16 @@ pub(crate) fn advance_event(
 ///   observer boundaries, burst-queue drain eligibility), not a probe
 ///   that recomputes boundaries every cycle.
 /// - Cores are probed for a horizon only on cycles where no core
-///   committed a µop — commit progress is the cheap busy signal — and
-///   the resulting wakeups are *registered* with a hierarchical
-///   [`TimingWheel`] (one wake source per core, one for the memory
-///   system, one for the watchdog deadline) instead of being re-merged
-///   from scratch at every probe.
+///   committed a µop — commit progress is the cheap busy signal.
 /// - Each entered cycle runs exactly as under [`advance_tick`]; when
-///   everyone is quiescent the clock jumps to the wheel's earliest
-///   wakeup with the skipped span bulk-replayed (`Core::skip_span`).
-///   Wakeups may fire early (the woken component finds no work and
-///   re-registers) but never late, so checker runs, observer samples,
-///   burst issues and the watchdog all happen at exactly the cycles the
-///   lock-step kernel would have executed them.
+///   everyone is quiescent the clock jumps to the minimum of the
+///   memory system's wakeup, every core's horizon and the watchdog
+///   deadline, all read in that same probe, with the skipped span
+///   bulk-replayed (`Core::skip_span`). A wakeup may be early (the
+///   woken component finds no work and the next probe skips again) but
+///   never late, so checker runs, observer samples, burst issues and
+///   the watchdog all happen at exactly the cycles the lock-step kernel
+///   would have executed them.
 pub(crate) fn advance_wheel(
     cores: &mut [Core],
     mem: &mut MemorySystem,
@@ -369,10 +368,6 @@ pub(crate) fn advance_wheel(
     target: u64,
     watchdog: u64,
 ) -> Result<(), InvariantViolation> {
-    let n = cores.len();
-    let mem_id = n;
-    let wd_id = n + 1;
-    let mut wheel = TimingWheel::new(n + 2, *now);
     let mut last_min = 0u64;
     let mut last_progress_at = *now;
     let mut last_total: u64 = cores.iter().map(|c| c.committed_uops()).sum();
@@ -414,19 +409,19 @@ pub(crate) fn advance_wheel(
             continue;
         }
 
-        // No commit anywhere: probe each core once and register its
-        // wakeup. Any same-cycle work means the machine is still busy
-        // (e.g. a drain mid-burst) — back off and keep cycling.
-        wheel.advance_to(*now);
+        // No commit anywhere: probe each core once. Any same-cycle work
+        // means the machine is still busy (e.g. a drain mid-burst) —
+        // back off and keep cycling.
+        let mut wake = u64::MAX;
         let mut busy = false;
-        for (i, core) in cores.iter_mut().enumerate() {
+        for core in cores.iter_mut() {
             match core.next_event_at(*now) {
                 Some(t) if t <= *now => {
                     busy = true;
                     break;
                 }
-                Some(t) => wheel.register(i, t),
-                None => wheel.cancel(i),
+                Some(t) => wake = wake.min(t),
+                None => {}
             }
         }
         if busy {
@@ -436,30 +431,25 @@ pub(crate) fn advance_wheel(
             continue;
         }
         busy_backoff = 0;
-        match mem.wake_at(*now) {
-            u64::MAX => wheel.cancel(mem_id),
-            t => wheel.register(mem_id, t),
-        }
+        wake = wake.min(mem.wake_at(*now));
         if watchdog > 0 {
             // First cycle at which the watchdog check above fires.
-            wheel.register(wd_id, last_progress_at + watchdog + 1);
+            wake = wake.min(last_progress_at + watchdog + 1);
         }
-        match wheel.next_wake() {
-            Some(t) => {
-                // The cycle at `*now` already ran, so the quiescent
-                // span to replay starts one cycle later.
-                let t = t.max(*now + 1);
-                for core in cores.iter_mut() {
-                    core.skip_span(mem, *now + 1, t);
-                }
-                wheel.advance_to(t);
-                *now = t;
-            }
-            // No pending events anywhere and no watchdog: fall through
-            // to normal cycles, replicating the lock-step kernel's
-            // behaviour (spin until the caller's target or forever).
-            None => *now += 1,
+        if wake == u64::MAX {
+            // No pending events anywhere and no watchdog: run normal
+            // cycles, replicating the lock-step kernel's behaviour
+            // (spin until the caller's target or forever).
+            *now += 1;
+            continue;
         }
+        // The cycle at `*now` already ran, so the quiescent span to
+        // replay starts one cycle later.
+        let t = wake.max(*now + 1);
+        for core in cores.iter_mut() {
+            core.skip_span(mem, *now + 1, t);
+        }
+        *now = t;
     }
 }
 
@@ -485,6 +475,19 @@ mod tests {
     use crate::config::{PolicyKind, SimConfig};
     use crate::simulation::Simulation;
     use spb_trace::profile::AppProfile;
+
+    /// Asserts that two runs agree on cycles, µops, Top-Down, core and
+    /// memory counters, per-core windows and both histograms.
+    fn assert_bit_identical(a: &RunResult, b: &RunResult, label: &str) {
+        assert_eq!(a.cycles, b.cycles, "{label}");
+        assert_eq!(a.uops, b.uops, "{label}");
+        assert_eq!(a.topdown, b.topdown, "{label}");
+        assert_eq!(a.cpu, b.cpu, "{label}");
+        assert_eq!(a.mem, b.mem, "{label}");
+        assert_eq!(a.per_core, b.per_core, "{label}");
+        assert_eq!(a.sb_residency, b.sb_residency, "{label}");
+        assert_eq!(a.burst_lengths, b.burst_lengths, "{label}");
+    }
 
     #[test]
     fn quick_run_produces_sane_numbers() {
@@ -608,26 +611,36 @@ mod tests {
 
     /// Every skip-ahead kernel must be indistinguishable from the
     /// lock-step reference, bit for bit, on every counter a run
-    /// reports (the broad cross-product lives in `spb-verify`).
+    /// reports (the broad cross-product lives in `spb-verify`). The
+    /// 8-entry issue-queue cases keep the IQ full of DRAM-dependent
+    /// µops, so the IQ-stall wake and the queue's lazy reclaim decide
+    /// when the skip-ahead kernels may jump.
     #[test]
     fn skip_ahead_kernels_match_tick_kernel_bit_for_bit() {
         use crate::config::KernelMode;
-        let app = AppProfile::by_name("x264").unwrap();
-        let cfg = SimConfig::quick().with_sb(14);
-        let tick = Simulation::with_config(&app, &cfg.clone().with_kernel(KernelMode::Tick))
-            .run_or_panic();
-        for kernel in [KernelMode::Event, KernelMode::Wheel] {
-            let fast =
-                Simulation::with_config(&app, &cfg.clone().with_kernel(kernel)).run_or_panic();
-            let label = kernel.label();
-            assert_eq!(tick.cycles, fast.cycles, "{label}");
-            assert_eq!(tick.uops, fast.uops, "{label}");
-            assert_eq!(tick.topdown, fast.topdown, "{label}");
-            assert_eq!(tick.cpu, fast.cpu, "{label}");
-            assert_eq!(tick.mem, fast.mem, "{label}");
-            assert_eq!(tick.per_core, fast.per_core, "{label}");
-            assert_eq!(tick.sb_residency, fast.sb_residency, "{label}");
-            assert_eq!(tick.burst_lengths, fast.burst_lengths, "{label}");
+        use spb_stats::StallCause;
+        let base = SimConfig::quick().with_sb(14);
+        let mut tiny_iq = base.clone();
+        tiny_iq.core.iq_entries = 8;
+        for (name, cfg, tiny) in [
+            ("x264", &base, false),
+            ("mcf", &tiny_iq, true),
+            ("gcc", &tiny_iq, true),
+        ] {
+            let app = AppProfile::by_name(name).unwrap();
+            let tick = Simulation::with_config(&app, &cfg.clone().with_kernel(KernelMode::Tick))
+                .run_or_panic();
+            if tiny {
+                assert!(
+                    tick.topdown.stall_cycles(StallCause::IssueQueue) > 0,
+                    "{name}: an 8-entry IQ must stall dispatch"
+                );
+            }
+            for kernel in [KernelMode::Event, KernelMode::Wheel] {
+                let fast =
+                    Simulation::with_config(&app, &cfg.clone().with_kernel(kernel)).run_or_panic();
+                assert_bit_identical(&tick, &fast, &format!("{name} {}", kernel.label()));
+            }
         }
     }
 
@@ -645,12 +658,7 @@ mod tests {
             .run_or_panic();
         let wheel = Simulation::with_config(&app, &cfg.clone().with_kernel(KernelMode::Wheel))
             .run_or_panic();
-        assert_eq!(tick.cycles, wheel.cycles);
-        assert_eq!(tick.uops, wheel.uops);
-        assert_eq!(tick.topdown, wheel.topdown);
-        assert_eq!(tick.cpu, wheel.cpu);
-        assert_eq!(tick.mem, wheel.mem);
-        assert_eq!(tick.per_core, wheel.per_core);
+        assert_bit_identical(&tick, &wheel, "dedup wheel");
     }
 
     /// A squash model at rate 0 must be indistinguishable — bit for
@@ -667,14 +675,7 @@ mod tests {
             .with_squash(SquashConfig::parse("rate=0,depth=8..32,storm=4,seed=9").unwrap());
         let a = Simulation::with_config(&app, &base).run_or_panic();
         let b = Simulation::with_config(&app, &zero).run_or_panic();
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.uops, b.uops);
-        assert_eq!(a.topdown, b.topdown);
-        assert_eq!(a.cpu, b.cpu);
-        assert_eq!(a.mem, b.mem);
-        assert_eq!(a.per_core, b.per_core);
-        assert_eq!(a.sb_residency, b.sb_residency);
-        assert_eq!(a.burst_lengths, b.burst_lengths);
+        assert_bit_identical(&a, &b, "squash rate 0");
         assert_eq!(a.cpu.squash_episodes, 0);
     }
 
@@ -697,12 +698,7 @@ mod tests {
         for kernel in [KernelMode::Event, KernelMode::Wheel] {
             let fast =
                 Simulation::with_config(&app, &cfg.clone().with_kernel(kernel)).run_or_panic();
-            let label = kernel.label();
-            assert_eq!(tick.cycles, fast.cycles, "{label}");
-            assert_eq!(tick.uops, fast.uops, "{label}");
-            assert_eq!(tick.cpu, fast.cpu, "{label}");
-            assert_eq!(tick.mem, fast.mem, "{label}");
-            assert_eq!(tick.per_core, fast.per_core, "{label}");
+            assert_bit_identical(&tick, &fast, kernel.label());
         }
     }
 

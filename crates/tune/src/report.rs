@@ -85,7 +85,7 @@ impl TuneReport {
             ("workload_seed", Json::from(self.workload_seed)),
             (
                 "apps",
-                Json::arr(self.apps.iter().map(|a| Json::str(a))),
+                Json::arr(self.apps.iter().map(Json::str)),
             ),
         ];
         if let Some((candidates, survivors)) = self.outcome.screen {

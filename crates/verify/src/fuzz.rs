@@ -9,14 +9,15 @@
 //! traffic: invalidations, ownership downgrades, remote forwards, and
 //! racing RFOs.
 //!
-//! Time itself is fuzzed through a [`spb_sim::scheduler::TimingWheel`]:
-//! steps register the memory system's own contractual wakeup
+//! Time itself is fuzzed through a two-source wakeup schedule (one
+//! deadline per source, clamped to the last advance point): steps
+//! register the memory system's own contractual wakeup
 //! ([`spb_mem::MemorySystem::wake_at`]) alongside a decoy source,
 //! cancel registrations at random, and fire due wakeups **late** by a
 //! small skew before ticking. Firing early is sound by design; firing
 //! late breaks bit-identity with the reference kernels but must never
 //! break coherence — which is exactly what the after-every-step checker
-//! establishes. The wheel is also audited after each firing: a due
+//! establishes. The schedule is also audited after each firing: a due
 //! wakeup it failed to consume is reported as a failure.
 //!
 //! After **every** step the full coherence invariant checker runs
@@ -31,7 +32,6 @@
 //! and `spbsim verify fuzz --seed N --steps M` replays it exactly.
 
 use spb_mem::{FaultConfig, MemoryConfig, MemorySystem, RfoOrigin};
-use spb_sim::scheduler::{TimingWheel, NEAR_SLOTS};
 use std::fmt;
 
 /// Blocks in the contended pool that every core touches.
@@ -42,9 +42,9 @@ const PRIVATE_BLOCKS: u64 = 24;
 const SHARED_BASE: u64 = 0x4000;
 /// Base block of core `c`'s private pool: `PRIVATE_BASE + c * 0x1000`.
 const PRIVATE_BASE: u64 = 0x8000;
-/// Wheel source id for the memory system's contractual wakeup.
+/// Wake source id for the memory system's contractual wakeup.
 const MEM_ID: usize = 0;
-/// Wheel source id for the decoy registration (register/cancel churn).
+/// Wake source id for the decoy registration (register/cancel churn).
 const DECOY_ID: usize = 1;
 
 /// One fuzzing schedule, fully determined by its fields.
@@ -125,7 +125,7 @@ pub struct FuzzStats {
     pub bursts: u64,
     /// Cycles advanced.
     pub cycles: u64,
-    /// Timing-wheel wakeups fired (possibly with late skew).
+    /// Scheduled wakeups fired (possibly with late skew).
     pub wakeups: u64,
     /// Wrong-path (spec-tagged) RFO prefetches issued.
     pub spec_prefetches: u64,
@@ -209,6 +209,34 @@ impl Rng {
     }
 }
 
+/// The fuzzer's wakeup schedule: at most one deadline per source
+/// ([`MEM_ID`], [`DECOY_ID`]). Registrations clamp up to `base`, the
+/// last advance point (a request in the past means "wake now").
+#[derive(Default)]
+struct Deadlines {
+    at: [Option<u64>; 2],
+    base: u64,
+}
+
+impl Deadlines {
+    /// Registers (or re-registers) source `id` to wake at `at`.
+    fn register(&mut self, id: usize, at: u64) {
+        self.at[id] = Some(at.max(self.base));
+    }
+
+    /// Moves the advance point to `now`, consuming every deadline
+    /// `<= now`.
+    fn advance_to(&mut self, now: u64) {
+        self.base = now;
+        self.at = self.at.map(|d| d.filter(|&t| t > now));
+    }
+
+    /// The earliest pending deadline, if any.
+    fn next_wake(&self) -> Option<u64> {
+        self.at.iter().flatten().min().copied()
+    }
+}
+
 /// Runs one fuzzing schedule to completion.
 ///
 /// # Errors
@@ -244,7 +272,7 @@ pub fn run_one(config: &FuzzConfig) -> Result<FuzzStats, Box<FuzzFailure>> {
     let mut now = 0u64;
     let mut mutation_armed = false;
     let mut spec_mutation_armed = false;
-    let mut wheel = TimingWheel::new(2, now);
+    let mut wakeups = Deadlines::default();
     mem.tick(now);
 
     for step in 0..config.steps {
@@ -298,19 +326,19 @@ pub fn run_one(config: &FuzzConfig) -> Result<FuzzStats, Box<FuzzFailure>> {
             }
             85..=88 => {
                 // Wakeup registration churn: the memory system's own
-                // contractual wake, plus (half the time) a decoy that
-                // lands anywhere from the near wheel to the far heap,
-                // re-registering over whatever it held before.
-                wheel.register(MEM_ID, mem.wake_at(now));
+                // contractual wake, plus (half the time) a decoy up to
+                // 512 cycles out, re-registering over whatever it held
+                // before.
+                wakeups.register(MEM_ID, mem.wake_at(now));
                 if rng.below(2) == 0 {
-                    wheel.register(DECOY_ID, now + 1 + rng.below(2 * NEAR_SLOTS));
+                    wakeups.register(DECOY_ID, now + 1 + rng.below(512));
                 }
             }
             89..=90 => {
-                wheel.cancel(rng.below(2) as usize);
+                wakeups.at[rng.below(2) as usize] = None; // cancel
             }
             91..=99 => {
-                if let Some(w) = wheel.next_wake() {
+                if let Some(w) = wakeups.next_wake() {
                     // Fire the due wakeup — sometimes LATE by a small
                     // skew. Tardiness breaks bit-identity with the
                     // reference kernels, but coherence must survive it;
@@ -318,13 +346,13 @@ pub fn run_one(config: &FuzzConfig) -> Result<FuzzStats, Box<FuzzFailure>> {
                     let target = now.max(w + rng.below(4));
                     stats.cycles += target - now;
                     now = target;
-                    wheel.advance_to(now);
+                    wakeups.advance_to(now);
                     mem.tick(now);
                     stats.wakeups += 1;
-                    if let Some(t) = wheel.next_wake() {
+                    if let Some(t) = wakeups.next_wake() {
                         if t <= now {
                             return Err(fail(format!(
-                                "timing wheel kept a due wakeup: next_wake {t} <= now {now}"
+                                "wakeup schedule kept a due wakeup: next_wake {t} <= now {now}"
                             )));
                         }
                     }
@@ -494,7 +522,10 @@ mod tests {
             ..FuzzConfig::default()
         };
         let stats = run_seeds(&base, 8).expect("wakeup skew must not break coherence");
-        assert!(stats.wakeups > 0, "no wheel wakeup ever fired: {stats:?}");
+        assert!(
+            stats.wakeups > 0,
+            "no scheduled wakeup ever fired: {stats:?}"
+        );
         assert!(stats.cycles > 0);
     }
 
@@ -515,7 +546,7 @@ mod tests {
         // The headline soak for the speculation model: wrong-path RFO
         // runs, speculative bursts and mid-anything squashes across 256
         // seeds, with the invariant checker after every step and the
-        // wheel's next_wake audit live the whole time.
+        // schedule's next_wake audit live the whole time.
         let base = FuzzConfig {
             seed: 20_000,
             steps: 160,
@@ -525,7 +556,7 @@ mod tests {
         let stats = run_seeds(&base, 256).expect("squash steps must not break coherence");
         assert!(stats.spec_prefetches > 0, "spec runs actually fired: {stats:?}");
         assert!(stats.squashes > 0, "squashes actually resolved: {stats:?}");
-        assert!(stats.wakeups > 0, "wheel audit was exercised: {stats:?}");
+        assert!(stats.wakeups > 0, "wakeup audit was exercised: {stats:?}");
     }
 
     #[test]
