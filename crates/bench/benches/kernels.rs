@@ -31,7 +31,7 @@ fn kernels(c: &mut Criterion) {
         let mut cfg = SimConfig::quick();
         cfg.measure_uops = UOPS;
         let reference = Simulation::with_config(&app, &cfg).run_or_panic().cycles;
-        for kernel in [KernelMode::Tick, KernelMode::Event, KernelMode::Wheel] {
+        for kernel in [KernelMode::Tick, KernelMode::Wheel] {
             let cfg = cfg.clone().with_kernel(kernel);
             g.bench_function(format!("{}_{name}", kernel.label()), |b| {
                 b.iter(|| {

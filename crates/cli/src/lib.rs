@@ -277,8 +277,8 @@ pub struct RunOpts {
     pub fault_rate: f64,
     /// Fault-injection seed (independent of the workload seed).
     pub fault_seed: u64,
-    /// Execution kernel (push-based `wheel` by default; `event` and
-    /// `tick` keep the earlier kernels as equivalence references).
+    /// Execution kernel (the skip-ahead `wheel` by default, also spelled
+    /// `event`; `tick` is the lock-step equivalence reference).
     pub kernel: KernelMode,
     /// Wrong-path squash model (`SquashConfig::none()` = off).
     pub squash: SquashConfig,
@@ -339,85 +339,75 @@ fn take_value<'a>(flag: &str, it: &mut impl Iterator<Item = &'a str>) -> Result<
         .ok_or_else(|| CliError(format!("{flag} requires a value")))
 }
 
+/// Parses the only option an experiment takes, `--quick`.
+fn parse_quick<'a>(args: impl Iterator<Item = &'a str>) -> Result<bool, CliError> {
+    let mut quick = false;
+    for a in args {
+        match a {
+            "--quick" => quick = true,
+            other => return Err(CliError(format!("unknown argument {other:?}"))),
+        }
+    }
+    Ok(quick)
+}
+
+/// Applies one shared run flag (`--policy`, `--sb`, `--uops`, …) and
+/// its value to `opts`. Returns `Ok(false)` when `flag` is not a run
+/// flag, leaving `args` untouched.
+fn parse_run_flag<'a>(
+    flag: &str,
+    args: &mut impl Iterator<Item = &'a str>,
+    opts: &mut RunOpts,
+) -> Result<bool, CliError> {
+    fn number<'a, T: std::str::FromStr>(
+        flag: &str,
+        args: &mut impl Iterator<Item = &'a str>,
+    ) -> Result<T, CliError> {
+        let v = take_value(flag, args)?;
+        v.parse()
+            .map_err(|_| CliError(format!("{flag} expects a number, got {v:?}")))
+    }
+    match flag {
+        "--policy" => opts.policy = parse_policy(take_value(flag, args)?)?,
+        "--sb" => opts.sb = number(flag, args)?,
+        "--uops" => opts.uops = number(flag, args)?,
+        "--warmup" => opts.warmup = number(flag, args)?,
+        "--seed" => opts.seed = number(flag, args)?,
+        "--jobs" => opts.jobs = Some(number(flag, args)?),
+        "--fault-rate" => {
+            let v = take_value(flag, args)?;
+            opts.fault_rate = v
+                .parse::<f64>()
+                .ok()
+                .filter(|r| (0.0..=1.0).contains(r))
+                .ok_or_else(|| {
+                    CliError(format!("--fault-rate expects a number in [0,1], got {v:?}"))
+                })?;
+        }
+        "--fault-seed" => opts.fault_seed = number(flag, args)?,
+        "--kernel" => {
+            let v = take_value(flag, args)?;
+            opts.kernel = KernelMode::parse(v).map_err(|e| CliError(format!("--kernel: {e}")))?;
+        }
+        "--squash" => {
+            let v = take_value(flag, args)?;
+            opts.squash = SquashConfig::parse(v).map_err(|e| CliError(format!("--squash: {e}")))?;
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Applies every shared run flag in `args` to `opts` and returns the
+/// arguments it did not recognise, in order.
 fn parse_run_opts<'a>(
-    args: &mut std::iter::Peekable<impl Iterator<Item = &'a str>>,
+    args: &mut impl Iterator<Item = &'a str>,
     opts: &mut RunOpts,
 ) -> Result<Vec<String>, CliError> {
     let mut leftovers = Vec::new();
-    while let Some(&a) = args.peek() {
-        match a {
-            "--policy" => {
-                args.next();
-                opts.policy = parse_policy(take_value("--policy", args)?)?;
-            }
-            "--sb" => {
-                args.next();
-                let v = take_value("--sb", args)?;
-                opts.sb = v
-                    .parse()
-                    .map_err(|_| CliError(format!("--sb expects a number, got {v:?}")))?;
-            }
-            "--uops" => {
-                args.next();
-                let v = take_value("--uops", args)?;
-                opts.uops = v
-                    .parse()
-                    .map_err(|_| CliError(format!("--uops expects a number, got {v:?}")))?;
-            }
-            "--warmup" => {
-                args.next();
-                let v = take_value("--warmup", args)?;
-                opts.warmup = v
-                    .parse()
-                    .map_err(|_| CliError(format!("--warmup expects a number, got {v:?}")))?;
-            }
-            "--seed" => {
-                args.next();
-                let v = take_value("--seed", args)?;
-                opts.seed = v
-                    .parse()
-                    .map_err(|_| CliError(format!("--seed expects a number, got {v:?}")))?;
-            }
-            "--jobs" => {
-                args.next();
-                let v = take_value("--jobs", args)?;
-                opts.jobs = Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("--jobs expects a number, got {v:?}")))?,
-                );
-            }
-            "--fault-rate" => {
-                args.next();
-                let v = take_value("--fault-rate", args)?;
-                opts.fault_rate = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|r| (0.0..=1.0).contains(r))
-                    .ok_or_else(|| {
-                        CliError(format!("--fault-rate expects a number in [0,1], got {v:?}"))
-                    })?;
-            }
-            "--fault-seed" => {
-                args.next();
-                let v = take_value("--fault-seed", args)?;
-                opts.fault_seed = v
-                    .parse()
-                    .map_err(|_| CliError(format!("--fault-seed expects a number, got {v:?}")))?;
-            }
-            "--kernel" => {
-                args.next();
-                let v = take_value("--kernel", args)?;
-                opts.kernel = KernelMode::parse(v).map_err(|e| CliError(format!("--kernel: {e}")))?;
-            }
-            "--squash" => {
-                args.next();
-                let v = take_value("--squash", args)?;
-                opts.squash =
-                    SquashConfig::parse(v).map_err(|e| CliError(format!("--squash: {e}")))?;
-            }
-            _ => {
-                leftovers.push(args.next().unwrap().to_string());
-            }
+    while let Some(a) = args.next() {
+        if !parse_run_flag(a, args, opts)? {
+            leftovers.push(a.to_string());
         }
     }
     Ok(leftovers)
@@ -425,7 +415,7 @@ fn parse_run_opts<'a>(
 
 /// Parses an argument vector (without the program name).
 pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, CliError> {
-    let mut it = args.into_iter().peekable();
+    let mut it = args.into_iter();
     let Some(cmd) = it.next() else {
         return Ok(Command::Help);
     };
@@ -529,8 +519,8 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Cli
             let mut chart = false;
             let mut resume = false;
             let mut retry = 1u32;
-            // Note: --sb/--policy are consumed here as comma lists, so
-            // bypass parse_run_opts for those two flags.
+            // --sb/--policy take comma lists here; every other run flag
+            // means what it means for `run`.
             while let Some(a) = it.next() {
                 match a {
                     "--app" => app = it.next().map(str::to_string),
@@ -543,20 +533,6 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Cli
                             .ok()
                             .filter(|&n| n >= 1)
                             .ok_or_else(|| CliError(format!("bad --retry {v:?} (expects ≥ 1)")))?;
-                    }
-                    "--fault-rate" => {
-                        let v = take_value("--fault-rate", &mut it)?;
-                        opts.fault_rate = v
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|r| (0.0..=1.0).contains(r))
-                            .ok_or_else(|| CliError(format!("bad --fault-rate {v:?}")))?;
-                    }
-                    "--fault-seed" => {
-                        let v = take_value("--fault-seed", &mut it)?;
-                        opts.fault_seed = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad --fault-seed {v:?}")))?;
                     }
                     "--sb" => {
                         let v = take_value("--sb", &mut it)?;
@@ -572,37 +548,11 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Cli
                         let v = take_value("--policy", &mut it)?;
                         policies = v.split(',').map(parse_policy).collect::<Result<_, _>>()?;
                     }
-                    "--uops" => {
-                        let v = take_value("--uops", &mut it)?;
-                        opts.uops = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad --uops {v:?}")))?;
+                    other => {
+                        if !parse_run_flag(other, &mut it, &mut opts)? {
+                            return Err(CliError(format!("unknown argument {other:?}")));
+                        }
                     }
-                    "--warmup" => {
-                        let v = take_value("--warmup", &mut it)?;
-                        opts.warmup = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad --warmup {v:?}")))?;
-                    }
-                    "--seed" => {
-                        let v = take_value("--seed", &mut it)?;
-                        opts.seed = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad --seed {v:?}")))?;
-                    }
-                    "--jobs" => {
-                        let v = take_value("--jobs", &mut it)?;
-                        opts.jobs = Some(
-                            v.parse()
-                                .map_err(|_| CliError(format!("bad --jobs {v:?}")))?,
-                        );
-                    }
-                    "--kernel" => {
-                        let v = take_value("--kernel", &mut it)?;
-                        opts.kernel = KernelMode::parse(v)
-                            .map_err(|e| CliError(format!("--kernel: {e}")))?;
-                    }
-                    other => return Err(CliError(format!("unknown argument {other:?}"))),
                 }
             }
             Ok(Command::Sweep {
@@ -646,17 +596,14 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Cli
                 .next()
                 .ok_or_else(|| CliError("experiment requires a name (e.g. fig05)".into()))?
                 .to_string();
-            let quick = it.any(|a| a == "--quick");
+            let quick = parse_quick(it)?;
             Ok(Command::Experiment { name, quick })
         }
         // Shorthand for the squash-storm scenario study.
-        "squash" => {
-            let quick = it.any(|a| a == "--quick");
-            Ok(Command::Experiment {
-                name: "squash".into(),
-                quick,
-            })
-        }
+        "squash" => Ok(Command::Experiment {
+            name: "squash".into(),
+            quick: parse_quick(it)?,
+        }),
         "verify" => match it.next() {
             Some("fuzz") => {
                 let mut config = spb_verify::FuzzConfig::default();
@@ -1002,7 +949,7 @@ USAGE:
   spbsim trace-info FILE                        inspect a trace file
   spbsim replay --trace FILE [opts]             replay a recorded trace
   spbsim sweep --app NAME [--sb 14,20,28,56] [--policy at-commit,spb] [--chart] [--resume]
-               [--retry N]
+               [--retry N] [opts]               --sb/--policy take comma lists here
   spbsim trace --app NAME [--out trace.json] [opts]   export a Chrome trace of a run
   spbsim experiment NAME [--quick]              regenerate a paper experiment
   spbsim squash [--quick]                       squash-storm scenario study: wasted
@@ -1019,7 +966,7 @@ USAGE:
                                                 full 230-cell quick grid)
   spbsim client health [--addr H:P]             print the service health snapshot
   spbsim client shutdown [--addr H:P]           stop the service gracefully
-  spbsim bench --baseline SNAPSHOT.json [--kernel wheel|event|tick] [--samples N]
+  spbsim bench --baseline SNAPSHOT.json [--kernel wheel|tick] [--samples N]
                                                 re-time the quick benchmark grid and
                                                 print the geomean speedup over the
                                                 committed snapshot
@@ -1049,9 +996,9 @@ RUN OPTIONS:
   --jobs N        sweep worker threads            (default $SPB_JOBS or all cores)
   --fault-rate R  uniform memory fault-injection rate in [0,1] (default 0 = off)
   --fault-seed N  fault-injection seed            (default 1)
-  --kernel K      execution kernel: wheel (push-based skip-ahead,
-                  default), event (probe-polling skip-ahead) or tick
-                  (legacy lock-step reference; bit-identical results)
+  --kernel K      execution kernel: wheel (skip-ahead, default) or tick
+                  (lock-step reference; bit-identical results); event
+                  is another spelling of the skip-ahead kernel
   --squash SPEC   wrong-path squash model — SPEC is a comma list of
                   rate=[0,1], depth=MIN..MAX, storm=N, ret2spec=on|off,
                   seed=N (rate=0 disables; parse(label(s)) == s)
@@ -1255,6 +1202,47 @@ mod tests {
                 quick: true
             }
         );
+    }
+
+    #[test]
+    fn experiment_and_squash_reject_unknown_arguments() {
+        for args in [
+            &["experiment", "fig05", "--qiuck"][..],
+            &["experiment", "fig05", "--quick", "extra"],
+            &["squash", "--qiuck"],
+        ] {
+            let e = parse(args.iter().copied()).unwrap_err().to_string();
+            assert!(e.starts_with("unknown argument"), "{args:?}: {e}");
+        }
+        assert_eq!(
+            parse(["squash", "--quick"]).unwrap(),
+            Command::Experiment {
+                name: "squash".into(),
+                quick: true
+            }
+        );
+    }
+
+    #[test]
+    fn sweep_shares_the_run_flags() {
+        let cmd = parse([
+            "sweep", "--app", "x264", "--squash", "rate=0.1", "--kernel", "tick", "--uops", "5000",
+            "--jobs", "2", "--sb", "14,28",
+        ])
+        .unwrap();
+        match cmd {
+            Command::Sweep { sbs, cfg, .. } => {
+                assert_eq!(sbs, vec![14, 28]);
+                assert_eq!(cfg.squash, SquashConfig::parse("rate=0.1").unwrap());
+                assert_eq!(cfg.kernel, KernelMode::Tick);
+                assert_eq!(cfg.uops, 5000);
+                assert_eq!(cfg.jobs, Some(2));
+            }
+            other => panic!("wrong parse: {other:?}"),
+        }
+        // Bad values get the same wording as under `run`.
+        let e = parse(["sweep", "--app", "x264", "--uops", "lots"]).unwrap_err();
+        assert_eq!(e.to_string(), "--uops expects a number, got \"lots\"");
     }
 
     #[test]

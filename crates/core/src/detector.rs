@@ -1,5 +1,6 @@
 //! The SPB burst detector (§IV of the paper).
 
+use crate::params::SpbParams;
 use std::fmt;
 
 /// Cache-block size assumed by the detector, in bytes.
@@ -18,10 +19,13 @@ const SAT_MAX: u8 = 15;
 /// addresses the L1 controller should request write permission for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Burst {
-    /// First block to prefetch.
+    /// First block of the range.
     pub start: u64,
-    /// One past the last block to prefetch (the page boundary).
+    /// One past the last block of the range.
     pub end: u64,
+    /// Issue from `end - 1` down to `start` (a backward burst wants
+    /// the blocks nearest the triggering store first).
+    pub descending: bool,
 }
 
 impl Burst {
@@ -35,9 +39,14 @@ impl Burst {
         self.start >= self.end
     }
 
-    /// Iterates the block addresses in the burst.
+    /// Iterates the block addresses in the burst, in issue order.
     pub fn blocks(&self) -> impl Iterator<Item = u64> {
-        self.start..self.end
+        let Burst {
+            start,
+            end,
+            descending,
+        } = *self;
+        (start..end).map(move |b| if descending { start + end - 1 - b } else { b })
     }
 }
 
@@ -78,6 +87,26 @@ impl Default for SpbConfig {
 /// counter reached `n / 8`, the pattern is a contiguous store burst and
 /// the detector requests the rest of the page.
 ///
+/// # Extension knobs
+///
+/// [`SpbDetector::with_params`] also takes the [`SpbParams`] knobs the
+/// paper discusses but does not evaluate; at their defaults the
+/// detector is exactly the paper's.
+///
+/// - **Backward bursts** (§IV-A: "relatively simple for SPB to prefetch
+///   backward store bursts … we found no evidence that backward store
+///   bursts cause SB stalls"). One direction bit: a −1 block step
+///   counts like a +1 step, a step against the current direction
+///   restarts the run at 1, and a descending run bursts from the
+///   triggering block down to the page start.
+/// - **Cross-page bursts** (footnote 2): forward bursts extend `cross`
+///   pages past the page boundary — only sound for virtually-indexed
+///   prefetching, since consecutive virtual pages need not be
+///   physically consecutive.
+/// - An explicit threshold (`burst`) instead of the `n / 8` rule, and a
+///   page fraction (`frac_milli`) that keeps the blocks nearest the
+///   triggering store.
+///
 /// # Examples
 ///
 /// ```
@@ -94,9 +123,11 @@ impl Default for SpbConfig {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpbDetector {
-    config: SpbConfig,
+    params: SpbParams,
+    threshold: u8,
     last_block: u64,
     sat: u8,
+    descending: bool,
     count: u32,
     last_burst_page: Option<u64>,
     triggers: u64,
@@ -104,17 +135,51 @@ pub struct SpbDetector {
 }
 
 impl SpbDetector {
-    /// Creates a detector.
+    /// Creates the paper's detector: window and dedupe register, every
+    /// extension knob off.
     ///
     /// # Panics
     ///
     /// Panics if `config.n` is zero.
     pub fn new(config: SpbConfig) -> Self {
-        assert!(config.n > 0, "the check window must be positive");
+        Self::with_params(SpbParams::base(config.n, config.dedupe))
+    }
+
+    /// Creates a detector over the full parameter space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.n` is zero.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use spb_core::{SpbDetector, SpbParams};
+    ///
+    /// let mut d = SpbDetector::with_params(SpbParams {
+    ///     backward: true,
+    ///     ..SpbParams::base(8, false)
+    /// });
+    /// // A descending stack-like store run…
+    /// let top = 0x8000u64;
+    /// let burst = (0..512u64)
+    ///     .find_map(|i| d.observe_store(top - i * 8))
+    ///     .expect("backward pattern detected");
+    /// assert!(burst.descending);
+    /// ```
+    pub fn with_params(params: SpbParams) -> Self {
+        assert!(params.n > 0, "the check window must be positive");
+        let threshold = if params.burst > 0 {
+            params.burst.min(SAT_MAX)
+        } else {
+            ((params.n / 8).max(1) as u8).min(SAT_MAX)
+        };
         Self {
-            config,
+            params,
+            threshold,
             last_block: 0,
             sat: 0,
+            descending: false,
             count: 0,
             last_burst_page: None,
             triggers: 0,
@@ -122,15 +187,16 @@ impl SpbDetector {
         }
     }
 
-    /// The configuration.
+    /// The window and dedupe configuration.
     pub fn config(&self) -> SpbConfig {
-        self.config
+        self.params.base_config()
     }
 
-    /// The threshold the saturating counter is checked against
-    /// (`max(1, n / 8)` for 8-byte stores).
+    /// The threshold the saturating counter is checked against: an
+    /// explicit `burst` override, else `max(1, n / 8)` for 8-byte
+    /// stores.
     pub fn threshold(&self) -> u8 {
-        ((self.config.n / 8).max(1) as u8).min(SAT_MAX)
+        self.threshold
     }
 
     /// Number of window checks performed.
@@ -145,12 +211,20 @@ impl SpbDetector {
 
     /// Modelled storage cost in bits: 58 (last block) + 4 (saturating
     /// counter) + `ceil(log2(n+1))` (store counter), plus 52 for the
-    /// optional last-burst-page register.
+    /// optional last-burst-page register. The extension knobs cost one
+    /// direction bit (backward), a 4-bit threshold register and a
+    /// 10-bit page-fraction register when enabled.
     ///
     /// For `n ≤ 31` and no dedupe register this is the paper's 67 bits.
     pub fn storage_bits(&self) -> u32 {
-        let count_bits = 32 - (self.config.n).leading_zeros();
-        58 + 4 + count_bits + if self.config.dedupe { 52 } else { 0 }
+        let p = &self.params;
+        let count_bits = 32 - p.n.leading_zeros();
+        58 + 4
+            + count_bits
+            + if p.dedupe { 52 } else { 0 }
+            + if p.backward { 1 } else { 0 }
+            + if p.burst > 0 { 4 } else { 0 }
+            + if p.frac_milli != 1000 { 10 } else { 0 }
     }
 
     /// Observes a committed store to byte address `addr`; returns a
@@ -166,18 +240,29 @@ impl SpbDetector {
     /// observations. The edge case `n = 1` therefore checks on every
     /// second store, not on every store.
     pub fn observe_store(&mut self, addr: u64) -> Option<Burst> {
+        self.observe(addr, self.threshold)
+    }
+
+    /// [`SpbDetector::observe_store`] against a caller-chosen threshold.
+    fn observe(&mut self, addr: u64, threshold: u8) -> Option<Burst> {
         let block = addr / BLOCK_BYTES;
         let delta = block.wrapping_sub(self.last_block);
-        if delta == 1 {
-            self.sat = (self.sat + 1).min(SAT_MAX);
+        if delta == 1 || (delta == u64::MAX && self.params.backward) {
+            let descending = delta != 1;
+            self.sat = if descending == self.descending {
+                (self.sat + 1).min(SAT_MAX)
+            } else {
+                1
+            };
+            self.descending = descending;
         } else if delta != 0 {
             self.sat = 0;
         }
         self.last_block = block;
 
-        if self.count == self.config.n {
+        if self.count == self.params.n {
             self.checks += 1;
-            let fired = self.sat >= self.threshold();
+            let fired = self.sat >= threshold;
             self.sat = 0;
             self.count = 0;
             if fired {
@@ -191,26 +276,40 @@ impl SpbDetector {
 
     fn make_burst(&mut self, block: u64) -> Option<Burst> {
         let page = block / BLOCKS_PER_PAGE;
-        if self.config.dedupe && self.last_burst_page == Some(page) {
+        if self.params.dedupe && self.last_burst_page == Some(page) {
             return None;
         }
-        let page_end = (page + 1) * BLOCKS_PER_PAGE;
-        let start = block + 1;
-        if start >= page_end {
-            return None;
-        }
+        // Keep the `frac_milli`/1000 of the range nearest the triggering
+        // store, rounded up so a non-empty range keeps at least one
+        // block; at the default 1000 this is the whole range.
+        let keep = |len: u64| (len * u64::from(self.params.frac_milli)).div_ceil(1000);
+        let burst = if self.descending {
+            // [page start, triggering block), issued downward.
+            let start = page * BLOCKS_PER_PAGE;
+            (start < block).then(|| Burst {
+                start: block - keep(block - start),
+                end: block,
+                descending: true,
+            })
+        } else {
+            let start = block + 1;
+            let end = (page + 1 + u64::from(self.params.cross)) * BLOCKS_PER_PAGE;
+            (start < end).then(|| Burst {
+                start,
+                end: start + keep(end - start),
+                descending: false,
+            })
+        }?;
         self.last_burst_page = Some(page);
         self.triggers += 1;
-        Some(Burst {
-            start,
-            end: page_end,
-        })
+        Some(burst)
     }
 
     /// Resets all dynamic state (e.g. on a context switch).
     pub fn reset(&mut self) {
         self.last_block = 0;
         self.sat = 0;
+        self.descending = false;
         self.count = 0;
         self.last_burst_page = None;
     }
@@ -221,7 +320,7 @@ impl fmt::Display for SpbDetector {
         write!(
             f,
             "spb(n={}, thr={}, {} bits): {} checks, {} bursts",
-            self.config.n,
+            self.params.n,
             self.threshold(),
             self.storage_bits(),
             self.checks,
@@ -277,9 +376,10 @@ impl SpbDynamicDetector {
 
     /// Observes a committed store with its access size.
     pub fn observe_store(&mut self, addr: u64, size: u8) -> Option<Burst> {
+        let n = self.inner.params.n;
         self.size_sum += u64::from(size.max(1));
         self.size_count += 1;
-        if self.size_count == self.inner.config.n {
+        if self.size_count == n {
             let avg = (self.size_sum / u64::from(self.size_count)) as u8;
             // Round to the nearest power of two in 1..=64.
             let rounded = avg.max(1).next_power_of_two().min(64);
@@ -299,33 +399,8 @@ impl SpbDynamicDetector {
         // Threshold n / (blocks-worth of stores): stores_per_block =
         // 64 / S, threshold = n / stores_per_block.
         let stores_per_block = (BLOCK_BYTES / u64::from(self.current_size)).max(1);
-        let threshold =
-            ((u64::from(self.inner.config.n) / stores_per_block).max(1) as u8).min(SAT_MAX);
-        self.observe_with_threshold(addr, threshold)
-    }
-
-    fn observe_with_threshold(&mut self, addr: u64, threshold: u8) -> Option<Burst> {
-        let d = &mut self.inner;
-        let block = addr / BLOCK_BYTES;
-        let delta = block.wrapping_sub(d.last_block);
-        if delta == 1 {
-            d.sat = (d.sat + 1).min(SAT_MAX);
-        } else if delta != 0 {
-            d.sat = 0;
-        }
-        d.last_block = block;
-        if d.count == d.config.n {
-            d.checks += 1;
-            let fired = d.sat >= threshold;
-            d.sat = 0;
-            d.count = 0;
-            if fired {
-                return d.make_burst(block);
-            }
-        } else {
-            d.count += 1;
-        }
-        None
+        let threshold = ((u64::from(n) / stores_per_block).max(1) as u8).min(SAT_MAX);
+        self.inner.observe(addr, threshold)
     }
 }
 
@@ -354,7 +429,14 @@ mod tests {
         let burst = d.observe_store(0x40).expect("T8 generates the SPB");
         assert_eq!(d.sat, 0, "Sat = 1 -> 0");
         assert_eq!(d.count, 0, "St Count = 0");
-        assert_eq!(burst, Burst { start: 2, end: 64 });
+        assert_eq!(
+            burst,
+            Burst {
+                start: 2,
+                end: 64,
+                descending: false
+            }
+        );
         assert_eq!(burst.len(), 62);
     }
 

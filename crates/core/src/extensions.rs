@@ -1,317 +1,150 @@
-//! Detector extensions the paper discusses but does not evaluate.
-//!
-//! Two knobs the paper explicitly leaves on the table:
-//!
-//! - **Backward bursts** (§IV-A): "It is relatively simple for SPB to
-//!   prefetch backward store bursts (e.g., to prefetch data from the
-//!   stack). However, we found no evidence that backward store bursts
-//!   cause SB stalls, so this extension is not considered." Implemented
-//!   here behind [`ExtSpbConfig::backward`]; the `ablations` experiment
-//!   confirms the paper's judgement on this suite.
-//! - **Cross-page bursts** (footnote 2): "We did not explore
-//!   prefetching beyond page boundaries despite our prefetcher can work
-//!   with virtual addresses". Implemented behind
-//!   [`ExtSpbConfig::cross_pages`]; note the caveat the paper raises —
-//!   consecutive virtual pages need not map to consecutive physical
-//!   pages, so a physical-address implementation could not do this.
-//!
-//! The extended detector costs one extra direction bit on top of the
-//! base registers (and the base's optional dedupe register).
-
-use crate::detector::{Burst, SpbConfig};
-
-const BLOCK_BYTES: u64 = 64;
-const BLOCKS_PER_PAGE: u64 = 64;
-const SAT_MAX: u8 = 15;
-
-/// Configuration of the extended detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExtSpbConfig {
-    /// The base detector parameters.
-    pub base: SpbConfig,
-    /// Detect descending block patterns and burst toward the start of
-    /// the page (stack-like writes).
-    pub backward: bool,
-    /// Extend forward bursts this many pages past the current page
-    /// boundary (0 = paper behaviour). Only sound for virtually-indexed
-    /// prefetching.
-    pub cross_pages: u32,
-    /// Explicit saturating-counter threshold (1..=15); 0 keeps the
-    /// paper's automatic `max(n/8, 1)` rule.
-    pub burst_threshold: u8,
-    /// Fraction of the remaining page a burst requests, in thousandths
-    /// (1000 = paper behaviour: the whole remaining page). Bursts keep
-    /// the blocks nearest the triggering store.
-    pub frac_milli: u16,
-}
-
-impl Default for ExtSpbConfig {
-    fn default() -> Self {
-        Self {
-            base: SpbConfig::default(),
-            backward: false,
-            cross_pages: 0,
-            burst_threshold: 0,
-            frac_milli: 1000,
-        }
-    }
-}
-
-/// The direction of the run the saturating counter is tracking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    Forward,
-    Backward,
-}
-
-/// A burst request with an issue order (backward bursts want the blocks
-/// nearest the current store first).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DirectedBurst {
-    /// Half-open block range `[start, end)` to request ownership for.
-    pub range: Burst,
-    /// Whether to issue from `end-1` down to `start` (backward bursts).
-    pub descending: bool,
-}
-
-impl DirectedBurst {
-    /// Blocks in issue order.
-    pub fn blocks(&self) -> Vec<u64> {
-        if self.descending {
-            (self.range.start..self.range.end).rev().collect()
-        } else {
-            self.range.blocks().collect()
-        }
-    }
-
-    /// Number of blocks.
-    pub fn len(&self) -> u64 {
-        self.range.len()
-    }
-
-    /// Whether the burst is empty (never produced by the detector).
-    pub fn is_empty(&self) -> bool {
-        self.range.is_empty()
-    }
-}
-
-/// The extended SPB detector: base algorithm plus direction tracking
-/// and optional page-boundary crossing.
-///
-/// # Examples
-///
-/// ```
-/// use spb_core::extensions::{ExtSpbConfig, ExtendedSpbDetector};
-/// use spb_core::SpbConfig;
-///
-/// let mut d = ExtendedSpbDetector::new(ExtSpbConfig {
-///     base: SpbConfig { n: 8, dedupe: false },
-///     backward: true,
-///     ..ExtSpbConfig::default()
-/// });
-/// // A descending stack-like store run…
-/// let top = 0x8000u64;
-/// let mut burst = None;
-/// for i in 0..512u64 {
-///     if let Some(b) = d.observe_store(top - i * 8) {
-///         burst = Some(b);
-///         break;
-///     }
-/// }
-/// let b = burst.expect("backward pattern detected");
-/// assert!(b.descending);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExtendedSpbDetector {
-    config: ExtSpbConfig,
-    last_block: u64,
-    sat: u8,
-    dir: Direction,
-    count: u32,
-    last_burst_page: Option<u64>,
-    triggers_forward: u64,
-    triggers_backward: u64,
-    checks: u64,
-}
-
-impl ExtendedSpbDetector {
-    /// Creates the extended detector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the base window is zero.
-    pub fn new(config: ExtSpbConfig) -> Self {
-        assert!(config.base.n > 0, "the check window must be positive");
-        Self {
-            config,
-            last_block: 0,
-            sat: 0,
-            dir: Direction::Forward,
-            count: 0,
-            last_burst_page: None,
-            triggers_forward: 0,
-            triggers_backward: 0,
-            checks: 0,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> ExtSpbConfig {
-        self.config
-    }
-
-    /// Forward bursts emitted.
-    pub fn triggers_forward(&self) -> u64 {
-        self.triggers_forward
-    }
-
-    /// Backward bursts emitted.
-    pub fn triggers_backward(&self) -> u64 {
-        self.triggers_backward
-    }
-
-    /// Window checks performed.
-    pub fn checks(&self) -> u64 {
-        self.checks
-    }
-
-    /// The effective threshold: an explicit [`ExtSpbConfig::burst_threshold`]
-    /// override, or the base detector's `max(n/8, 1)` rule.
-    pub fn threshold(&self) -> u8 {
-        if self.config.burst_threshold > 0 {
-            self.config.burst_threshold.min(SAT_MAX)
-        } else {
-            ((self.config.base.n / 8).max(1) as u8).min(SAT_MAX)
-        }
-    }
-
-    /// Storage bits: base cost plus the direction bit. Non-default
-    /// knobs cost extra configuration registers (4 bits for an explicit
-    /// threshold, 10 for a partial-page fraction).
-    pub fn storage_bits(&self) -> u32 {
-        let count_bits = 32 - self.config.base.n.leading_zeros();
-        58 + 4
-            + count_bits
-            + if self.config.base.dedupe { 52 } else { 0 }
-            + if self.config.backward { 1 } else { 0 }
-            + if self.config.burst_threshold > 0 { 4 } else { 0 }
-            + if self.config.frac_milli != 1000 { 10 } else { 0 }
-    }
-
-    /// Observes a committed store; returns a burst when a run is
-    /// detected at a window check.
-    pub fn observe_store(&mut self, addr: u64) -> Option<DirectedBurst> {
-        let block = addr / BLOCK_BYTES;
-        let delta = block.wrapping_sub(self.last_block);
-        if delta == 1 {
-            if self.dir == Direction::Forward {
-                self.sat = (self.sat + 1).min(SAT_MAX);
-            } else {
-                self.dir = Direction::Forward;
-                self.sat = 1;
-            }
-        } else if delta == u64::MAX && self.config.backward {
-            // delta == -1: a descending run.
-            if self.dir == Direction::Backward {
-                self.sat = (self.sat + 1).min(SAT_MAX);
-            } else {
-                self.dir = Direction::Backward;
-                self.sat = 1;
-            }
-        } else if delta != 0 {
-            self.sat = 0;
-        }
-        self.last_block = block;
-
-        if self.count == self.config.base.n {
-            self.checks += 1;
-            let fired = self.sat >= self.threshold();
-            let dir = self.dir;
-            self.sat = 0;
-            self.count = 0;
-            if fired {
-                return self.make_burst(block, dir);
-            }
-        } else {
-            self.count += 1;
-        }
-        None
-    }
-
-    fn make_burst(&mut self, block: u64, dir: Direction) -> Option<DirectedBurst> {
-        let page = block / BLOCKS_PER_PAGE;
-        if self.config.base.dedupe && self.last_burst_page == Some(page) {
-            return None;
-        }
-        // Partial-page bursts keep the `frac_milli`/1000 of the range
-        // nearest the triggering store (ceiling, so any non-empty range
-        // keeps at least one block). At the default 1000 this is exact.
-        let keep = |len: u64| (len * u64::from(self.config.frac_milli)).div_ceil(1000);
-        let burst = match dir {
-            Direction::Forward => {
-                let end = (page + 1 + u64::from(self.config.cross_pages)) * BLOCKS_PER_PAGE;
-                let start = block + 1;
-                (start < end).then_some(DirectedBurst {
-                    range: Burst {
-                        start,
-                        end: start + keep(end - start),
-                    },
-                    descending: false,
-                })
-            }
-            Direction::Backward => {
-                let start = page * BLOCKS_PER_PAGE;
-                let end = block; // [page start, current block)
-                (start < end).then_some(DirectedBurst {
-                    range: Burst {
-                        start: end - keep(end - start),
-                        end,
-                    },
-                    descending: true,
-                })
-            }
-        }?;
-        self.last_burst_page = Some(page);
-        match dir {
-            Direction::Forward => self.triggers_forward += 1,
-            Direction::Backward => self.triggers_backward += 1,
-        }
-        Some(burst)
-    }
-}
+//! Tests of the detector extensions the paper discusses but does not
+//! evaluate: backward bursts (§IV-A), cross-page bursts (footnote 2),
+//! an explicit burst threshold and partial-page bursts. All of them are
+//! knobs of the one [`SpbDetector`](crate::detector::SpbDetector) (see
+//! its "Extension knobs" section); this module pins their behaviour,
+//! and checks that with every knob at its default the detector is the
+//! paper's three-register rule.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::detector::{Burst, SpbConfig, SpbDetector, BLOCKS_PER_PAGE, BLOCK_BYTES};
+    use crate::params::SpbParams;
+    use proptest::prelude::*;
 
-    fn cfg(n: u32, backward: bool, cross: u32) -> ExtSpbConfig {
-        ExtSpbConfig {
-            base: SpbConfig { n, dedupe: false },
+    fn cfg(n: u32, backward: bool, cross: u32) -> SpbParams {
+        SpbParams {
             backward,
-            cross_pages: cross,
-            ..ExtSpbConfig::default()
+            cross,
+            ..SpbParams::base(n, false)
         }
     }
 
-    #[test]
-    fn forward_behaviour_matches_base_detector() {
-        use crate::detector::SpbDetector;
-        let mut base = SpbDetector::new(SpbConfig {
-            n: 8,
-            dedupe: false,
-        });
-        let mut ext = ExtendedSpbDetector::new(cfg(8, false, 0));
-        for i in 0..4096u64 {
-            let a = base.observe_store(i * 8);
-            let b = ext.observe_store(i * 8);
-            assert_eq!(a, b.map(|d| d.range), "divergence at store {i}");
+    fn det(params: SpbParams) -> SpbDetector {
+        SpbDetector::with_params(params)
+    }
+
+    /// The paper's three registers (last block, 4-bit saturating
+    /// counter, store counter) plus the dedupe page register, written
+    /// straight from §IV: delta 0 keeps the counter, +1 increments it,
+    /// anything else clears it; the store after every `n` counted ones
+    /// checks `sat >= max(1, n / 8)` and bursts the rest of the page.
+    struct PaperModel {
+        n: u32,
+        dedupe: bool,
+        last_block: u64,
+        sat: u8,
+        count: u32,
+        burst_page: Option<u64>,
+    }
+
+    impl PaperModel {
+        fn observe(&mut self, addr: u64) -> Option<Burst> {
+            let block = addr / BLOCK_BYTES;
+            self.sat = match block.wrapping_sub(self.last_block) {
+                0 => self.sat,
+                1 => (self.sat + 1).min(15),
+                _ => 0,
+            };
+            self.last_block = block;
+            if self.count < self.n {
+                self.count += 1;
+                return None;
+            }
+            let fired = u32::from(self.sat) >= (self.n / 8).clamp(1, 15);
+            self.sat = 0;
+            self.count = 0;
+            let page = block / BLOCKS_PER_PAGE;
+            let end = (page + 1) * BLOCKS_PER_PAGE;
+            if !fired || block + 1 == end || (self.dedupe && self.burst_page == Some(page)) {
+                return None;
+            }
+            self.burst_page = Some(page);
+            Some(Burst {
+                start: block + 1,
+                end,
+                descending: false,
+            })
         }
-        assert_eq!(base.triggers(), ext.triggers_forward());
+    }
+
+    /// Expands `(kind, len, salt)` segments into a committed-store
+    /// address stream mixing +1, 0 and −1 block steps, far jumps and
+    /// page crossings.
+    fn store_stream(segs: &[(u64, u64, u64)]) -> Vec<u64> {
+        let mut block = 1u64 << 20;
+        let mut out = Vec::new();
+        for &(kind, len, salt) in segs {
+            match kind {
+                // +1 block per store.
+                0 => (0..len).for_each(|_| {
+                    block += 1;
+                    out.push(block * 64);
+                }),
+                // Memset: eight 8-byte stores per block, ascending.
+                1 => (0..len).for_each(|_| {
+                    block += 1;
+                    out.extend((0..8).map(|s| block * 64 + s * 8));
+                }),
+                // Delta 0: shuffled stores within one block.
+                2 => out.extend((0..len).map(|i| block * 64 + (salt >> (i % 21 * 3) & 7) * 8)),
+                // −1 block per store.
+                3 => (0..len).for_each(|_| {
+                    block -= 1;
+                    out.push(block * 64);
+                }),
+                // Stack-like: eight stores per block, descending.
+                4 => (0..len).for_each(|_| {
+                    block -= 1;
+                    out.extend((0..8).rev().map(|s| block * 64 + s * 8));
+                }),
+                // A far jump.
+                5 => {
+                    block = (1 << 20) + salt % (1 << 24);
+                    out.push(block * 64);
+                }
+                // Land on the page's last blocks, so a +1 run crosses it.
+                6 => {
+                    block = (block / 64 + 1) * 64 - 1 - salt % 2;
+                    out.push(block * 64);
+                }
+                // Cross into the next page.
+                _ => {
+                    block = (block / 64 + 1) * 64 + salt % 2;
+                    out.push(block * 64);
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over the whole base space (any window, dedupe on or off) and
+        /// streams of every step shape, the detector with its extension
+        /// knobs at their defaults is the paper's three-register rule.
+        #[test]
+        fn forward_behaviour_matches_base_detector(
+            n in 1u32..=1024,
+            dedupe in any::<bool>(),
+            segs in proptest::collection::vec((0u64..8, 1u64..160, any::<u64>()), 1..40),
+        ) {
+            let mut d = SpbDetector::new(SpbConfig { n, dedupe });
+            let mut model = PaperModel { n, dedupe, last_block: 0, sat: 0, count: 0, burst_page: None };
+            let mut bursts = 0u64;
+            for (i, addr) in store_stream(&segs).into_iter().enumerate() {
+                let b = d.observe_store(addr);
+                bursts += u64::from(b.is_some());
+                prop_assert_eq!(b, model.observe(addr), "divergence at store {}", i);
+            }
+            prop_assert_eq!(d.triggers(), bursts);
+        }
     }
 
     #[test]
     fn backward_run_triggers_descending_burst() {
-        let mut d = ExtendedSpbDetector::new(cfg(8, true, 0));
+        let mut d = det(cfg(8, true, 0));
         let top = 0x10_0000u64 + 4096 - 8; // last qword of a page
         let mut bursts = Vec::new();
         for i in 0..512u64 {
@@ -323,7 +156,7 @@ mod tests {
         let b = &bursts[0];
         assert!(b.descending);
         // Issue order goes from high blocks toward the page start.
-        let blocks = b.blocks();
+        let blocks: Vec<u64> = b.blocks().collect();
         assert!(blocks.windows(2).all(|w| w[1] == w[0] - 1));
         // And never leaves the page.
         let page = blocks[0] / 64;
@@ -332,17 +165,17 @@ mod tests {
 
     #[test]
     fn backward_disabled_never_triggers_on_descending_runs() {
-        let mut d = ExtendedSpbDetector::new(cfg(8, false, 0));
+        let mut d = det(cfg(8, false, 0));
         let top = 0x10_0000u64 + 4096 - 8;
         for i in 0..512u64 {
             assert!(d.observe_store(top - i * 8).is_none());
         }
-        assert_eq!(d.triggers_backward(), 0);
+        assert_eq!(d.triggers(), 0);
     }
 
     #[test]
     fn direction_flip_resets_the_run() {
-        let mut d = ExtendedSpbDetector::new(cfg(48, true, 0));
+        let mut d = det(cfg(48, true, 0));
         // Alternate up/down across blocks: each flip restarts at sat=1,
         // which never reaches the threshold of 6.
         let mut block = 1000u64;
@@ -354,8 +187,8 @@ mod tests {
 
     #[test]
     fn cross_page_extends_the_forward_burst() {
-        let mut plain = ExtendedSpbDetector::new(cfg(8, false, 0));
-        let mut crossing = ExtendedSpbDetector::new(cfg(8, false, 2));
+        let mut plain = det(cfg(8, false, 0));
+        let mut crossing = det(cfg(8, false, 2));
         let mut plain_burst = None;
         let mut crossing_burst = None;
         for i in 0..512u64 {
@@ -368,30 +201,30 @@ mod tests {
         }
         let p = plain_burst.unwrap();
         let c = crossing_burst.unwrap();
-        assert_eq!(p.range.start, c.range.start);
-        assert_eq!(c.range.end - p.range.end, 2 * 64, "two extra pages");
+        assert_eq!(p.start, c.start);
+        assert_eq!(c.end - p.end, 2 * 64, "two extra pages");
     }
 
     #[test]
     fn storage_accounting_includes_direction_bit() {
-        let without = ExtendedSpbDetector::new(cfg(31, false, 0));
-        let with = ExtendedSpbDetector::new(cfg(31, true, 0));
+        let without = det(cfg(31, false, 0));
+        let with = det(cfg(31, true, 0));
         assert_eq!(without.storage_bits(), 67);
         assert_eq!(with.storage_bits(), 68);
     }
 
     #[test]
     fn explicit_threshold_overrides_the_auto_rule() {
-        let auto = ExtendedSpbDetector::new(cfg(48, false, 0));
+        let auto = det(cfg(48, false, 0));
         assert_eq!(auto.threshold(), 6, "48/8 auto rule");
-        let forced = ExtendedSpbDetector::new(ExtSpbConfig {
-            burst_threshold: 3,
+        let forced = det(SpbParams {
+            burst: 3,
             ..cfg(48, false, 0)
         });
         assert_eq!(forced.threshold(), 3);
         // A run that covers only ~4 consecutive blocks per window fires
         // at threshold 3 but not at the auto threshold of 6.
-        let run = |mut d: ExtendedSpbDetector| {
+        let run = |mut d: SpbDetector| {
             let mut triggers = 0u64;
             for i in 0..4096u64 {
                 // 4 consecutive blocks, then a jump: sat peaks at 4.
@@ -402,10 +235,10 @@ mod tests {
             }
             triggers
         };
-        assert_eq!(run(ExtendedSpbDetector::new(cfg(48, false, 0))), 0);
+        assert_eq!(run(det(cfg(48, false, 0))), 0);
         assert!(
-            run(ExtendedSpbDetector::new(ExtSpbConfig {
-                burst_threshold: 3,
+            run(det(SpbParams {
+                burst: 3,
                 ..cfg(48, false, 0)
             })) > 0
         );
@@ -413,24 +246,24 @@ mod tests {
 
     #[test]
     fn frac_truncates_forward_bursts_keeping_nearest_blocks() {
-        let full = ExtendedSpbDetector::new(cfg(8, false, 0));
-        let half = ExtendedSpbDetector::new(ExtSpbConfig {
+        let full = det(cfg(8, false, 0));
+        let half = det(SpbParams {
             frac_milli: 500,
             ..cfg(8, false, 0)
         });
-        let first_burst = |mut d: ExtendedSpbDetector| {
+        let first_burst = |mut d: SpbDetector| {
             (0..512u64).find_map(|i| d.observe_store(i * 8))
         };
         let f = first_burst(full).unwrap();
         let h = first_burst(half).unwrap();
-        assert_eq!(f.range.start, h.range.start, "nearest blocks kept");
+        assert_eq!(f.start, h.start, "nearest blocks kept");
         assert_eq!(h.len(), f.len().div_ceil(2), "half the range, rounded up");
     }
 
     #[test]
     fn frac_default_is_bit_identical_to_full_page() {
-        let mut a = ExtendedSpbDetector::new(cfg(8, true, 1));
-        let mut b = ExtendedSpbDetector::new(ExtSpbConfig {
+        let mut a = det(cfg(8, true, 1));
+        let mut b = det(SpbParams {
             frac_milli: 1000,
             ..cfg(8, true, 1)
         });
@@ -442,7 +275,7 @@ mod tests {
 
     #[test]
     fn frac_never_empties_a_nonempty_burst() {
-        let mut d = ExtendedSpbDetector::new(ExtSpbConfig {
+        let mut d = det(SpbParams {
             frac_milli: 1,
             ..cfg(8, false, 0)
         });
@@ -455,7 +288,7 @@ mod tests {
 
     #[test]
     fn backward_burst_at_page_start_is_empty_and_suppressed() {
-        let mut d = ExtendedSpbDetector::new(cfg(8, true, 0));
+        let mut d = det(cfg(8, true, 0));
         // Descend and land the check exactly at the page's first block:
         // the remaining range is empty; the detector must return None
         // rather than an empty burst.

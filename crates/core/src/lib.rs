@@ -16,6 +16,11 @@
 //! 3. [`policy::SpbPolicy`] packages this on top of the at-commit
 //!    baseline as a drop-in [`spb_cpu::StorePrefetchPolicy`].
 //!
+//! The one detector also carries the extension knobs of
+//! [`params::SpbParams`] the paper discusses but does not evaluate
+//! (backward and cross-page bursts, an explicit threshold, partial-page
+//! bursts); at their defaults it is exactly the paper's detector.
+//!
 //! The §IV-C variant that adapts the threshold to the observed store
 //! *size* (and performs slightly worse, per the paper) is provided as
 //! [`detector::SpbDynamicDetector`] / [`policy::SpbDynamicPolicy`].
@@ -40,7 +45,8 @@
 #![warn(missing_docs)]
 
 pub mod detector;
-pub mod extensions;
+#[cfg(test)]
+mod extensions;
 pub mod params;
 pub mod policy;
 

@@ -1,11 +1,12 @@
 //! The first-class SPB parameter space.
 //!
-//! [`SpbParams`] names every knob the detector family exposes — the
-//! window `N` and dedupe register of the base detector, plus the
-//! extended-detector knobs that used to be reachable only through the
-//! `ablations` experiment (`ExtSpbConfig`): a saturating-counter burst
-//! threshold override, the fraction of the remaining page a burst
-//! issues, backward (stack-like) bursts, and cross-page bursts.
+//! [`SpbParams`] names every knob of the [`SpbDetector`] — the window
+//! `N` and dedupe register of the paper's detector, plus the extension
+//! knobs: a saturating-counter burst threshold override, the fraction
+//! of the remaining page a burst issues, backward (stack-like) bursts,
+//! and cross-page bursts.
+//!
+//! [`SpbDetector`]: crate::detector::SpbDetector
 //!
 //! The type is the contract between the CLI/wire policy grammar
 //! (`spb:n=32,dedupe=off,burst=3,frac=0.5`) and the detector
@@ -16,7 +17,6 @@
 //! and stable.
 
 use crate::detector::SpbConfig;
-use crate::extensions::ExtSpbConfig;
 
 /// Inclusive bounds of the detector window `n`.
 pub const N_RANGE: (u32, u32) = (1, 1024);
@@ -35,9 +35,8 @@ pub const KEYS_HELP: &str = "n=1..1024, dedupe=on|off, burst=auto|1..15, \
 /// The full SPB parameter vector.
 ///
 /// `Default` is the paper's shipped configuration (N=48, dedupe on,
-/// auto threshold, full-page bursts, forward only, no page crossing);
-/// a default-valued `SpbParams` behaves bit-identically to the classic
-/// `spb` policy.
+/// auto threshold, full-page bursts, forward only, no page crossing):
+/// the bare `spb` policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpbParams {
     /// Detector window: the saturating counter is checked every `n`
@@ -90,9 +89,8 @@ impl SpbParams {
     }
 
     /// Whether only base-detector knobs (`n`, `dedupe`) differ from the
-    /// defaults. Base-only points build the classic `SpbPolicy` (and
-    /// keep its exact behaviour, labels, and cache keys); anything else
-    /// builds the extended detector.
+    /// defaults. Base-only points keep the cache-key rendering they had
+    /// before the extension knobs existed (`Spb { n, dedupe }`).
     pub fn is_base_only(&self) -> bool {
         self.burst == 0 && self.frac_milli == 1000 && !self.backward && self.cross == 0
     }
@@ -102,17 +100,6 @@ impl SpbParams {
         SpbConfig {
             n: self.n,
             dedupe: self.dedupe,
-        }
-    }
-
-    /// The extended-detector configuration these parameters describe.
-    pub fn ext_config(&self) -> ExtSpbConfig {
-        ExtSpbConfig {
-            base: self.base_config(),
-            backward: self.backward,
-            cross_pages: self.cross,
-            burst_threshold: self.burst,
-            frac_milli: self.frac_milli,
         }
     }
 
@@ -280,7 +267,6 @@ mod tests {
         assert!(p.dedupe);
         assert!(p.is_base_only());
         assert_eq!(p.label_suffix(), None);
-        assert_eq!(p.ext_config(), ExtSpbConfig::default());
     }
 
     #[test]
@@ -333,13 +319,13 @@ mod tests {
     }
 
     #[test]
-    fn ext_config_carries_every_knob() {
+    fn detector_carries_every_knob() {
         let p = SpbParams::parse_args("n=16,dedupe=off,burst=5,frac=0.25,backward=on,cross=2").unwrap();
-        let ext = p.ext_config();
-        assert_eq!(ext.base, SpbConfig { n: 16, dedupe: false });
-        assert_eq!(ext.burst_threshold, 5);
-        assert_eq!(ext.frac_milli, 250);
-        assert!(ext.backward);
-        assert_eq!(ext.cross_pages, 2);
+        let d = crate::detector::SpbDetector::with_params(p);
+        assert_eq!(d.config(), SpbConfig { n: 16, dedupe: false });
+        assert_eq!(d.threshold(), 5);
+        // 58 + 4 + 5-bit store counter + direction bit + threshold and
+        // page-fraction registers.
+        assert_eq!(d.storage_bits(), 58 + 4 + 5 + 1 + 4 + 10);
     }
 }

@@ -1,6 +1,7 @@
 //! SPB as a drop-in store-prefetch policy.
 
 use crate::detector::{SpbConfig, SpbDetector, SpbDynamicDetector};
+use crate::params::SpbParams;
 use spb_cpu::StorePrefetchPolicy;
 use spb_mem::{MemorySystem, RfoOrigin};
 
@@ -105,9 +106,19 @@ impl SpbPolicy {
     ///
     /// Panics if `config.n` is zero.
     pub fn new(config: SpbConfig) -> Self {
+        Self::with_params(SpbParams::base(config.n, config.dedupe))
+    }
+
+    /// Creates the policy over the full parameter space (extension
+    /// knobs included).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.n` is zero.
+    pub fn with_params(params: SpbParams) -> Self {
         Self {
-            detector: SpbDetector::new(config),
-            wrong_path: WrongPathWindow::new(config.n),
+            detector: SpbDetector::with_params(params),
+            wrong_path: WrongPathWindow::new(params.n),
         }
     }
 
@@ -433,75 +444,6 @@ mod tests {
         let page_lo = 0x100_0000 / 64;
         let current = (0x100_0000 + 4096 - 64 * 8) / 64;
         assert_eq!(queued as u64, current - page_lo);
-    }
-}
-
-/// SPB with the §IV-A/footnote-2 extensions (backward bursts and
-/// cross-page bursts) enabled per [`crate::extensions::ExtSpbConfig`].
-///
-/// The paper deliberately ships without these; this policy exists so
-/// the `ablations` experiment can verify that judgement on this suite.
-#[derive(Debug, Clone)]
-pub struct ExtendedSpbPolicy {
-    detector: crate::extensions::ExtendedSpbDetector,
-    wrong_path: WrongPathWindow,
-}
-
-impl ExtendedSpbPolicy {
-    /// Creates the extended policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the base window is zero.
-    pub fn new(config: crate::extensions::ExtSpbConfig) -> Self {
-        Self {
-            detector: crate::extensions::ExtendedSpbDetector::new(config),
-            wrong_path: WrongPathWindow::new(config.base.n),
-        }
-    }
-
-    /// The underlying detector (for instrumentation).
-    pub fn detector(&self) -> &crate::extensions::ExtendedSpbDetector {
-        &self.detector
-    }
-}
-
-impl StorePrefetchPolicy for ExtendedSpbPolicy {
-    fn on_store_commit(
-        &mut self,
-        mem: &mut MemorySystem,
-        core: usize,
-        addr: u64,
-        _size: u8,
-        pc: u64,
-        now: u64,
-    ) {
-        let _ = mem.store_prefetch(core, addr, pc, now, RfoOrigin::AtCommit);
-        if let Some(burst) = self.detector.observe_store(addr) {
-            mem.enqueue_burst(core, burst.blocks(), now);
-        }
-    }
-
-    fn on_wrong_path_store(
-        &mut self,
-        mem: &mut MemorySystem,
-        core: usize,
-        addr: u64,
-        _size: u8,
-        _pc: u64,
-        now: u64,
-    ) {
-        if let Some(range) = self.wrong_path.observe(addr) {
-            mem.enqueue_burst_spec(core, range, now);
-        }
-    }
-
-    fn on_wrong_path_squash(&mut self, _mem: &mut MemorySystem, _core: usize, _now: u64) {
-        self.wrong_path.reset();
-    }
-
-    fn name(&self) -> &'static str {
-        "spb-extended"
     }
 }
 

@@ -508,49 +508,12 @@ impl MemorySystem {
         self.cores[core].burst_queue.len()
     }
 
-    /// Probes whether [`MemorySystem::tick`] has same-cycle work at
-    /// `now`, and if not, the next cycle at which it will (the
-    /// skip-ahead kernel's memory horizon).
-    ///
-    /// Returns `Some(now)` when a tick at `now` would do real work: an
-    /// SPB burst queue has blocks to issue, `now` is an invariant-
-    /// checker boundary, or an observer is attached and `now` is an
-    /// occupancy-sample boundary. Otherwise returns the earliest future
-    /// checker/sample boundary, or `None` when neither recurs (checker
-    /// disabled and no observer). All other memory-system activity —
-    /// fills, drains, DRAM returns, fault draws — happens inside core-
-    /// initiated calls and is covered by the per-core horizons; fault
-    /// draws are keyed by per-site event counts, never by `now`, so a
-    /// skipped span leaves every fault stream untouched.
-    pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        if self.cores.iter().any(|c| !c.burst_queue.is_empty()) {
-            return Some(now);
-        }
-        let interval = self.config.checker_interval;
-        let obs_on = self.obs.enabled();
-        if (interval > 0 && now.is_multiple_of(interval))
-            || (obs_on && now.is_multiple_of(OBS_SAMPLE_INTERVAL))
-        {
-            return Some(now);
-        }
-        let mut next: Option<u64> = None;
-        if let Some(q) = now.checked_div(interval) {
-            next = Some((q + 1) * interval);
-        }
-        if obs_on {
-            let b = (now / OBS_SAMPLE_INTERVAL + 1) * OBS_SAMPLE_INTERVAL;
-            next = Some(next.map_or(b, |n| n.min(b)));
-        }
-        next
-    }
-
     /// The next cycle at which [`MemorySystem::tick`] has observable
-    /// work, or `u64::MAX` if it never will — the `wheel` kernel's
+    /// work, or `u64::MAX` if it never will — the skip-ahead kernel's
     /// memory wakeup (DESIGN.md §12).
     ///
-    /// Unlike [`MemorySystem::next_event_at`] this is push-based: the
-    /// checker/observer boundaries are cached fields `tick` advances as
-    /// it crosses them, and a capacity-blocked burst queue contributes
+    /// This is push-based: the checker/observer boundaries are cached
+    /// fields `tick` advances as it crosses them, and a capacity-blocked burst queue contributes
     /// the earliest in-flight MSHR completion (a cached lower bound)
     /// instead of forcing a tick every cycle. Every contribution may
     /// fire early (the tick finds no work — a no-op) but never late, so

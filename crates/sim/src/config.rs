@@ -2,7 +2,7 @@
 
 use spb_core::detector::SpbConfig;
 use spb_core::params::{SpbParams, KEYS_HELP, N_RANGE};
-use spb_core::policy::{ExtendedSpbPolicy, FeedbackSpbPolicy, SpbDynamicPolicy, SpbPolicy};
+use spb_core::policy::{FeedbackSpbPolicy, SpbDynamicPolicy, SpbPolicy};
 use spb_cpu::policy::{AtCommitPolicy, AtExecutePolicy, NoPolicy};
 use spb_cpu::{CoreConfig, StorePrefetchPolicy};
 use spb_mem::MemoryConfig;
@@ -15,28 +15,27 @@ pub const IDEAL_SB_ENTRIES: usize = 1024;
 
 /// Which execution kernel drives the cores and the memory system.
 ///
-/// All kernels produce bit-identical [`crate::RunResult`]s (pinned by
-/// the golden quick grid and the `spb-verify` kernel-equivalence
-/// property); they differ only in wall-clock time. The tick kernel is
-/// the permanent reference implementation, and the probe-polling event
-/// kernel is kept as a second verification point between it and the
-/// default push-based `wheel` kernel.
+/// There are two kernels: the lock-step `tick` reference and one
+/// skip-ahead kernel. They produce bit-identical [`crate::RunResult`]s
+/// (pinned by the golden quick grid and the `spb-verify`
+/// kernel-equivalence property) and differ only in wall-clock time.
+/// `wheel` and `event` are two spellings of the skip-ahead kernel,
+/// kept because the spelling is part of [`SimConfig`]'s `Debug`
+/// rendering, which keys the result cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// Legacy lock-step kernel: tick every component every cycle.
+    /// Lock-step reference kernel: tick every component every cycle.
     Tick,
-    /// Discrete-event skip-ahead kernel: when every core is stalled
-    /// with no same-cycle work, jump `now` to the earliest
-    /// `next_event_at` horizon and replay the skipped span's
-    /// accounting in bulk.
+    /// The skip-ahead kernel under its older cache-key spelling; runs
+    /// exactly as [`KernelMode::Wheel`].
     Event,
-    /// Push-based kernel (DESIGN.md §12): the memory system publishes
-    /// its next wakeup as its state changes and is ticked only on
-    /// cycles where it has observable work, cores are probed only on
-    /// cycles where nothing committed, and a quiescent probe jumps to
-    /// the minimum of the wakeups it read, replaying the span in bulk
-    /// as under `Event`. (Spelled `wheel` for the timing wheel it once
-    /// used; cache keys keep the spelling.)
+    /// The skip-ahead kernel (DESIGN.md §12): the memory system
+    /// publishes its next wakeup as its state changes and is ticked
+    /// only on cycles where it has observable work, cores are probed
+    /// only on cycles where nothing committed, and a quiescent probe
+    /// jumps to the minimum of the wakeups it read, replaying the
+    /// skipped span's accounting in bulk. (Spelled `wheel` for the
+    /// timing wheel it once used.)
     #[default]
     Wheel,
 }
@@ -158,12 +157,7 @@ impl PolicyKind {
             PolicyKind::None => Box::new(NoPolicy::new()),
             PolicyKind::AtExecute => Box::new(AtExecutePolicy::new()),
             PolicyKind::AtCommit | PolicyKind::IdealSb => Box::new(AtCommitPolicy::new()),
-            // Base-only points build the classic policy so default
-            // configurations stay bit-identical to the seed.
-            PolicyKind::Spb { params } if params.is_base_only() => {
-                Box::new(SpbPolicy::new(params.base_config()))
-            }
-            PolicyKind::Spb { params } => Box::new(ExtendedSpbPolicy::new(params.ext_config())),
+            PolicyKind::Spb { params } => Box::new(SpbPolicy::with_params(params)),
             PolicyKind::SpbDynamic { n } => {
                 Box::new(SpbDynamicPolicy::new(SpbConfig { n, dedupe: true }))
             }
@@ -448,12 +442,11 @@ mod tests {
             "spb-feedback"
         );
         assert_eq!(PolicyKind::IdealSb.build().name(), "at-commit");
-        // Base-only parameterized points build the classic policy;
-        // extended knobs switch to the extended detector.
+        // Every point of the SPB space builds the one SPB policy.
         assert_eq!(PolicyKind::spb(24, false).build().name(), "spb");
         assert_eq!(
             PolicyKind::parse("spb:burst=3").unwrap().build().name(),
-            "spb-extended"
+            "spb"
         );
     }
 
@@ -553,5 +546,15 @@ mod tests {
         assert!(e.contains("tick") && e.contains("wheel"), "{e}");
         assert_eq!(KernelMode::Tick.label(), "tick");
         assert_eq!(KernelMode::Wheel.label(), "wheel");
+    }
+
+    /// `event` runs the same skip-ahead kernel as `wheel`, but its
+    /// spelling stays in the cache key, so existing entries stay valid.
+    #[test]
+    fn event_kernel_cache_key_is_unchanged() {
+        assert_eq!(
+            format!("{:?}", SimConfig::quick().with_kernel(KernelMode::Event)),
+            "SimConfig { core: CoreConfig { dispatch_width: 4, commit_width: 4, rob_entries: 224, iq_entries: 97, lq_entries: 72, sb_entries: 56, int_regs: 180, fp_regs: 180, redirect_penalty: 12, coalescing: false }, mem: MemoryConfig { cores: 1, l1_size: 32768, l1_ways: 8, l1_latency: 4, l2_size: 1048576, l2_ways: 16, l2_latency: 14, l3_size: 16777216, l3_ways: 16, l3_latency: 36, mshrs_per_core: 64, dram: DramConfig { latency: 175, row_hit_latency: 130, service_interval: 4, channels: 2, row_blocks: 128 }, prefetcher: Stride, burst_issue_per_cycle: 4, remote_penalty: 40, fault: FaultConfig { seed: 0, ack_delay_rate: 0.0, ack_delay_cycles: 0, dram_spike_rate: 0.0, dram_spike_cycles: 0, mshr_exhaust_rate: 0.0, burst_drop_rate: 0.0 }, checker_interval: 16384 }, policy: AtCommit, warmup_uops: 40000, measure_uops: 300000, seed: 42, watchdog_cycles: 2000000, kernel: Event }"
+        );
     }
 }

@@ -1,15 +1,14 @@
-//! Run results, run errors, and the advance loop (all three kernels).
+//! Run results, run errors, and the advance loop (both kernels).
 //!
 //! The execution entry point is [`crate::simulation::Simulation`]. The
-//! loop itself comes in three bit-identical flavours selected by
+//! loop itself comes in two bit-identical flavours selected by
 //! [`crate::config::KernelMode`]: the lock-step reference kernel
-//! ([`advance_tick`]) ticks every component every cycle; the
-//! skip-ahead kernel ([`advance_event`]) asks the memory system and
-//! every core for a `next_event_at` horizon and jumps the clock to the
-//! minimum whenever nobody has same-cycle work; and the default
-//! [`advance_wheel`] ticks the memory system only when it has work and
-//! probes the cores only on cycles where nothing committed (see
-//! DESIGN.md §9 and §12 for the contract).
+//! ([`advance_tick`]) ticks every component every cycle, and the
+//! skip-ahead kernel ([`advance_skip_ahead`], the default) ticks the
+//! memory system only when it has work, probes the cores only on
+//! cycles where nothing committed, and jumps the clock to the earliest
+//! wakeup whenever nobody has same-cycle work (see DESIGN.md §9 and
+//! §12 for the contract).
 
 use crate::config::KernelMode;
 use spb_cpu::core::{Core, CpuStats};
@@ -160,9 +159,9 @@ impl std::error::Error for RunError {
 }
 
 /// Advances the simulation until the slowest core has committed
-/// `target` µops, using the selected kernel. Every kernel polls the
-/// memory system's invariant checker and watches for forward progress,
-/// and all three produce bit-identical results.
+/// `target` µops, using the selected kernel. Both kernels poll the
+/// memory system's invariant checker and watch for forward progress,
+/// and produce bit-identical results.
 pub(crate) fn advance(
     cores: &mut [Core],
     mem: &mut MemorySystem,
@@ -173,8 +172,9 @@ pub(crate) fn advance(
 ) -> Result<(), InvariantViolation> {
     match kernel {
         KernelMode::Tick => advance_tick(cores, mem, now, target, watchdog),
-        KernelMode::Event => advance_event(cores, mem, now, target, watchdog),
-        KernelMode::Wheel => advance_wheel(cores, mem, now, target, watchdog),
+        KernelMode::Event | KernelMode::Wheel => {
+            advance_skip_ahead(cores, mem, now, target, watchdog)
+        }
     }
 }
 
@@ -201,9 +201,8 @@ fn watchdog_violation(
     }
 }
 
-/// The legacy lock-step kernel: ticks the memory system and every core
-/// once per cycle. Kept for one release as the reference the skip-ahead
-/// kernel is verified against.
+/// The lock-step reference kernel: ticks the memory system and every
+/// core once per cycle. The skip-ahead kernel is verified against it.
 pub(crate) fn advance_tick(
     cores: &mut [Core],
     mem: &mut MemorySystem,
@@ -235,115 +234,12 @@ pub(crate) fn advance_tick(
     }
 }
 
-/// Longest stretch of unprobed (normally ticked) cycles the event
-/// kernel allows once probes keep finding same-cycle work.
+/// Longest stretch of unprobed cycles the skip-ahead kernel allows
+/// once probes keep finding same-cycle work.
 const MAX_PROBE_BACKOFF: u64 = 64;
 
-/// The discrete-event skip-ahead kernel.
-///
-/// Each iteration first probes the memory system and every core for a
-/// `next_event_at` horizon. If anyone has same-cycle work (or a probe
-/// finds none of the clamp events below apply), the cycle runs exactly
-/// as under [`advance_tick`]. Otherwise the clock jumps straight to the
-/// earliest horizon, after each core bulk-replays the accounting the
-/// skipped idle cycles would have produced (`Core::skip_span`). The
-/// jump target is additionally clamped to the next invariant-checker
-/// boundary, observer sample boundary, and the watchdog deadline, so
-/// checker runs, occupancy samples, and watchdog aborts happen at
-/// exactly the cycles the lock-step kernel would have executed them.
-pub(crate) fn advance_event(
-    cores: &mut [Core],
-    mem: &mut MemorySystem,
-    now: &mut u64,
-    target: u64,
-    watchdog: u64,
-) -> Result<(), InvariantViolation> {
-    let mut last_min = 0u64;
-    let mut last_progress_at = *now;
-    // Adaptive probe backoff. Skipping a probe is always sound — the
-    // cycle then runs exactly as under the lock-step kernel — so on
-    // workloads that are busy every cycle (high-IPC compute) the kernel
-    // stops paying the per-cycle probe: each consecutive busy probe
-    // doubles the distance to the next one (capped), and any idle probe
-    // resets the backoff to probing every cycle.
-    let mut next_probe_at = *now;
-    let mut busy_backoff = 0u64;
-    loop {
-        let min_uops = cores.iter().map(|c| c.committed_uops()).min().unwrap_or(0);
-        if min_uops >= target {
-            return Ok(());
-        }
-        if min_uops > last_min {
-            last_min = min_uops;
-            last_progress_at = *now;
-        } else if watchdog > 0 && *now - last_progress_at > watchdog {
-            return Err(watchdog_violation(mem, *now, watchdog, min_uops, target));
-        }
-
-        // Probe for a quiescent span: nobody may have same-cycle work.
-        let mut horizon: Option<u64> = None;
-        let merge = |h: &mut Option<u64>, t: u64| *h = Some(h.map_or(t, |n| n.min(t)));
-        let mut busy = *now < next_probe_at;
-        if !busy {
-            busy = match mem.next_event_at(*now) {
-                Some(t) if t <= *now => true,
-                Some(t) => {
-                    merge(&mut horizon, t);
-                    false
-                }
-                None => false,
-            };
-            if !busy {
-                for core in cores.iter_mut() {
-                    match core.next_event_at(*now) {
-                        Some(t) if t <= *now => {
-                            busy = true;
-                            break;
-                        }
-                        Some(t) => merge(&mut horizon, t),
-                        None => {} // no pending events on this core
-                    }
-                }
-            }
-            if busy {
-                busy_backoff = (busy_backoff * 2).clamp(1, MAX_PROBE_BACKOFF);
-                next_probe_at = *now + busy_backoff;
-            } else {
-                busy_backoff = 0;
-            }
-        }
-        if !busy {
-            if watchdog > 0 {
-                // First cycle at which the watchdog check above fires.
-                merge(&mut horizon, last_progress_at + watchdog + 1);
-            }
-            if let Some(t) = horizon {
-                debug_assert!(t > *now, "horizons must be in the future");
-                for core in cores.iter_mut() {
-                    core.skip_span(mem, *now, t);
-                }
-                *now = t;
-                continue;
-            }
-            // No pending events anywhere and no watchdog: fall through
-            // to a normal cycle, replicating the lock-step kernel's
-            // behaviour (spin until the caller's target or forever).
-        }
-
-        mem.tick(*now);
-        for core in cores.iter_mut() {
-            core.cycle(mem, *now);
-        }
-        if let Some(v) = mem.take_violation() {
-            return Err(v);
-        }
-        *now += 1;
-    }
-}
-
-/// The push-based `wheel` kernel (DESIGN.md §12).
-///
-/// Differences from [`advance_event`]:
+/// The skip-ahead kernel (DESIGN.md §12), run for both the `wheel`
+/// and the `event` spelling.
 ///
 /// - The memory system is ticked only on cycles where it has observable
 ///   work. [`MemorySystem::wake_at`] is an O(1) read of state the
@@ -361,7 +257,7 @@ pub(crate) fn advance_event(
 ///   never late, so checker runs, observer samples, burst issues and
 ///   the watchdog all happen at exactly the cycles the lock-step kernel
 ///   would have executed them.
-pub(crate) fn advance_wheel(
+pub(crate) fn advance_skip_ahead(
     cores: &mut [Core],
     mem: &mut MemorySystem,
     now: &mut u64,
@@ -371,8 +267,10 @@ pub(crate) fn advance_wheel(
     let mut last_min = 0u64;
     let mut last_progress_at = *now;
     let mut last_total: u64 = cores.iter().map(|c| c.committed_uops()).sum();
-    // Probe backoff for busy-but-not-committing stretches, as in
-    // `advance_event`: skipping a probe is always sound.
+    // Probe backoff for busy-but-not-committing stretches: skipping a
+    // probe is always sound (the cycle then runs exactly as under the
+    // lock-step kernel), so each consecutive busy probe doubles the
+    // distance to the next one (capped) and an idle probe resets it.
     let mut next_probe_at = *now;
     let mut busy_backoff = 0u64;
     loop {
@@ -609,12 +507,12 @@ mod tests {
         assert_eq!(r.sb_entries, 1024);
     }
 
-    /// Every skip-ahead kernel must be indistinguishable from the
+    /// The skip-ahead kernel must be indistinguishable from the
     /// lock-step reference, bit for bit, on every counter a run
     /// reports (the broad cross-product lives in `spb-verify`). The
     /// 8-entry issue-queue cases keep the IQ full of DRAM-dependent
     /// µops, so the IQ-stall wake and the queue's lazy reclaim decide
-    /// when the skip-ahead kernels may jump.
+    /// when the skip-ahead kernel may jump.
     #[test]
     fn skip_ahead_kernels_match_tick_kernel_bit_for_bit() {
         use crate::config::KernelMode;
@@ -636,16 +534,14 @@ mod tests {
                     "{name}: an 8-entry IQ must stall dispatch"
                 );
             }
-            for kernel in [KernelMode::Event, KernelMode::Wheel] {
-                let fast =
-                    Simulation::with_config(&app, &cfg.clone().with_kernel(kernel)).run_or_panic();
-                assert_bit_identical(&tick, &fast, &format!("{name} {}", kernel.label()));
-            }
+            let fast = Simulation::with_config(&app, &cfg.clone().with_kernel(KernelMode::Wheel))
+                .run_or_panic();
+            assert_bit_identical(&tick, &fast, name);
         }
     }
 
     /// As above, for the multi-core PARSEC path (cross-core
-    /// invalidations and downgrades exercise the wheel kernel's
+    /// invalidations and downgrades exercise the skip-ahead kernel's
     /// retire-before-remote-kill discipline).
     #[test]
     fn kernels_match_bit_for_bit_on_eight_cores() {
@@ -679,7 +575,7 @@ mod tests {
         assert_eq!(a.cpu.squash_episodes, 0);
     }
 
-    /// All three kernels must agree bit for bit with squash storms on —
+    /// Both kernels must agree bit for bit with squash storms on —
     /// wrong-path injection, spec-tagged RFOs and squash attribution
     /// are all cycle-exact state machines, not approximations.
     #[test]
@@ -695,11 +591,9 @@ mod tests {
         let tick = Simulation::with_config(&app, &cfg.clone().with_kernel(KernelMode::Tick))
             .run_or_panic();
         assert!(tick.cpu.squash_episodes > 0, "storms actually fired");
-        for kernel in [KernelMode::Event, KernelMode::Wheel] {
-            let fast =
-                Simulation::with_config(&app, &cfg.clone().with_kernel(kernel)).run_or_panic();
-            assert_bit_identical(&tick, &fast, kernel.label());
-        }
+        let fast = Simulation::with_config(&app, &cfg.clone().with_kernel(KernelMode::Wheel))
+            .run_or_panic();
+        assert_bit_identical(&tick, &fast, "x264 squash storms");
     }
 
     /// Squash episodes land in the per-core replay recipe and the
@@ -723,7 +617,7 @@ mod tests {
     }
 
     /// The watchdog must fire at the same cycle under every kernel —
-    /// the skip-ahead loops clamp their jumps to the watchdog deadline.
+    /// the skip-ahead loop clamps its jumps to the watchdog deadline.
     #[test]
     fn watchdog_fires_identically_under_all_kernels() {
         use crate::config::KernelMode;
@@ -739,12 +633,10 @@ mod tests {
             .run()
             .unwrap_err();
         assert_eq!(tick.violation.kind, InvariantKind::ForwardProgress);
-        for kernel in [KernelMode::Event, KernelMode::Wheel] {
-            let fast = Simulation::with_config(&app, &cfg.clone().with_kernel(kernel))
-                .run()
-                .unwrap_err();
-            assert_eq!(fast.violation.kind, InvariantKind::ForwardProgress);
-            assert_eq!(tick.violation.cycle, fast.violation.cycle, "{}", kernel.label());
-        }
+        let fast = Simulation::with_config(&app, &cfg.clone().with_kernel(KernelMode::Wheel))
+            .run()
+            .unwrap_err();
+        assert_eq!(fast.violation.kind, InvariantKind::ForwardProgress);
+        assert_eq!(tick.violation.cycle, fast.violation.cycle);
     }
 }

@@ -4,10 +4,10 @@
 //! Four checks, sized well under a minute in release:
 //!
 //! 1. **Sweep**: squash rates 0 / 0.05 / 0.2 × {at-execute, spb,
-//!    at-commit} on a SPEC and a PARSEC app, under all three kernels.
+//!    at-commit} on a SPEC and a PARSEC app, under both kernels.
 //!    Every cell must complete with zero invariant violations (a
-//!    coherence-checker trip fails the run itself) and all three
-//!    kernels must agree bit-for-bit on every counter — including the
+//!    coherence-checker trip fails the run itself) and the tick and
+//!    skip-ahead kernels must agree bit-for-bit on every counter — including the
 //!    new speculative-waste ones.
 //! 2. **Leak oracle**: every cell's waste accounting must satisfy
 //!    `spb_verify::leak::check_run` — conservation for at-execute, the
@@ -28,7 +28,7 @@ use spb_trace::profile::AppProfile;
 use spb_trace::SquashConfig;
 use spb_verify::{check_run, run_one, run_seeds, FuzzConfig};
 
-const KERNELS: [KernelMode; 3] = [KernelMode::Tick, KernelMode::Event, KernelMode::Wheel];
+const KERNELS: [KernelMode; 2] = [KernelMode::Tick, KernelMode::Wheel];
 const RATES: [f64; 3] = [0.0, 0.05, 0.2];
 
 fn digest(r: &spb_sim::RunResult) -> String {

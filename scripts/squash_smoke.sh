@@ -4,7 +4,7 @@
 #   scripts/squash_smoke.sh
 #
 # Runs the squash_smoke binary: a quick squash sweep at rates
-# 0 / 0.05 / 0.2 across all three kernels (bit-identical counters,
+# 0 / 0.05 / 0.2 under the tick and skip-ahead kernels (bit-identical counters,
 # zero invariant violations), the flat leak oracle on every cell,
 # the rate-0 golden-grid byte-identity check, and a squash-enabled
 # fuzzer batch including the forget-to-untag negative control.

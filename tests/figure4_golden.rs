@@ -47,7 +47,14 @@ fn figure4_protocol_sequence() {
     // meets the N/8 = 1 threshold, counters reset, and the burst covers
     // the rest of the page.
     let burst = spb.observe_store(0x040).expect("T8 generates the SPB");
-    assert_eq!(burst, Burst { start: 2, end: 64 });
+    assert_eq!(
+        burst,
+        Burst {
+            start: 2,
+            end: 64,
+            descending: false
+        }
+    );
 
     // The at-commit WritePF for 0x040 itself misses (GetPFx for block 1)…
     let resp = mem.store_prefetch(0, 0x040, pc, 8, RfoOrigin::AtCommit);
