@@ -2,8 +2,8 @@
 //!
 //! These are the numbers that determine how much evaluation a wall-clock
 //! budget buys: simulated µops per second through the full core + memory
-//! stack, raw cache-array and detector operation rates, and the burst
-//! queue's drain cost.
+//! stack, raw cache-array and detector operation rates, the burst
+//! queue's drain cost, and how fast the trace layer supplies µops.
 
 use spb_bench::harness::{Criterion, Throughput};
 use spb_bench::{criterion_group, criterion_main};
@@ -13,6 +13,7 @@ use spb_mem::line::CoherenceState;
 use spb_mem::{MemoryConfig, MemorySystem};
 use spb_sim::{KernelMode, SimConfig, Simulation};
 use spb_trace::profile::AppProfile;
+use spb_trace::{MicroOp, OpKind, TraceSource};
 use std::hint::black_box;
 
 fn kernels(c: &mut Criterion) {
@@ -45,6 +46,40 @@ fn kernels(c: &mut Criterion) {
                 });
             });
         }
+    }
+    g.finish();
+
+    // Trace supply: the same µops pulled through a boxed source (as the
+    // core holds its trace) one `next_op` at a time, and in batches of
+    // the core's µop-ring size through `fill`. The harness prints the
+    // median cost per µop (ns/elem).
+    let mut g = c.benchmark_group("trace_supply");
+    const TRACE_UOPS: usize = 1_000_000;
+    const BATCH: usize = 128;
+    g.throughput(Throughput::Elements(TRACE_UOPS as u64));
+    for name in ["x264", "bwaves", "mcf", "dedup"] {
+        let app = AppProfile::by_name(name).unwrap();
+        let source = || -> Box<dyn TraceSource> { Box::new(app.build(42)) };
+        g.bench_function(format!("next_op_{name}"), |b| {
+            b.iter(|| {
+                let mut src = source();
+                for _ in 0..TRACE_UOPS {
+                    black_box(src.next_op());
+                }
+            });
+        });
+        g.bench_function(format!("fill_{name}"), |b| {
+            b.iter(|| {
+                let mut src = source();
+                let mut ring = [MicroOp::new(OpKind::IntAlu { latency: 1 }, 0); BATCH];
+                let mut n = 0;
+                while n < TRACE_UOPS {
+                    let want = BATCH.min(TRACE_UOPS - n);
+                    n += src.fill(&mut ring[..want]);
+                    black_box(&ring);
+                }
+            });
+        });
     }
     g.finish();
 

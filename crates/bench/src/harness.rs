@@ -141,12 +141,13 @@ fn report(name: &str, samples: &[Duration], throughput: Option<Throughput>) {
     let median = Duration::from_nanos(rec.median_ns() as u64);
     let min = Duration::from_nanos(rec.min_ns());
     let rate = throughput.map(|t| {
-        let unit = match t {
-            Throughput::Elements(_) => "elem/s",
-            Throughput::Bytes(_) => "B/s",
-        };
         let per_sec = rec.per_sec().expect("throughput declared");
-        format!("  {per_sec:>12.3e} {unit}")
+        match t {
+            Throughput::Elements(_) => {
+                format!("  {per_sec:>12.3e} elem/s  {:>8.2} ns/elem", 1e9 / per_sec)
+            }
+            Throughput::Bytes(_) => format!("  {per_sec:>12.3e} B/s"),
+        }
     });
     println!(
         "{name:<44} mean {:>10.3?}  median {:>10.3?}  min {:>10.3?}{}",

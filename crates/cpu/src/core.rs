@@ -11,6 +11,10 @@ use spb_trace::{CodeRegion, MicroOp, OpKind, TraceSource};
 
 /// Size of the completion ring (max dependency distance honoured).
 const RING: usize = 1024;
+/// µops the front end reads from the trace per [`TraceSource::fill`]
+/// call. The core refills only when every buffered µop has been
+/// dispatched, so it never holds more than this many unexecuted µops.
+const TRACE_RING: usize = 128;
 
 /// Fraction of wrong-path µops that access the L1D (loads on the wrong
 /// path), used for the energy/L1-traffic accounting of Figures 7 and 13.
@@ -55,11 +59,7 @@ pub struct CpuStats {
 impl CpuStats {
     /// SB-stall cycles charged to `region`.
     pub fn sb_stalls_in(&self, region: CodeRegion) -> u64 {
-        let idx = CodeRegion::ALL
-            .iter()
-            .position(|r| *r == region)
-            .expect("every region is in ALL");
-        self.sb_stall_by_region[idx]
+        self.sb_stall_by_region[region.index()]
     }
 }
 
@@ -74,7 +74,11 @@ pub struct Core {
     trace: Box<dyn TraceSource + Send>,
     policy: Box<dyn StorePrefetchPolicy + Send>,
     rob: RobRing,
-    pending_op: Option<MicroOp>,
+    /// Read-ahead µops from the trace: `ops[op_head..op_end]` are
+    /// fetched but not yet dispatched, oldest first.
+    ops: [MicroOp; TRACE_RING],
+    op_head: usize,
+    op_end: usize,
     completion_ring: [u64; RING],
     seq: u64,
     iq: IssueQueue,
@@ -138,7 +142,9 @@ impl Core {
             trace,
             policy,
             rob: RobRing::new(config.rob_entries),
-            pending_op: None,
+            ops: [MicroOp::new(OpKind::IntAlu { latency: 1 }, 0); TRACE_RING],
+            op_head: 0,
+            op_end: 0,
             completion_ring: [0; RING],
             seq: 0,
             iq: IssueQueue::new(config.iq_entries),
@@ -296,10 +302,9 @@ impl Core {
     /// An idle probe also captures the dispatch-stall cause for the
     /// span, which [`Core::skip_span`] replays. The probe performs
     /// exactly the state transitions dispatch itself would perform at
-    /// `now` — pulling the next µop into the pending slot, reclaiming
-    /// issued IQ entries, latching end-of-trace — so running a normal
-    /// cycle at `now` after a probe is bit-identical to running one
-    /// without it.
+    /// `now` — refilling the µop ring, reclaiming issued IQ entries,
+    /// latching end-of-trace — so running a normal cycle at `now` after
+    /// a probe is bit-identical to running one without it.
     pub fn next_event_at(&mut self, now: u64) -> Option<u64> {
         if let Some(t) = self.rob.head_complete_at() {
             if t <= now {
@@ -317,29 +322,22 @@ impl Core {
         if now < self.fetch_resume_at {
             self.skip_stall = Some((StallCause::FrontEnd, 0));
         } else {
-            match self.pending_op.take().or_else(|| self.trace.next_op()) {
-                None => self.trace_done = true,
+            match self.peek_op() {
+                None => {}
                 Some(op) if op.is_wrong_path() || self.in_wrong_path => {
                     // Wrong-path work (or a squash waiting to resolve)
                     // always has same-cycle effects in `dispatch`.
-                    self.pending_op = Some(op);
                     return Some(now);
                 }
                 Some(op) => match self.blocking_resource(&op, now) {
-                    None => {
-                        self.pending_op = Some(op);
-                        return Some(now); // dispatch would issue this cycle
-                    }
+                    None => return Some(now), // dispatch would issue this cycle
                     Some(cause) => {
                         let region = if cause == StallCause::StoreBuffer {
-                            let pc = self.sb_pending.front_pc().unwrap_or(op.pc());
-                            let region = CodeRegion::of_pc(pc);
-                            CodeRegion::ALL.iter().position(|r| *r == region).unwrap()
+                            self.sb_blocking_region(&op)
                         } else {
                             0
                         };
                         self.skip_stall = Some((cause, region));
-                        self.pending_op = Some(op);
                         // An IssueQueue stall can clear as soon as an
                         // in-flight µop's issue time passes (IQ
                         // reclaim), so never skip past the earliest
@@ -508,17 +506,14 @@ impl Core {
                 stall.get_or_insert(StallCause::FrontEnd);
                 break;
             }
-            let op = match self.pending_op.take().or_else(|| self.trace.next_op()) {
-                Some(op) => op,
-                None => {
-                    self.trace_done = true;
-                    break;
-                }
+            let Some(op) = self.peek_op() else {
+                break;
             };
             if op.is_wrong_path() {
                 // A wrong-path µop consumes a front-end slot but never
                 // enters the ROB, IQ, or SB — it exists so speculative
                 // policies see its address and pay for it.
+                self.op_head += 1;
                 self.in_wrong_path = true;
                 self.stats.wrong_path_uops += 1;
                 if let OpKind::Store { addr, size } = op.kind() {
@@ -541,22 +536,19 @@ impl Core {
                 self.fetch_resume_at = self
                     .fetch_resume_at
                     .max(now + self.config.redirect_penalty);
-                self.pending_op = Some(op);
                 continue;
             }
             if let Some(cause) = self.blocking_resource(&op, now) {
                 if cause == StallCause::StoreBuffer {
                     // Figure 3: charge the stall to the code region of the
                     // store blocking the SB head.
-                    let pc = self.sb_pending.front_pc().unwrap_or(op.pc());
-                    let region = CodeRegion::of_pc(pc);
-                    let idx = CodeRegion::ALL.iter().position(|r| *r == region).unwrap();
-                    self.stats.sb_stall_by_region[idx] += 1;
+                    let region = self.sb_blocking_region(&op);
+                    self.stats.sb_stall_by_region[region] += 1;
                 }
-                self.pending_op = Some(op);
                 stall.get_or_insert(cause);
                 break;
             }
+            self.op_head += 1;
             self.issue_op(mem, op, now);
             dispatched += 1;
         }
@@ -588,6 +580,34 @@ impl Core {
                 }
             }
         }
+    }
+
+    /// The next trace µop, left in the µop ring until dispatch consumes
+    /// it (`op_head += 1`). An empty ring is refilled with one
+    /// [`TraceSource::fill`] batch; `None` latches end-of-trace.
+    #[inline]
+    fn peek_op(&mut self) -> Option<MicroOp> {
+        if self.op_head == self.op_end && !self.refill_ops() {
+            return None;
+        }
+        Some(self.ops[self.op_head])
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn refill_ops(&mut self) -> bool {
+        self.op_head = 0;
+        self.op_end = self.trace.fill(&mut self.ops);
+        self.trace_done |= self.op_end == 0;
+        self.op_end > 0
+    }
+
+    /// [`CodeRegion::index`] of the store blocking the SB head, which a
+    /// Figure 3 SB stall of `op` is charged to (`op`'s own region while
+    /// no store has committed into the SB).
+    fn sb_blocking_region(&self, op: &MicroOp) -> usize {
+        let pc = self.sb_pending.front_pc().unwrap_or(op.pc());
+        CodeRegion::of_pc(pc).index()
     }
 
     /// The oldest resource that blocks dispatching `op`, if any.
@@ -993,6 +1013,99 @@ mod tests {
         assert_eq!(core.stats().committed_stores, stores);
         assert_eq!(core.stats().committed_loads, loads);
         assert_eq!(core.stats().committed_branches, branches);
+    }
+}
+
+#[cfg(test)]
+mod trace_ring_tests {
+    use super::*;
+    use crate::policy::{AtCommitPolicy, AtExecutePolicy};
+    use spb_mem::MemoryConfig;
+    use spb_trace::profile::AppProfile;
+    use spb_trace::{SquashConfig, SquashInjector};
+
+    /// Hands over one µop per `fill` call: the core then reads its trace
+    /// µop by µop, as it did before it read in batches.
+    struct PerOp(Box<dyn TraceSource + Send>);
+
+    impl TraceSource for PerOp {
+        fn next_op(&mut self) -> Option<MicroOp> {
+            self.0.next_op()
+        }
+
+        fn fill(&mut self, out: &mut [MicroOp]) -> usize {
+            let Some(slot) = out.first_mut() else {
+                return 0;
+            };
+            match self.0.next_op() {
+                Some(op) => {
+                    *slot = op;
+                    1
+                }
+                None => 0,
+            }
+        }
+    }
+
+    /// Runs `trace` for `cycles` cycles, probing [`Core::next_event_at`]
+    /// before every cycle when `probe` is set (as the skip-ahead kernel
+    /// does on quiet cycles).
+    fn drive(
+        trace: Box<dyn TraceSource + Send>,
+        at_execute: bool,
+        probe: bool,
+        cycles: u64,
+    ) -> (u64, CpuStats, TopDown, spb_mem::system::MemStats) {
+        let mut mem = MemorySystem::new(MemoryConfig::default());
+        let policy: Box<dyn StorePrefetchPolicy + Send> = if at_execute {
+            Box::new(AtExecutePolicy::new())
+        } else {
+            Box::new(AtCommitPolicy::new())
+        };
+        let cfg = CoreConfig::skylake().with_sb_entries(14);
+        let mut core = Core::new(0, cfg, trace, policy);
+        for now in 0..cycles {
+            mem.tick(now);
+            if probe {
+                let _ = core.next_event_at(now);
+            }
+            core.cycle(&mut mem, now);
+        }
+        (
+            core.committed_uops(),
+            core.stats().clone(),
+            core.topdown().clone(),
+            mem.stats().clone(),
+        )
+    }
+
+    /// Reading the trace in ring-sized batches commits exactly what
+    /// reading it µop by µop commits: same µops, same cycles, same
+    /// stalls, same memory traffic — with and without wrong-path runs in
+    /// the ring, and with and without the idle probe peeking at it.
+    #[test]
+    fn batched_and_per_op_reads_commit_identical_windows() {
+        let squash = SquashConfig::parse("rate=0.05,depth=4..24,storm=2,seed=9").unwrap();
+        for name in ["x264", "cam4", "mcf"] {
+            let app = AppProfile::by_name(name).unwrap();
+            for (with_squash, probe) in [(false, false), (true, true), (true, false)] {
+                let source = || -> Box<dyn TraceSource + Send> {
+                    if with_squash {
+                        Box::new(SquashInjector::new(app.build(42), squash, 0))
+                    } else {
+                        Box::new(app.build(42))
+                    }
+                };
+                let batched = drive(source(), with_squash, probe, 40_000);
+                let per_op = drive(Box::new(PerOp(source())), with_squash, probe, 40_000);
+                assert!(
+                    batched.0 > 1_000,
+                    "{name}: only {} µops committed",
+                    batched.0
+                );
+                assert_eq!(batched, per_op, "{name} squash={with_squash} probe={probe}");
+            }
+        }
     }
 }
 

@@ -5,7 +5,10 @@
 //! The rings are bounded by configuration (dispatch gates on ROB
 //! occupancy; a store cannot commit into the SB without holding one of
 //! the `sb_entries` slots it acquired at dispatch), so each ring is a set
-//! of fixed-capacity parallel lanes indexed by `(head + i) % cap`.
+//! of fixed-capacity parallel lanes indexed by `(head + i) mod cap`. The
+//! capacities are configuration values (224 ROB entries, 14–56 SB
+//! entries), rarely powers of two, so the index wraps by
+//! compare-and-subtract ([`wrap`]) rather than a hardware divide.
 //! The hot loops touch one lane each — commit and the skip-ahead probe
 //! poll only `complete_at`, coalescing polls only the tail address —
 //! instead of striding over whole entries.
@@ -22,6 +25,18 @@ pub(crate) struct RobEntry {
     pub is_store: bool,
     pub is_load: bool,
     pub is_branch: bool,
+}
+
+/// `i mod cap` for `i < 2 * cap`: every ring index is a head (`< cap`)
+/// plus an offset of at most `cap`.
+#[inline]
+fn wrap(i: usize, cap: usize) -> usize {
+    debug_assert!(i < 2 * cap);
+    if i >= cap {
+        i - cap
+    } else {
+        i
+    }
 }
 
 const STORE: u8 = 1;
@@ -73,7 +88,7 @@ impl RobRing {
 
     pub fn push_back(&mut self, e: RobEntry) {
         assert!(self.len < self.cap, "ROB overflow: dispatch gate broken");
-        let i = (self.head + self.len) % self.cap;
+        let i = wrap(self.head + self.len, self.cap);
         self.complete_at[i] = e.complete_at;
         self.addr[i] = e.addr;
         self.pc[i] = e.pc;
@@ -89,7 +104,7 @@ impl RobRing {
             return None;
         }
         let i = self.head;
-        self.head = (self.head + 1) % self.cap;
+        self.head = wrap(self.head + 1, self.cap);
         self.len -= 1;
         let kind = self.kind[i];
         Some(RobEntry {
@@ -160,12 +175,12 @@ impl SbRing {
     /// Address of the youngest SB entry (coalescing candidate).
     #[inline]
     pub fn back_addr(&self) -> Option<u64> {
-        (self.len > 0).then(|| self.addr[(self.head + self.len - 1) % self.cap])
+        (self.len > 0).then(|| self.addr[wrap(self.head + self.len - 1, self.cap)])
     }
 
     pub fn push_back(&mut self, addr: u64, pc: u64, committed_at: u64) {
         assert!(self.len < self.cap, "SB overflow: dispatch gate broken");
-        let i = (self.head + self.len) % self.cap;
+        let i = wrap(self.head + self.len, self.cap);
         self.addr[i] = addr;
         self.pc[i] = pc;
         self.committed_at[i] = committed_at;
@@ -174,7 +189,7 @@ impl SbRing {
 
     pub fn pop_front(&mut self) {
         debug_assert!(self.len > 0);
-        self.head = (self.head + 1) % self.cap;
+        self.head = wrap(self.head + 1, self.cap);
         self.len -= 1;
     }
 }
@@ -278,6 +293,26 @@ mod tests {
             assert_eq!(r.pop_front(), Some(entry(round, LOAD)));
         }
         assert!(r.is_empty());
+        // A non-power-of-two capacity, wrapped many times at every
+        // occupancy from empty to full against a FIFO model.
+        let cap = 7;
+        let mut r = RobRing::new(cap);
+        let mut model = std::collections::VecDeque::new();
+        let mut t = 0u64;
+        for occupancy in (0..=cap).chain((0..cap).rev()) {
+            for _ in 0..5 * cap {
+                while model.len() < occupancy {
+                    let e = entry(t, [STORE, LOAD, BRANCH, 0][t as usize % 4]);
+                    r.push_back(e);
+                    model.push_back(e);
+                    t += 1;
+                }
+                assert_eq!(r.len(), model.len());
+                assert_eq!(r.head_complete_at(), model.front().map(|e| e.complete_at));
+                assert_eq!(r.pop_front(), model.pop_front());
+            }
+        }
+        assert!(t > 10 * cap as u64, "the ring wrapped only {t} pushes");
     }
 
     #[test]
@@ -309,6 +344,28 @@ mod tests {
         s.pop_front();
         s.pop_front();
         assert_eq!(s.front(), Some((256, 0x40c, 13)));
+        // The SB sizes the paper sweeps are not powers of two: wrap a
+        // 14-entry ring many times at every occupancy against a model.
+        let cap = 14;
+        let mut s = SbRing::new(cap);
+        let mut model = std::collections::VecDeque::new();
+        let mut t = 0u64;
+        for occupancy in (1..=cap).chain((1..cap).rev()) {
+            for _ in 0..3 * cap {
+                while model.len() < occupancy {
+                    s.push_back(t * 64, 0x400 + t, t);
+                    model.push_back((t * 64, 0x400 + t, t));
+                    t += 1;
+                }
+                assert_eq!(s.len(), model.len());
+                assert_eq!(s.front(), model.front().copied());
+                assert_eq!(s.front_pc(), model.front().map(|e| e.1));
+                assert_eq!(s.back_addr(), model.back().map(|e| e.0));
+                s.pop_front();
+                model.pop_front();
+            }
+        }
+        assert!(t > 10 * cap as u64, "the ring wrapped only {t} pushes");
     }
 
     #[test]

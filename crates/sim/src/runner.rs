@@ -24,7 +24,10 @@ use std::fmt;
 ///
 /// Commit is in order and wrong-path µops are synthesized (they never
 /// consume trace entries), so core `c`'s committed µop stream is exactly
-/// the first `warmup_uops + uops` entries of its trace. That makes these
+/// the first `warmup_uops + uops` entries of its trace. The core reads
+/// its trace up to one µop-ring batch ahead of dispatch (see
+/// [`spb_trace::TraceSource::fill`]), but read-ahead µops are never
+/// committed, so the prefix is still exact. That makes these
 /// counters an exact replay recipe: an in-order model walking the same
 /// [`spb_trace::PhasedWorkload`] predicts the committed store/load/
 /// branch counts of the measured window — the contract the `spb-verify`

@@ -19,7 +19,7 @@
 
 use crate::op::{MicroOp, OpKind};
 use crate::region::CodeRegion;
-use crate::rng::TraceRng;
+use crate::rng::{Chance, TraceRng};
 use crate::TraceSource;
 
 /// Well-predicted loop-branch misprediction rate.
@@ -65,12 +65,61 @@ impl OpQueue {
         }
     }
 
+    /// Copies as many pending µops as fit into `out`.
+    fn drain_into(&mut self, out: &mut [MicroOp]) -> usize {
+        let pending = &self.pending[self.cursor..];
+        let n = pending.len().min(out.len());
+        out[..n].copy_from_slice(&pending[..n]);
+        self.cursor += n;
+        n
+    }
+
     fn refill<F: FnOnce(&mut Vec<MicroOp>)>(&mut self, f: F) {
         self.pending.clear();
         self.cursor = 0;
         f(&mut self.pending);
     }
 }
+
+/// Implements [`TraceSource`] for generators that stage µops in an
+/// [`OpQueue`] field `queue` and stage the next non-empty batch with
+/// `fn refill(&mut self) -> bool` (`false` once the generator is done).
+/// `fill` copies whole staged batches instead of popping µop by µop.
+macro_rules! queued_source {
+    ($($gen:ty),+ $(,)?) => {$(
+        impl TraceSource for $gen {
+            fn next_op(&mut self) -> Option<MicroOp> {
+                if let Some(op) = self.queue.pop() {
+                    return Some(op);
+                }
+                if self.refill() {
+                    self.queue.pop()
+                } else {
+                    None
+                }
+            }
+
+            fn fill(&mut self, out: &mut [MicroOp]) -> usize {
+                let mut n = self.queue.drain_into(out);
+                while n < out.len() && self.refill() {
+                    n += self.queue.drain_into(&mut out[n..]);
+                }
+                n
+            }
+        }
+    )+};
+}
+
+queued_source!(
+    MemsetGen,
+    MemcpyGen,
+    MultiStreamCopyGen,
+    StrideLoadGen,
+    PointerChaseGen,
+    SparseStoreGen,
+    StridedStoreGen,
+    GatherScatterGen,
+);
 
 // ---------------------------------------------------------------------------
 // MemsetGen
@@ -120,13 +169,10 @@ impl MemsetGen {
     }
 }
 
-impl TraceSource for MemsetGen {
-    fn next_op(&mut self) -> Option<MicroOp> {
-        if let Some(op) = self.queue.pop() {
-            return Some(op);
-        }
+impl MemsetGen {
+    fn refill(&mut self) -> bool {
         if self.written >= self.bytes {
-            return None;
+            return false;
         }
         let region = self.region;
         let dst = self.dst;
@@ -148,7 +194,7 @@ impl TraceSource for MemsetGen {
             }
             loop_overhead((region.pc_at(0x20), region.pc_at(0x28)), rng, out);
         });
-        self.queue.pop()
+        true
     }
 }
 
@@ -198,13 +244,10 @@ impl MemcpyGen {
     }
 }
 
-impl TraceSource for MemcpyGen {
-    fn next_op(&mut self) -> Option<MicroOp> {
-        if let Some(op) = self.queue.pop() {
-            return Some(op);
-        }
+impl MemcpyGen {
+    fn refill(&mut self) -> bool {
         if self.done >= self.bytes {
-            return None;
+            return false;
         }
         let (src, dst, region) = (self.src, self.dst, self.region);
         let done = &mut self.done;
@@ -248,7 +291,7 @@ impl TraceSource for MemcpyGen {
             *done = base + 64;
             loop_overhead((region.pc_at(0x50), region.pc_at(0x58)), rng, out);
         });
-        self.queue.pop()
+        true
     }
 }
 
@@ -288,6 +331,10 @@ impl ClearPageGen {
 impl TraceSource for ClearPageGen {
     fn next_op(&mut self) -> Option<MicroOp> {
         self.inner.next_op()
+    }
+
+    fn fill(&mut self, out: &mut [MicroOp]) -> usize {
+        self.inner.fill(out)
     }
 }
 
@@ -346,13 +393,10 @@ impl MultiStreamCopyGen {
     }
 }
 
-impl TraceSource for MultiStreamCopyGen {
-    fn next_op(&mut self) -> Option<MicroOp> {
-        if let Some(op) = self.queue.pop() {
-            return Some(op);
-        }
+impl MultiStreamCopyGen {
+    fn refill(&mut self) -> bool {
         if self.progressed >= self.bytes_per_stream {
-            return None;
+            return false;
         }
         let (src, dst) = self.streams[self.current];
         // Streams advance in lock-step; within the current chunk, walk
@@ -399,7 +443,7 @@ impl TraceSource for MultiStreamCopyGen {
                 self.progressed += self.chunk_blocks * 64;
             }
         }
-        self.queue.pop()
+        true
     }
 }
 
@@ -435,13 +479,10 @@ impl StrideLoadGen {
     }
 }
 
-impl TraceSource for StrideLoadGen {
-    fn next_op(&mut self) -> Option<MicroOp> {
-        if let Some(op) = self.queue.pop() {
-            return Some(op);
-        }
+impl StrideLoadGen {
+    fn refill(&mut self) -> bool {
         if self.remaining == 0 {
-            return None;
+            return false;
         }
         let n = self.remaining.min(4);
         self.remaining -= n;
@@ -472,7 +513,7 @@ impl TraceSource for StrideLoadGen {
                 out,
             );
         });
-        self.queue.pop()
+        true
     }
 }
 
@@ -521,13 +562,10 @@ impl PointerChaseGen {
     }
 }
 
-impl TraceSource for PointerChaseGen {
-    fn next_op(&mut self) -> Option<MicroOp> {
-        if let Some(op) = self.queue.pop() {
-            return Some(op);
-        }
+impl PointerChaseGen {
+    fn refill(&mut self) -> bool {
         if self.remaining == 0 {
-            return None;
+            return false;
         }
         self.remaining -= 1;
         let addr = self.next_node();
@@ -565,7 +603,7 @@ impl TraceSource for PointerChaseGen {
                 ));
             }
         });
-        self.queue.pop()
+        true
     }
 }
 
@@ -609,7 +647,15 @@ pub struct ComputeGen {
     emitted: u64,
     since_branch: u32,
     rng: TraceRng,
+    mispredict: Chance,
+    dep: Chance,
+    fp: Chance,
 }
+
+/// Share of FP µops that are divides (22 cycles instead of 5).
+const FP_DIV: Chance = Chance::new(0.08);
+/// Share of integer µops that are multiplies (4 cycles instead of 1).
+const INT_MUL: Chance = Chance::new(0.05);
 
 impl ComputeGen {
     /// Creates a compute phase from `params`.
@@ -619,7 +665,34 @@ impl ComputeGen {
             emitted: 0,
             since_branch: 0,
             rng: rng_for(seed, 0xC0_FF_EE),
+            mispredict: Chance::new(params.mispredict_rate),
+            dep: Chance::new(params.dep_density),
+            fp: Chance::new(params.fp_ratio),
         }
+    }
+
+    /// The next µop, assuming the phase is not done. Both
+    /// [`TraceSource::next_op`] and the [`TraceSource::fill`] loop call
+    /// this, so the two draw the RNG in the same order.
+    #[inline(always)]
+    fn step(&mut self) -> MicroOp {
+        self.since_branch += 1;
+        let region = CodeRegion::Application;
+        if self.since_branch >= self.params.branch_every {
+            self.since_branch = 0;
+            let miss = self.rng.chance(self.mispredict);
+            return MicroOp::new(OpKind::Branch { mispredict: miss }, region.pc_at(0x400))
+                .with_dep(1);
+        }
+        let dep = u16::from(self.rng.chance(self.dep));
+        let op = if self.rng.chance(self.fp) {
+            let latency = if self.rng.chance(FP_DIV) { 22 } else { 5 };
+            MicroOp::new(OpKind::FpAlu { latency }, region.pc_at(0x408))
+        } else {
+            let latency = if self.rng.chance(INT_MUL) { 4 } else { 1 };
+            MicroOp::new(OpKind::IntAlu { latency }, region.pc_at(0x410))
+        };
+        op.with_dep(dep)
     }
 }
 
@@ -629,28 +702,17 @@ impl TraceSource for ComputeGen {
             return None;
         }
         self.emitted += 1;
-        self.since_branch += 1;
-        let region = CodeRegion::Application;
-        if self.since_branch >= self.params.branch_every {
-            self.since_branch = 0;
-            let miss = self.rng.gen_bool(self.params.mispredict_rate);
-            return Some(
-                MicroOp::new(OpKind::Branch { mispredict: miss }, region.pc_at(0x400)).with_dep(1),
-            );
+        Some(self.step())
+    }
+
+    fn fill(&mut self, out: &mut [MicroOp]) -> usize {
+        let left = self.params.count.saturating_sub(self.emitted);
+        let n = out.len().min(usize::try_from(left).unwrap_or(usize::MAX));
+        for slot in &mut out[..n] {
+            *slot = self.step();
         }
-        let dep = if self.rng.gen_bool(self.params.dep_density) {
-            1
-        } else {
-            0
-        };
-        let op = if self.rng.gen_bool(self.params.fp_ratio) {
-            let latency = if self.rng.gen_bool(0.08) { 22 } else { 5 };
-            MicroOp::new(OpKind::FpAlu { latency }, region.pc_at(0x408))
-        } else {
-            let latency = if self.rng.gen_bool(0.05) { 4 } else { 1 };
-            MicroOp::new(OpKind::IntAlu { latency }, region.pc_at(0x410))
-        };
-        Some(op.with_dep(dep))
+        self.emitted += n as u64;
+        n
     }
 }
 
@@ -685,13 +747,10 @@ impl SparseStoreGen {
     }
 }
 
-impl TraceSource for SparseStoreGen {
-    fn next_op(&mut self) -> Option<MicroOp> {
-        if let Some(op) = self.queue.pop() {
-            return Some(op);
-        }
+impl SparseStoreGen {
+    fn refill(&mut self) -> bool {
         if self.remaining == 0 {
-            return None;
+            return false;
         }
         self.remaining -= 1;
         let block = self.rng.gen_range(0..self.footprint_blocks);
@@ -715,7 +774,7 @@ impl TraceSource for SparseStoreGen {
                 CodeRegion::Application.pc_at(0x508),
             ));
         });
-        self.queue.pop()
+        true
     }
 }
 
@@ -951,13 +1010,10 @@ impl StridedStoreGen {
     }
 }
 
-impl TraceSource for StridedStoreGen {
-    fn next_op(&mut self) -> Option<MicroOp> {
-        if let Some(op) = self.queue.pop() {
-            return Some(op);
-        }
+impl StridedStoreGen {
+    fn refill(&mut self) -> bool {
         if self.remaining == 0 {
-            return None;
+            return false;
         }
         let n = self.remaining.min(4);
         self.remaining -= n;
@@ -986,7 +1042,7 @@ impl TraceSource for StridedStoreGen {
                 out,
             );
         });
-        self.queue.pop()
+        true
     }
 }
 
@@ -1032,13 +1088,10 @@ impl GatherScatterGen {
     }
 }
 
-impl TraceSource for GatherScatterGen {
-    fn next_op(&mut self) -> Option<MicroOp> {
-        if let Some(op) = self.queue.pop() {
-            return Some(op);
-        }
+impl GatherScatterGen {
+    fn refill(&mut self) -> bool {
         if self.remaining == 0 {
-            return None;
+            return false;
         }
         self.remaining -= 1;
         let load_addr = self.table_base + self.rng.gen_range(0..self.table_blocks) * 64;
@@ -1074,7 +1127,7 @@ impl TraceSource for GatherScatterGen {
                 .with_dep(1),
             );
         });
-        self.queue.pop()
+        true
     }
 }
 

@@ -57,13 +57,45 @@ pub use squash::{SquashConfig, SquashInjector};
 /// Implementations are either finite (one phase of a workload) or
 /// unbounded (a whole application profile, which loops its region of
 /// interest forever — the simulator decides when to stop).
+///
+/// # The batch contract
+///
+/// [`TraceSource::fill`] is the bulk form of [`TraceSource::next_op`]:
+/// it writes the next µops of the *same* stream into a slice, so any
+/// interleaving of `fill` and `next_op` calls yields exactly the
+/// sequence repeated `next_op` calls would. `fill` returns how many
+/// µops it wrote; `0` (for a non-empty slice) means the source is
+/// exhausted. A shorter-than-requested batch is allowed and means
+/// nothing by itself — call again. Consumers that pull in batches (the
+/// core's µop ring) therefore read *ahead* of what they execute; the
+/// read-ahead is never committed, so a core's committed stream is still
+/// exactly a prefix of its trace.
 pub trait TraceSource {
     /// Produces the next µop, or `None` when the source is exhausted.
     fn next_op(&mut self) -> Option<MicroOp>;
+
+    /// Writes the next µops of the stream into `out`, returning how
+    /// many were written (`0` only when the source is exhausted or `out`
+    /// is empty). The default loops over [`TraceSource::next_op`];
+    /// generators override it with tight loops that draw their RNG in
+    /// the same order.
+    fn fill(&mut self, out: &mut [MicroOp]) -> usize {
+        for (n, slot) in out.iter_mut().enumerate() {
+            match self.next_op() {
+                Some(op) => *slot = op,
+                None => return n,
+            }
+        }
+        out.len()
+    }
 }
 
 impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
     fn next_op(&mut self) -> Option<MicroOp> {
         (**self).next_op()
+    }
+
+    fn fill(&mut self, out: &mut [MicroOp]) -> usize {
+        (**self).fill(out)
     }
 }

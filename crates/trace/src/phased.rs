@@ -93,7 +93,7 @@ pub enum PhaseSpec {
 impl PhaseSpec {
     /// Builds the generator for outer-loop iteration `iteration` of
     /// thread `thread_id`, deterministic under `seed`.
-    pub fn build(&self, iteration: u64, seed: u64, thread_id: u32) -> Box<dyn TraceSource + Send> {
+    pub fn build(&self, iteration: u64, seed: u64, thread_id: u32) -> PhaseGen {
         let t_off = u64::from(thread_id) * AddressSpace::THREAD_STRIDE;
         let phase_seed = seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -126,11 +126,11 @@ impl PhaseSpec {
                 let src = AddressSpace::ARENA_BASE + t_off + off % src_resident;
                 let dst = AddressSpace::HEAP_BASE + t_off + off;
                 let g = MemcpyGen::new(src, dst, bytes, region, phase_seed);
-                if shuffle {
-                    Box::new(g.with_intra_block_shuffle())
+                PhaseGen::Memcpy(if shuffle {
+                    g.with_intra_block_shuffle()
                 } else {
-                    Box::new(g)
-                }
+                    g
+                })
             }
             PhaseSpec::Memset {
                 bytes,
@@ -138,7 +138,7 @@ impl PhaseSpec {
                 footprint_pages,
             } => {
                 let off = walk(bytes, footprint_pages);
-                Box::new(MemsetGen::new(
+                PhaseGen::Memset(MemsetGen::new(
                     AddressSpace::HEAP_BASE + t_off + off,
                     bytes,
                     region,
@@ -152,7 +152,7 @@ impl PhaseSpec {
                 let off = walk(pages * PAGE_BYTES, footprint_pages);
                 let base = AddressSpace::DATA_BASE + t_off + off;
                 let aligned = base - base % PAGE_BYTES;
-                Box::new(ClearPageGen::new(aligned, pages, phase_seed))
+                PhaseGen::ClearPages(ClearPageGen::new(aligned, pages, phase_seed))
             }
             PhaseSpec::MultiStreamCopy {
                 streams,
@@ -174,7 +174,7 @@ impl PhaseSpec {
                         )
                     })
                     .collect();
-                Box::new(MultiStreamCopyGen::new(
+                PhaseGen::MultiStreamCopy(MultiStreamCopyGen::new(
                     pairs,
                     bytes_per_stream,
                     chunk_blocks,
@@ -188,7 +188,7 @@ impl PhaseSpec {
                 footprint_pages,
             } => {
                 let off = walk(count * stride, footprint_pages);
-                Box::new(StrideLoadGen::new(
+                PhaseGen::StrideLoads(StrideLoadGen::new(
                     AddressSpace::DATA_BASE + t_off + off,
                     stride,
                     count,
@@ -196,18 +196,20 @@ impl PhaseSpec {
                     phase_seed,
                 ))
             }
-            PhaseSpec::PointerChase { count, pool_pages } => Box::new(PointerChaseGen::new(
-                AddressSpace::POOL_BASE + t_off,
-                pool_pages.max(1) * (PAGE_BYTES / 64),
-                count,
-                phase_seed,
-            )),
-            PhaseSpec::Compute(params) => Box::new(ComputeGen::new(params, phase_seed)),
+            PhaseSpec::PointerChase { count, pool_pages } => {
+                PhaseGen::PointerChase(PointerChaseGen::new(
+                    AddressSpace::POOL_BASE + t_off,
+                    pool_pages.max(1) * (PAGE_BYTES / 64),
+                    count,
+                    phase_seed,
+                ))
+            }
+            PhaseSpec::Compute(params) => PhaseGen::Compute(ComputeGen::new(params, phase_seed)),
             PhaseSpec::SparseStores {
                 count,
                 footprint_pages,
                 gap,
-            } => Box::new(SparseStoreGen::new(
+            } => PhaseGen::SparseStores(SparseStoreGen::new(
                 AddressSpace::HEAP_BASE + t_off,
                 footprint_pages.max(1) * (PAGE_BYTES / 64),
                 count,
@@ -215,6 +217,54 @@ impl PhaseSpec {
                 phase_seed,
             )),
         }
+    }
+}
+
+/// The generator of one phase, one variant per [`PhaseSpec`] kind: a
+/// phase costs no allocation of its own and its µops no virtual call.
+#[derive(Debug)]
+pub enum PhaseGen {
+    /// [`PhaseSpec::Memcpy`].
+    Memcpy(MemcpyGen),
+    /// [`PhaseSpec::Memset`].
+    Memset(MemsetGen),
+    /// [`PhaseSpec::ClearPages`].
+    ClearPages(ClearPageGen),
+    /// [`PhaseSpec::MultiStreamCopy`].
+    MultiStreamCopy(MultiStreamCopyGen),
+    /// [`PhaseSpec::StrideLoads`].
+    StrideLoads(StrideLoadGen),
+    /// [`PhaseSpec::PointerChase`].
+    PointerChase(PointerChaseGen),
+    /// [`PhaseSpec::Compute`].
+    Compute(ComputeGen),
+    /// [`PhaseSpec::SparseStores`].
+    SparseStores(SparseStoreGen),
+}
+
+/// Evaluates `$call` with `$g` bound to whichever generator `$gen` holds.
+macro_rules! on_phase_gen {
+    ($gen:expr, $g:ident => $call:expr) => {
+        match $gen {
+            PhaseGen::Memcpy($g) => $call,
+            PhaseGen::Memset($g) => $call,
+            PhaseGen::ClearPages($g) => $call,
+            PhaseGen::MultiStreamCopy($g) => $call,
+            PhaseGen::StrideLoads($g) => $call,
+            PhaseGen::PointerChase($g) => $call,
+            PhaseGen::Compute($g) => $call,
+            PhaseGen::SparseStores($g) => $call,
+        }
+    };
+}
+
+impl TraceSource for PhaseGen {
+    fn next_op(&mut self) -> Option<MicroOp> {
+        on_phase_gen!(self, g => g.next_op())
+    }
+
+    fn fill(&mut self, out: &mut [MicroOp]) -> usize {
+        on_phase_gen!(self, g => g.fill(out))
     }
 }
 
@@ -239,7 +289,8 @@ pub struct PhasedWorkload {
     thread_id: u32,
     phase_idx: usize,
     iteration: u64,
-    current: Option<Box<dyn TraceSource + Send>>,
+    /// The generator of phase `phase_idx` of outer iteration `iteration`.
+    current: PhaseGen,
 }
 
 impl std::fmt::Debug for PhasedWorkload {
@@ -273,13 +324,14 @@ impl PhasedWorkload {
     /// Panics if `specs` is empty.
     pub fn for_thread(specs: Vec<PhaseSpec>, seed: u64, thread_id: u32) -> Self {
         assert!(!specs.is_empty(), "a workload needs at least one phase");
+        let current = specs[0].build(0, seed, thread_id);
         Self {
             specs,
             seed,
             thread_id,
             phase_idx: 0,
             iteration: 0,
-            current: None,
+            current,
         }
     }
 
@@ -287,29 +339,40 @@ impl PhasedWorkload {
     pub fn iterations(&self) -> u64 {
         self.iteration
     }
+
+    /// Moves on to the next phase once the current one is exhausted.
+    fn next_phase(&mut self) {
+        self.phase_idx += 1;
+        if self.phase_idx == self.specs.len() {
+            self.phase_idx = 0;
+            self.iteration += 1;
+        }
+        self.current = self.specs[self.phase_idx].build(self.iteration, self.seed, self.thread_id);
+    }
 }
 
 impl TraceSource for PhasedWorkload {
     fn next_op(&mut self) -> Option<MicroOp> {
         loop {
-            if let Some(cur) = self.current.as_mut() {
-                if let Some(op) = cur.next_op() {
-                    return Some(op);
-                }
-                self.current = None;
-                self.phase_idx += 1;
-                if self.phase_idx == self.specs.len() {
-                    self.phase_idx = 0;
-                    self.iteration += 1;
-                }
-            } else {
-                self.current = Some(self.specs[self.phase_idx].build(
-                    self.iteration,
-                    self.seed,
-                    self.thread_id,
-                ));
+            if let Some(op) = self.current.next_op() {
+                return Some(op);
+            }
+            self.next_phase();
+        }
+    }
+
+    /// Fills `out` completely, a whole phase at a time: each phase's
+    /// generator writes its own tight batch, and the workload only steps
+    /// in at phase boundaries.
+    fn fill(&mut self, out: &mut [MicroOp]) -> usize {
+        let mut n = 0;
+        while n < out.len() {
+            match self.current.fill(&mut out[n..]) {
+                0 => self.next_phase(),
+                k => n += k,
             }
         }
+        n
     }
 }
 

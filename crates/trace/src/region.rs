@@ -33,6 +33,14 @@ impl CodeRegion {
         CodeRegion::ClearPage,
     ];
 
+    /// This region's position in [`CodeRegion::ALL`], and so in every
+    /// array kept parallel to it (the Figure 3 per-region counters).
+    #[inline]
+    pub const fn index(self) -> usize {
+        // `ALL` lists the variants in declaration order.
+        self as usize
+    }
+
     /// Base of this region's PC range.
     pub fn pc_base(self) -> u64 {
         match self {
@@ -124,6 +132,14 @@ mod tests {
         for region in CodeRegion::ALL {
             let pc = region.pc_at(0x123);
             assert_eq!(CodeRegion::of_pc(pc), region, "region {region}");
+        }
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, region) in CodeRegion::ALL.into_iter().enumerate() {
+            assert_eq!(region.index(), i);
+            assert_eq!(CodeRegion::ALL[region.index()], region);
         }
     }
 

@@ -72,6 +72,14 @@ impl TraceRng {
         self.next_f64() < p
     }
 
+    /// Draws exactly what [`TraceRng::gen_bool`] draws for the
+    /// probability `chance` was made from, with an integer compare in
+    /// place of the float conversion.
+    #[inline]
+    pub(crate) fn chance(&mut self, chance: Chance) -> bool {
+        (self.next_u64() >> 11) < chance.0
+    }
+
     /// A uniform value in `range` (half-open or inclusive, `u64` or
     /// `usize`).
     ///
@@ -87,6 +95,29 @@ impl TraceRng {
         // Multiply-shift (Lemire) keeps bias negligible for the small
         // bounds workload generation uses.
         (((u128::from(self.next_u64())) * u128::from(bound)) >> 64) as u64
+    }
+}
+
+/// A probability precomputed for [`TraceRng::chance`].
+///
+/// `gen_bool(p)` tests `m · 2⁻⁵³ < p` for the 53-bit draw `m`. Both
+/// sides are exact in `f64`, so the test equals `m < ⌈p · 2⁵³⌉` over
+/// the integers, which is the threshold stored here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Chance(u64);
+
+impl Chance {
+    /// The threshold for probability `p` (`NaN` and `p ≤ 0` never hit,
+    /// `p ≥ 1` always does, exactly as with [`TraceRng::gen_bool`]).
+    pub(crate) const fn new(p: f64) -> Self {
+        const SCALE: u64 = 1 << 53;
+        Self(if p >= 1.0 {
+            SCALE
+        } else if p > 0.0 {
+            (p * SCALE as f64).ceil() as u64
+        } else {
+            0
+        })
     }
 }
 
@@ -170,6 +201,29 @@ mod tests {
         assert!((rate - 0.25).abs() < 0.01, "rate {rate}");
         assert!(!(0..1000).any(|_| rng.gen_bool(0.0)));
         assert!((0..1000).all(|_| rng.gen_bool(1.0)));
+    }
+
+    #[test]
+    fn chance_draws_exactly_what_gen_bool_draws() {
+        let tiny = f64::from_bits(1); // smallest subnormal
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        let mut probs = vec![0.0, -1.0, f64::NAN, tiny, 1e-300, 0.0005, 0.08, 0.5];
+        probs.extend([below_one, 1.0, 2.0, 3.0 / (1u64 << 53) as f64]);
+        let mut pick = TraceRng::seed_from_u64(5);
+        probs.extend((0..64).map(|_| pick.next_f64()));
+        for p in probs {
+            let c = Chance::new(p);
+            let mut a = TraceRng::seed_from_u64(p.to_bits());
+            let mut b = a.clone();
+            for _ in 0..2_000 {
+                assert_eq!(a.chance(c), b.gen_bool(p), "p = {p:e}");
+            }
+        }
+        // The threshold is exact at the 53-bit grid and just off it.
+        let grid = 1.0 / (1u64 << 53) as f64;
+        assert_eq!(Chance::new(3.0 * grid), Chance(3));
+        assert_eq!(Chance::new(3.5 * grid), Chance(4));
+        assert_eq!(Chance::new(below_one), Chance((1 << 53) - 1));
     }
 
     #[test]
