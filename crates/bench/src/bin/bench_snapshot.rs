@@ -30,36 +30,22 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The value after a flag; a missing one prints the usage.
+fn value(args: &mut impl Iterator<Item = String>) -> String {
+    args.next().unwrap_or_else(|| usage())
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut kernel = None;
-    let mut out = None;
-    let mut samples = 3usize;
-    let mut compare = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--kernel" => {
-                kernel = Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 2;
-            }
-            "--out" => {
-                out = Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 2;
-            }
-            "--samples" => {
-                samples = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
+    let mut args = std::env::args().skip(1);
+    let (mut kernel, mut out, mut samples, mut compare) = (None, None, 3usize, None);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--kernel" => kernel = Some(value(&mut args)),
+            "--out" => out = Some(value(&mut args)),
+            "--samples" => samples = value(&mut args).parse().unwrap_or_else(|_| usage()),
             "--compare" | "--gate" => {
-                let blocking = args[i] == "--gate";
-                let a = args.get(i + 1).cloned().unwrap_or_else(|| usage());
-                let b = args.get(i + 2).cloned().unwrap_or_else(|| usage());
-                compare = Some((a, b, blocking));
-                i += 3;
+                let (base, new) = (value(&mut args), value(&mut args));
+                compare = Some((base, new, flag == "--gate"));
             }
             _ => usage(),
         }
@@ -105,24 +91,7 @@ fn compare_snapshots(base_path: &str, new_path: &str, blocking: bool) {
         "comparing {} (kernel {}) -> {} (kernel {})",
         base_path, base.kernel, new_path, new.kernel
     );
-    for b in &base.records {
-        if let Some(n) = new.records.iter().find(|r| r.name == b.name) {
-            println!(
-                "{:<44} {:>9.2}ms -> {:>9.2}ms  ({:>5.2}x)",
-                b.name,
-                b.min_ns() as f64 / 1e6,
-                n.min_ns() as f64 / 1e6,
-                b.min_ns() as f64 / (n.min_ns() as f64).max(1.0)
-            );
-        }
-    }
-    match base.geomean_speedup(&new) {
-        Some(g) => println!("geomean speedup: {g:.2}x"),
-        None => println!("geomean speedup: no common benchmarks"),
-    }
-    if let (Some(b), Some(n)) = (base.geomean_mops(), new.geomean_mops()) {
-        println!("geomean throughput: {b:.3} -> {n:.3} Mops/s");
-    }
+    print!("{}", base.comparison(&new));
     if blocking {
         let report = base.gate_report(&new);
         println!(

@@ -219,6 +219,29 @@ impl BenchSnapshot {
         (n > 0).then(|| (log_sum / f64::from(n)).exp())
     }
 
+    /// The comparison table of `new` against this baseline: one
+    /// min-of-samples ratio line per bench present in both, then the
+    /// geometric-mean speedup and throughput lines.
+    pub fn comparison(&self, new: &BenchSnapshot) -> String {
+        let mut out = String::new();
+        for b in &self.records {
+            if let Some(n) = new.records.iter().find(|r| r.name == b.name) {
+                let (b_ms, n_ms) = (b.min_ns() as f64 / 1e6, n.min_ns() as f64 / 1e6);
+                let ratio = b.min_ns() as f64 / (n.min_ns() as f64).max(1.0);
+                let name = &b.name;
+                out += &format!("{name:<44} {b_ms:>9.2}ms -> {n_ms:>9.2}ms  ({ratio:>5.2}x)\n");
+            }
+        }
+        out += &match self.geomean_speedup(new) {
+            Some(g) => format!("geomean speedup: {g:.2}x\n"),
+            None => "geomean speedup: no common benchmarks\n".into(),
+        };
+        if let (Some(b), Some(n)) = (self.geomean_mops(), new.geomean_mops()) {
+            out += &format!("geomean throughput: {b:.3} -> {n:.3} Mops/s\n");
+        }
+        out
+    }
+
     /// Per-benchmark regression warnings: `new` minima more than
     /// [`REGRESSION_TOLERANCE`] above this baseline's. Informational —
     /// callers print them without failing the build.
@@ -461,6 +484,15 @@ mod tests {
         // geomean of 100/50 and 100/130
         let g = base.geomean_speedup(&new).unwrap();
         assert!((g - (2.0f64 * (100.0 / 130.0)).sqrt()).abs() < 1e-9);
+        // The printed table: one ratio line per common bench, then the
+        // geomean lines both `bench_snapshot` and `spbsim bench` print.
+        let table = base.comparison(&new);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 4, "{table}");
+        assert!(lines[0].starts_with("a "), "{table}");
+        assert!(lines[0].ends_with("( 2.00x)"), "{table}");
+        assert_eq!(lines[2], format!("geomean speedup: {g:.2}x"));
+        assert!(lines[3].starts_with("geomean throughput: "), "{table}");
     }
 
     #[test]

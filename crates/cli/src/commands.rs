@@ -80,24 +80,7 @@ fn bench_cmd(baseline: &str, kernel: spb_sim::KernelMode, samples: usize) -> Res
             .map_or_else(|| "-".into(), |m| format!("{m:.2}"));
         println!("{:<44} {:>9.2}ms  {mops} Mops/s", rec.name, rec.median_ns() / 1e6);
     });
-    for b in &base.records {
-        if let Some(n) = fresh.records.iter().find(|r| r.name == b.name) {
-            println!(
-                "{:<44} {:>9.2}ms -> {:>9.2}ms  ({:>5.2}x)",
-                b.name,
-                b.min_ns() as f64 / 1e6,
-                n.min_ns() as f64 / 1e6,
-                b.min_ns() as f64 / (n.min_ns() as f64).max(1.0)
-            );
-        }
-    }
-    match base.geomean_speedup(&fresh) {
-        Some(g) => println!("geomean speedup over {baseline}: {g:.2}x"),
-        None => println!("geomean speedup: no common benchmarks"),
-    }
-    if let (Some(b), Some(n)) = (base.geomean_mops(), fresh.geomean_mops()) {
-        println!("geomean throughput: {b:.3} -> {n:.3} Mops/s");
-    }
+    print!("{}", base.comparison(&fresh));
     Ok(())
 }
 
@@ -124,10 +107,8 @@ fn tune_cmd(o: &TuneCmd) -> Result<(), CliError> {
     if apps.is_empty() {
         return Err(CliError(format!("--apps {:?} matches no applications", o.apps)));
     }
-    let mut base_cfg = match o.budget.as_str() {
-        "paper" => SimConfig::paper_default(),
-        _ => SimConfig::quick(),
-    };
+    let budget = spb_serve::Budget::parse(&o.budget).map_err(CliError)?;
+    let mut base_cfg = budget.sim_config();
     if let Some(w) = o.warmup {
         base_cfg.warmup_uops = w;
     }

@@ -2,18 +2,9 @@
 //!
 //! Kept as a library so the argument parsing and command dispatch are
 //! unit-testable; `main.rs` is a two-line shim. No external argument
-//! parser: the surface is small and stable.
-//!
-//! ```text
-//! spbsim apps
-//! spbsim run --app x264 [--policy spb] [--sb 14] [--uops 300000] [--chart]
-//! spbsim suite --suite spec [--policy spb] [--sb 14]
-//! spbsim record --app x264 --ops 100000 --out x264.spbt
-//! spbsim trace-info x264.spbt
-//! spbsim replay --trace x264.spbt [--policy spb] [--sb 14]
-//! spbsim trace --app x264 --policy spb --out trace.json
-//! spbsim experiment fig05 [--quick]
-//! ```
+//! parser: every subcommand reads its flags through one private argv
+//! cursor, so a missing value, a bad number and an unknown flag are
+//! reported the same way everywhere. [`USAGE`] lists every subcommand.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +13,8 @@ use spb_sim::config::{KernelMode, PolicyKind, SimConfig};
 use spb_trace::profile::AppProfile;
 use spb_trace::SquashConfig;
 use std::fmt;
+use std::ops::RangeBounds;
+use std::str::FromStr;
 
 pub mod commands;
 
@@ -328,608 +321,344 @@ impl RunOpts {
     }
 }
 
-/// Parses a policy name (one spelling table for the CLI, the wire
-/// protocol, and the library: [`PolicyKind::parse`]).
-pub fn parse_policy(s: &str) -> Result<PolicyKind, CliError> {
-    PolicyKind::parse(s).map_err(CliError)
+/// The one argv cursor every subcommand reads its flags through: one
+/// rule and one wording for a missing value, a bad number or list.
+struct Args<'a>(std::vec::IntoIter<&'a str>);
+
+impl<'a> Args<'a> {
+    /// The next argument: a flag, a subcommand or a positional.
+    fn flag(&mut self) -> Option<&'a str> {
+        self.0.next()
+    }
+
+    /// The value after `flag`; a missing value is never an absent flag.
+    fn value(&mut self, flag: &str) -> Result<&'a str, CliError> {
+        let missing = || CliError(format!("{flag} requires a value"));
+        self.0.next().ok_or_else(missing)
+    }
+
+    /// The value after `flag` parsed as the field's own type, so a `u32`
+    /// field rejects out-of-range input instead of truncating it.
+    fn num<T: FromStr>(&mut self, flag: &str) -> Result<T, CliError> {
+        let v = self.value(flag)?;
+        let bad = || CliError(format!("{flag} expects a number, got {v:?}"));
+        v.parse().map_err(|_| bad())
+    }
+
+    /// [`Args::num`] limited to `range` (`lo..` or `lo..=hi`).
+    fn num_in<T, R>(&mut self, flag: &str, range: R) -> Result<T, CliError>
+    where
+        T: FromStr + PartialOrd,
+        R: RangeBounds<T> + fmt::Debug,
+    {
+        let v = self.value(flag)?;
+        let want = format!("{range:?}");
+        let want = want
+            .strip_suffix("..")
+            .map_or(want.clone(), |lo| format!("≥ {lo}"));
+        let bad = || CliError(format!("bad {flag} {v:?} (expects {want})"));
+        v.parse().ok().filter(|n| range.contains(n)).ok_or_else(bad)
+    }
+
+    /// The comma list after `flag`, each item parsed as `T`.
+    fn list<T: FromStr>(&mut self, flag: &str) -> Result<Vec<T>, CliError> {
+        let v = self.value(flag)?;
+        let bad = |x| CliError(format!("bad {flag} item {x:?} in {v:?}"));
+        v.split(',')
+            .map(|x| x.parse().map_err(|_| bad(x)))
+            .collect()
+    }
+
+    /// The value after `flag` through a spelling parser (policy, kernel,
+    /// squash, budget, strategy); its error is prefixed with the flag.
+    fn with<T>(&mut self, flag: &str, spell: fn(&str) -> Result<T, String>) -> Result<T, CliError> {
+        spell(self.value(flag)?).map_err(|e| CliError(format!("{flag}: {e}")))
+    }
+
+    /// Applies one shared run flag (`--policy`, `--sb`, `--uops`, …) and
+    /// its value to `cfg`; any other flag is an unknown argument.
+    fn parse_run_flag(&mut self, flag: &str, cfg: &mut RunOpts) -> Result<(), CliError> {
+        match flag {
+            "--policy" => cfg.policy = self.with(flag, PolicyKind::parse)?,
+            "--sb" => cfg.sb = self.num(flag)?,
+            "--uops" => cfg.uops = self.num(flag)?,
+            "--warmup" => cfg.warmup = self.num(flag)?,
+            "--seed" => cfg.seed = self.num(flag)?,
+            "--jobs" => cfg.jobs = Some(self.num(flag)?),
+            "--fault-rate" => cfg.fault_rate = self.num_in(flag, 0.0..=1.0)?,
+            "--fault-seed" => cfg.fault_seed = self.num(flag)?,
+            "--kernel" => cfg.kernel = self.with(flag, KernelMode::parse)?,
+            "--squash" => cfg.squash = self.with(flag, SquashConfig::parse)?,
+            _ => return Err(unknown(flag)),
+        }
+        Ok(())
+    }
 }
 
-fn take_value<'a>(flag: &str, it: &mut impl Iterator<Item = &'a str>) -> Result<&'a str, CliError> {
-    it.next()
-        .ok_or_else(|| CliError(format!("{flag} requires a value")))
+/// The error for a flag the subcommand does not take.
+fn unknown(flag: &str) -> CliError {
+    CliError(format!("unknown argument {flag:?}"))
 }
 
-/// Parses the only option an experiment takes, `--quick`.
-fn parse_quick<'a>(args: impl Iterator<Item = &'a str>) -> Result<bool, CliError> {
-    let mut quick = false;
-    for a in args {
-        match a {
-            "--quick" => quick = true,
-            other => return Err(CliError(format!("unknown argument {other:?}"))),
-        }
-    }
-    Ok(quick)
-}
-
-/// Applies one shared run flag (`--policy`, `--sb`, `--uops`, …) and
-/// its value to `opts`. Returns `Ok(false)` when `flag` is not a run
-/// flag, leaving `args` untouched.
-fn parse_run_flag<'a>(
-    flag: &str,
-    args: &mut impl Iterator<Item = &'a str>,
-    opts: &mut RunOpts,
-) -> Result<bool, CliError> {
-    fn number<'a, T: std::str::FromStr>(
-        flag: &str,
-        args: &mut impl Iterator<Item = &'a str>,
-    ) -> Result<T, CliError> {
-        let v = take_value(flag, args)?;
-        v.parse()
-            .map_err(|_| CliError(format!("{flag} expects a number, got {v:?}")))
-    }
-    match flag {
-        "--policy" => opts.policy = parse_policy(take_value(flag, args)?)?,
-        "--sb" => opts.sb = number(flag, args)?,
-        "--uops" => opts.uops = number(flag, args)?,
-        "--warmup" => opts.warmup = number(flag, args)?,
-        "--seed" => opts.seed = number(flag, args)?,
-        "--jobs" => opts.jobs = Some(number(flag, args)?),
-        "--fault-rate" => {
-            let v = take_value(flag, args)?;
-            opts.fault_rate = v
-                .parse::<f64>()
-                .ok()
-                .filter(|r| (0.0..=1.0).contains(r))
-                .ok_or_else(|| {
-                    CliError(format!("--fault-rate expects a number in [0,1], got {v:?}"))
-                })?;
-        }
-        "--fault-seed" => opts.fault_seed = number(flag, args)?,
-        "--kernel" => {
-            let v = take_value(flag, args)?;
-            opts.kernel = KernelMode::parse(v).map_err(|e| CliError(format!("--kernel: {e}")))?;
-        }
-        "--squash" => {
-            let v = take_value(flag, args)?;
-            opts.squash = SquashConfig::parse(v).map_err(|e| CliError(format!("--squash: {e}")))?;
-        }
-        _ => return Ok(false),
-    }
-    Ok(true)
-}
-
-/// Applies every shared run flag in `args` to `opts` and returns the
-/// arguments it did not recognise, in order.
-fn parse_run_opts<'a>(
-    args: &mut impl Iterator<Item = &'a str>,
-    opts: &mut RunOpts,
-) -> Result<Vec<String>, CliError> {
-    let mut leftovers = Vec::new();
-    while let Some(a) = args.next() {
-        if !parse_run_flag(a, args, opts)? {
-            leftovers.push(a.to_string());
-        }
-    }
-    Ok(leftovers)
+/// `v` as an owned string, or the error `what` when it is absent.
+fn required(v: Option<&str>, what: &str) -> Result<String, CliError> {
+    v.map(str::to_string).ok_or_else(|| CliError(what.into()))
 }
 
 /// Parses an argument vector (without the program name).
-pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, CliError> {
-    let mut it = args.into_iter();
-    let Some(cmd) = it.next() else {
+pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Command, CliError> {
+    let mut args = Args(argv.into_iter().collect::<Vec<_>>().into_iter());
+    let Some(mut cmd) = args.flag() else {
         return Ok(Command::Help);
     };
-    match cmd {
-        "apps" => Ok(Command::Apps),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "run" => {
-            let mut opts = RunOpts::default();
-            let mut app = None;
-            let mut chart = false;
-            let rest = parse_run_opts(&mut it, &mut opts)?;
-            let mut rest_it = rest.iter();
-            while let Some(a) = rest_it.next() {
-                match a.as_str() {
-                    "--app" => app = rest_it.next().cloned(),
-                    "--chart" => chart = true,
-                    other => return Err(CliError(format!("unknown argument {other:?}"))),
+    if cmd == "verify" {
+        cmd = match args.flag() {
+            Some("fuzz") => "verify fuzz",
+            Some("oracle") => "verify oracle",
+            other => {
+                let e = format!("verify requires a subcommand: fuzz | oracle (got {other:?})");
+                return Err(CliError(e));
+            }
+        };
+    }
+    Ok(match cmd {
+        "apps" => Command::Apps,
+        "help" | "--help" | "-h" => Command::Help,
+        "run" | "suite" | "replay" | "sweep" | "trace" | "verify oracle" => {
+            let (mut cfg, mut app, mut chart) = (RunOpts::default(), None, false);
+            let (mut suite, mut trace, mut out) = ("spec", None, "trace.json");
+            let mut sbs = vec![14, 20, 28, 56];
+            let mut ps = vec![PolicyKind::AtCommit, PolicyKind::spb_default()];
+            let takes_app = !matches!(cmd, "suite" | "replay");
+            let (mut resume, mut retry) = (false, 1);
+            if cmd == "trace" {
+                // Traces are per-cycle artifacts: a small default budget
+                // keeps the JSON loadable in a trace viewer.
+                (cfg.warmup, cfg.uops) = (40_000, 100_000);
+            }
+            // Sweep's --sb/--policy take comma lists; every other run flag
+            // means what it means for `run`.
+            while let Some(f) = args.flag() {
+                match (cmd, f) {
+                    (_, "--app") if takes_app => app = Some(args.value(f)?),
+                    ("run" | "sweep", "--chart") => chart = true,
+                    ("suite", "--suite") => suite = args.value(f)?,
+                    ("replay", "--trace") => trace = Some(args.value(f)?),
+                    ("trace", "--out") => out = args.value(f)?,
+                    ("sweep", "--resume") => resume = true,
+                    ("sweep", "--retry") => retry = args.num_in(f, 1..)?,
+                    ("sweep", "--sb") => sbs = args.list(f)?,
+                    ("sweep", "--policy") => {
+                        ps = args.with(f, |v| v.split(',').map(PolicyKind::parse).collect())?
+                    }
+                    _ => args.parse_run_flag(f, &mut cfg)?,
                 }
             }
-            let app = app.ok_or_else(|| CliError("run requires --app NAME".into()))?;
-            Ok(Command::Run {
-                app,
-                cfg: opts,
-                chart,
-            })
-        }
-        "suite" => {
-            let mut opts = RunOpts::default();
-            let mut suite = None;
-            let rest = parse_run_opts(&mut it, &mut opts)?;
-            let mut rest_it = rest.iter();
-            while let Some(a) = rest_it.next() {
-                match a.as_str() {
-                    "--suite" => suite = rest_it.next().cloned(),
-                    other => return Err(CliError(format!("unknown argument {other:?}"))),
-                }
+            if takes_app && app.is_none() {
+                return Err(CliError(format!("{cmd} requires --app NAME")));
             }
-            Ok(Command::Suite {
-                suite: suite.unwrap_or_else(|| "spec".into()),
-                cfg: opts,
-            })
+            let (app, suite, out) = (app.unwrap_or_default().into(), suite.into(), out.into());
+            match cmd {
+                "run" => Command::Run { app, cfg, chart },
+                "suite" => Command::Suite { suite, cfg },
+                "replay" => {
+                    let trace = required(trace, "replay requires --trace FILE")?;
+                    Command::Replay { trace, cfg }
+                }
+                "trace" => Command::Trace { app, cfg, out },
+                "verify oracle" => Command::Verify(VerifyCmd::Oracle { app, cfg }),
+                _ => Command::Sweep {
+                    app,
+                    sbs,
+                    policies: ps,
+                    cfg,
+                    chart,
+                    resume,
+                    retry,
+                },
+            }
         }
         "record" => {
-            let mut app = None;
-            let mut ops = 100_000u64;
-            let mut out = None;
-            let mut seed = 42u64;
-            while let Some(a) = it.next() {
-                match a {
-                    "--app" => app = it.next().map(str::to_string),
-                    "--ops" => {
-                        let v = take_value("--ops", &mut it)?;
-                        ops = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad --ops {v:?}")))?;
-                    }
-                    "--out" => out = it.next().map(str::to_string),
-                    "--seed" => {
-                        let v = take_value("--seed", &mut it)?;
-                        seed = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad --seed {v:?}")))?;
-                    }
-                    other => return Err(CliError(format!("unknown argument {other:?}"))),
+            let (mut app, mut ops, mut out, mut seed) = (None, 100_000, None, 42);
+            while let Some(f) = args.flag() {
+                match f {
+                    "--app" => app = Some(args.value(f)?),
+                    "--ops" => ops = args.num(f)?,
+                    "--out" => out = Some(args.value(f)?),
+                    "--seed" => seed = args.num(f)?,
+                    _ => return Err(unknown(f)),
                 }
             }
-            Ok(Command::Record {
-                app: app.ok_or_else(|| CliError("record requires --app NAME".into()))?,
+            let app = required(app, "record requires --app NAME")?;
+            let out = required(out, "record requires --out FILE")?;
+            Command::Record {
+                app,
                 ops,
-                out: out.ok_or_else(|| CliError("record requires --out FILE".into()))?,
+                out,
                 seed,
-            })
-        }
-        "trace-info" => {
-            let path = it
-                .next()
-                .ok_or_else(|| CliError("trace-info requires a path".into()))?;
-            Ok(Command::TraceInfo { path: path.into() })
-        }
-        "replay" => {
-            let mut opts = RunOpts::default();
-            let mut trace = None;
-            let rest = parse_run_opts(&mut it, &mut opts)?;
-            let mut rest_it = rest.iter();
-            while let Some(a) = rest_it.next() {
-                match a.as_str() {
-                    "--trace" => trace = rest_it.next().cloned(),
-                    other => return Err(CliError(format!("unknown argument {other:?}"))),
-                }
             }
-            Ok(Command::Replay {
-                trace: trace.ok_or_else(|| CliError("replay requires --trace FILE".into()))?,
-                cfg: opts,
-            })
         }
-        "sweep" => {
-            let mut opts = RunOpts::default();
-            let mut app = None;
-            let mut sbs = vec![14, 20, 28, 56];
-            let mut policies = vec![PolicyKind::AtCommit, PolicyKind::spb_default()];
-            let mut chart = false;
-            let mut resume = false;
-            let mut retry = 1u32;
-            // --sb/--policy take comma lists here; every other run flag
-            // means what it means for `run`.
-            while let Some(a) = it.next() {
-                match a {
-                    "--app" => app = it.next().map(str::to_string),
-                    "--chart" => chart = true,
-                    "--resume" => resume = true,
-                    "--retry" => {
-                        let v = take_value("--retry", &mut it)?;
-                        retry = v
-                            .parse::<u32>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| CliError(format!("bad --retry {v:?} (expects ≥ 1)")))?;
-                    }
-                    "--sb" => {
-                        let v = take_value("--sb", &mut it)?;
-                        sbs = v
-                            .split(',')
-                            .map(|x| {
-                                x.parse()
-                                    .map_err(|_| CliError(format!("bad SB size {x:?}")))
-                            })
-                            .collect::<Result<_, _>>()?;
-                    }
-                    "--policy" => {
-                        let v = take_value("--policy", &mut it)?;
-                        policies = v.split(',').map(parse_policy).collect::<Result<_, _>>()?;
-                    }
-                    other => {
-                        if !parse_run_flag(other, &mut it, &mut opts)? {
-                            return Err(CliError(format!("unknown argument {other:?}")));
-                        }
-                    }
-                }
-            }
-            Ok(Command::Sweep {
-                app: app.ok_or_else(|| CliError("sweep requires --app NAME".into()))?,
-                sbs,
-                policies,
-                cfg: opts,
-                chart,
-                resume,
-                retry,
-            })
-        }
-        "trace" => {
-            // Traces are per-cycle artifacts: default to a much smaller
-            // budget than a full run so the JSON stays loadable in a
-            // trace viewer. Explicit --uops/--warmup still override.
-            let mut opts = RunOpts {
-                warmup: 40_000,
-                uops: 100_000,
-                ..RunOpts::default()
-            };
-            let mut app = None;
-            let mut out = None;
-            let rest = parse_run_opts(&mut it, &mut opts)?;
-            let mut rest_it = rest.iter();
-            while let Some(a) = rest_it.next() {
-                match a.as_str() {
-                    "--app" => app = rest_it.next().cloned(),
-                    "--out" => out = rest_it.next().cloned(),
-                    other => return Err(CliError(format!("unknown argument {other:?}"))),
-                }
-            }
-            Ok(Command::Trace {
-                app: app.ok_or_else(|| CliError("trace requires --app NAME".into()))?,
-                cfg: opts,
-                out: out.unwrap_or_else(|| "trace.json".into()),
-            })
-        }
-        "experiment" => {
-            let name = it
-                .next()
-                .ok_or_else(|| CliError("experiment requires a name (e.g. fig05)".into()))?
-                .to_string();
-            let quick = parse_quick(it)?;
-            Ok(Command::Experiment { name, quick })
-        }
-        // Shorthand for the squash-storm scenario study.
-        "squash" => Ok(Command::Experiment {
-            name: "squash".into(),
-            quick: parse_quick(it)?,
-        }),
-        "verify" => match it.next() {
-            Some("fuzz") => {
-                let mut config = spb_verify::FuzzConfig::default();
-                let mut count = 1u64;
-                while let Some(a) = it.next() {
-                    let parse_num = |flag: &str, v: &str| -> Result<u64, CliError> {
-                        v.parse()
-                            .map_err(|_| CliError(format!("{flag} expects a number, got {v:?}")))
-                    };
-                    match a {
-                        "--seed" => {
-                            config.seed = parse_num("--seed", take_value("--seed", &mut it)?)?
-                        }
-                        "--steps" => {
-                            config.steps =
-                                parse_num("--steps", take_value("--steps", &mut it)?)? as u32;
-                        }
-                        "--cores" => {
-                            let v = take_value("--cores", &mut it)?;
-                            config.cores = v
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&c| (1..=8).contains(&c))
-                                .ok_or_else(|| {
-                                    CliError(format!("--cores expects 1..=8, got {v:?}"))
-                                })?;
-                        }
-                        "--fault-rate-e4" => {
-                            config.fault_rate_e4 = parse_num(
-                                "--fault-rate-e4",
-                                take_value("--fault-rate-e4", &mut it)?,
-                            )? as u32;
-                        }
-                        "--mutate-at" => {
-                            config.mutate_at = Some(parse_num(
-                                "--mutate-at",
-                                take_value("--mutate-at", &mut it)?,
-                            )? as u32);
-                        }
-                        "--squash" => config.squash = true,
-                        "--spec-mutate-at" => {
-                            config.spec_mutate_at = Some(parse_num(
-                                "--spec-mutate-at",
-                                take_value("--spec-mutate-at", &mut it)?,
-                            )? as u32);
-                        }
-                        "--count" => count = parse_num("--count", take_value("--count", &mut it)?)?,
-                        other => return Err(CliError(format!("unknown argument {other:?}"))),
-                    }
-                }
-                Ok(Command::Verify(VerifyCmd::Fuzz { config, count }))
-            }
-            Some("oracle") => {
-                let mut opts = RunOpts::default();
-                let mut app = None;
-                let rest = parse_run_opts(&mut it, &mut opts)?;
-                let mut rest_it = rest.iter();
-                while let Some(a) = rest_it.next() {
-                    match a.as_str() {
-                        "--app" => app = rest_it.next().cloned(),
-                        other => return Err(CliError(format!("unknown argument {other:?}"))),
-                    }
-                }
-                Ok(Command::Verify(VerifyCmd::Oracle {
-                    app: app.ok_or_else(|| CliError("verify oracle requires --app NAME".into()))?,
-                    cfg: opts,
-                }))
-            }
-            other => Err(CliError(format!(
-                "verify requires a subcommand: fuzz | oracle (got {other:?})"
-            ))),
+        "trace-info" => Command::TraceInfo {
+            path: required(args.flag(), "trace-info requires a path")?,
         },
-        "serve" => {
-            let mut addr = "127.0.0.1:7433".to_string();
-            let mut dir = "serve-state".to_string();
-            let mut jobs = None;
-            let mut queue = 4usize;
-            let mut retry = 3u32;
-            let mut deadline_ms = None;
-            while let Some(a) = it.next() {
-                let parse_num = |flag: &str, v: &str| -> Result<u64, CliError> {
-                    v.parse()
-                        .map_err(|_| CliError(format!("{flag} expects a number, got {v:?}")))
-                };
-                match a {
-                    "--addr" => addr = take_value("--addr", &mut it)?.to_string(),
-                    "--dir" => dir = take_value("--dir", &mut it)?.to_string(),
-                    "--jobs" => {
-                        jobs = Some(parse_num("--jobs", take_value("--jobs", &mut it)?)? as usize);
-                    }
-                    "--queue" => {
-                        queue = parse_num("--queue", take_value("--queue", &mut it)?)? as usize;
-                    }
-                    "--retry" => {
-                        retry = parse_num("--retry", take_value("--retry", &mut it)?)?.max(1) as u32;
-                    }
-                    "--deadline-ms" => {
-                        deadline_ms = Some(parse_num(
-                            "--deadline-ms",
-                            take_value("--deadline-ms", &mut it)?,
-                        )?);
-                    }
-                    other => return Err(CliError(format!("unknown argument {other:?}"))),
+        // `squash` is shorthand for the squash-storm scenario study.
+        "experiment" | "squash" => {
+            let name = Some(cmd).filter(|&c| c == "squash").or_else(|| args.flag());
+            let name = required(name, "experiment requires a name (e.g. fig05)")?;
+            let mut quick = false;
+            while let Some(f) = args.flag() {
+                match f {
+                    "--quick" => quick = true,
+                    _ => return Err(unknown(f)),
                 }
             }
-            Ok(Command::Serve {
+            Command::Experiment { name, quick }
+        }
+        "verify fuzz" => {
+            let (mut c, mut count) = (spb_verify::FuzzConfig::default(), 1);
+            while let Some(f) = args.flag() {
+                match f {
+                    "--seed" => c.seed = args.num(f)?,
+                    "--steps" => c.steps = args.num(f)?,
+                    "--cores" => c.cores = args.num_in(f, 1..=8)?,
+                    "--fault-rate-e4" => c.fault_rate_e4 = args.num_in(f, 0..=10_000)?,
+                    "--mutate-at" => c.mutate_at = Some(args.num(f)?),
+                    "--squash" => c.squash = true,
+                    "--spec-mutate-at" => c.spec_mutate_at = Some(args.num(f)?),
+                    "--count" => count = args.num(f)?,
+                    _ => return Err(unknown(f)),
+                }
+            }
+            Command::Verify(VerifyCmd::Fuzz { config: c, count })
+        }
+        "serve" => {
+            let (mut addr, mut dir) = (String::from("127.0.0.1:7433"), String::from("serve-state"));
+            let (mut jobs, mut queue, mut retry, mut deadline_ms) = (None, 4, 3, None);
+            while let Some(f) = args.flag() {
+                match f {
+                    "--addr" => addr = args.value(f)?.into(),
+                    "--dir" => dir = args.value(f)?.into(),
+                    "--jobs" => jobs = Some(args.num(f)?),
+                    "--queue" => queue = args.num(f)?,
+                    "--retry" => retry = args.num_in(f, 1..)?,
+                    "--deadline-ms" => deadline_ms = Some(args.num(f)?),
+                    _ => return Err(unknown(f)),
+                }
+            }
+            Command::Serve {
                 addr,
                 dir,
                 jobs,
                 queue,
                 retry,
                 deadline_ms,
-            })
+            }
         }
         "client" => {
-            let sub = it
-                .next()
-                .ok_or_else(|| CliError("client requires a subcommand: sweep | health | shutdown".into()))?;
-            let mut addr = "127.0.0.1:7433".to_string();
-            match sub {
-                "health" | "shutdown" => {
-                    while let Some(a) = it.next() {
-                        match a {
-                            "--addr" => addr = take_value("--addr", &mut it)?.to_string(),
-                            other => return Err(CliError(format!("unknown argument {other:?}"))),
-                        }
-                    }
-                    let action = if sub == "health" {
-                        ClientAction::Health
-                    } else {
-                        ClientAction::Shutdown
-                    };
-                    Ok(Command::Client { addr, action })
-                }
-                "sweep" => {
-                    let mut name = None;
-                    let mut budget = spb_serve::Budget::Quick;
-                    let mut apps: Vec<String> = Vec::new();
-                    let mut policies: Vec<String> = Vec::new();
-                    let mut sbs: Vec<usize> = Vec::new();
-                    let mut retry = 1u32;
-                    let mut out = None;
-                    while let Some(a) = it.next() {
-                        let parse_num = |flag: &str, v: &str| -> Result<u64, CliError> {
-                            v.parse()
-                                .map_err(|_| CliError(format!("{flag} expects a number, got {v:?}")))
-                        };
-                        match a {
-                            "--addr" => addr = take_value("--addr", &mut it)?.to_string(),
-                            "--name" => name = Some(take_value("--name", &mut it)?.to_string()),
-                            "--out" => out = Some(take_value("--out", &mut it)?.to_string()),
-                            "--budget" => {
-                                budget = spb_serve::Budget::parse(take_value("--budget", &mut it)?)
-                                    .map_err(CliError)?;
-                            }
-                            "--app" => {
-                                apps = take_value("--app", &mut it)?
-                                    .split(',')
-                                    .map(str::to_string)
-                                    .collect();
-                            }
-                            "--policy" => {
-                                let v = take_value("--policy", &mut it)?;
-                                // Validate spellings up front so typos fail
-                                // client-side, not in the server's reply.
-                                for p in v.split(',') {
-                                    parse_policy(p)?;
-                                }
-                                policies = v.split(',').map(str::to_string).collect();
-                            }
-                            "--sb" => {
-                                let v = take_value("--sb", &mut it)?;
-                                sbs = v
-                                    .split(',')
-                                    .map(|x| {
-                                        x.parse()
-                                            .map_err(|_| CliError(format!("bad SB size {x:?}")))
-                                    })
-                                    .collect::<Result<_, _>>()?;
-                            }
-                            "--retry" => {
-                                retry =
-                                    parse_num("--retry", take_value("--retry", &mut it)?)?.max(1)
-                                        as u32;
-                            }
-                            other => return Err(CliError(format!("unknown argument {other:?}"))),
-                        }
-                    }
-                    // With no cell flags the client submits the full
-                    // golden quick grid; any of --app/--policy/--sb
-                    // narrows the cross product.
-                    let mut job = if apps.is_empty() && policies.is_empty() && sbs.is_empty() {
-                        spb_serve::JobSpec::quick_grid()
-                    } else {
-                        if apps.is_empty() {
-                            return Err(CliError("client sweep needs --app NAMES with --policy/--sb".into()));
-                        }
-                        if policies.is_empty() {
-                            policies = vec!["at-commit".into(), "spb".into()];
-                        }
-                        if sbs.is_empty() {
-                            sbs = vec![14, 28, 56];
-                        }
-                        let mut cells = Vec::new();
-                        for &sb in &sbs {
-                            for p in &policies {
-                                for a in &apps {
-                                    cells.push(spb_serve::CellSpec {
-                                        app: a.clone(),
-                                        policy: p.clone(),
-                                        sb,
-                                    });
-                                }
-                            }
-                        }
-                        spb_serve::JobSpec::new("cli-sweep", budget, cells)
-                    };
-                    job.budget = budget;
-                    job.retry = retry;
-                    if let Some(n) = name {
-                        job.name = n;
-                    }
-                    Ok(Command::Client {
-                        addr,
-                        action: ClientAction::Sweep { job, out },
-                    })
-                }
-                other => Err(CliError(format!(
-                    "client requires a subcommand: sweep | health | shutdown (got {other:?})"
-                ))),
+            let subs = "client requires a subcommand: sweep | health | shutdown";
+            let sub = args.flag().ok_or_else(|| CliError(subs.into()))?;
+            if !matches!(sub, "sweep" | "health" | "shutdown") {
+                return Err(CliError(format!("{subs} (got {sub:?})")));
             }
+            let (mut addr, mut name, mut out) = (String::from("127.0.0.1:7433"), None, None);
+            let (mut budget, mut retry) = (spb_serve::Budget::Quick, 1);
+            let (mut apps, mut policies, mut sbs) = (None::<Vec<String>>, None, None);
+            while let Some(f) = args.flag() {
+                match f {
+                    "--addr" => addr = args.value(f)?.into(),
+                    _ if sub != "sweep" => return Err(unknown(f)),
+                    "--name" => name = Some(args.value(f)?),
+                    "--out" => out = Some(args.value(f)?.to_string()),
+                    "--budget" => budget = args.with(f, spb_serve::Budget::parse)?,
+                    "--app" => apps = Some(args.list(f)?),
+                    // Validate spellings up front so typos fail
+                    // client-side, not in the server's reply.
+                    "--policy" => {
+                        policies = Some(args.with(f, |v| {
+                            v.split(',')
+                                .map(|p| PolicyKind::parse(p).map(|_| p.to_string()))
+                                .collect()
+                        })?)
+                    }
+                    "--sb" => sbs = Some(args.list(f)?),
+                    "--retry" => retry = args.num_in(f, 1..)?,
+                    _ => return Err(unknown(f)),
+                }
+            }
+            let action = match sub {
+                "health" => ClientAction::Health,
+                "shutdown" => ClientAction::Shutdown,
+                // With no cell flags the client submits the full golden
+                // quick grid; any of --app/--policy/--sb narrows the
+                // cross product.
+                _ => {
+                    let mut job = match (apps, policies, sbs) {
+                        (None, None, None) => spb_serve::JobSpec::quick_grid(),
+                        (None, ..) => {
+                            let e = "client sweep needs --app NAMES with --policy/--sb";
+                            return Err(CliError(e.into()));
+                        }
+                        (Some(apps), policies, sbs) => {
+                            let policies =
+                                policies.unwrap_or(vec!["at-commit".into(), "spb".into()]);
+                            let sbs = sbs.unwrap_or(vec![14, 28, 56]);
+                            let cells = spb_serve::CellSpec::cross(&apps, &policies, &sbs);
+                            spb_serve::JobSpec::new("cli-sweep", budget, cells)
+                        }
+                    };
+                    (job.budget, job.retry) = (budget, retry);
+                    if let Some(n) = name {
+                        job.name = n.into();
+                    }
+                    ClientAction::Sweep { job, out }
+                }
+            };
+            Command::Client { addr, action }
         }
         "tune" => {
             let mut o = TuneCmd::default();
-            while let Some(a) = it.next() {
-                let parse_num = |flag: &str, v: &str| -> Result<u64, CliError> {
-                    v.parse()
-                        .map_err(|_| CliError(format!("{flag} expects a number, got {v:?}")))
-                };
-                match a {
-                    "--strategy" => {
-                        o.strategy = spb_tune::Strategy::parse(take_value("--strategy", &mut it)?)
-                            .map_err(CliError)?;
-                    }
-                    "--seed" => o.seed = parse_num("--seed", take_value("--seed", &mut it)?)?,
-                    "--points" => {
-                        o.points =
-                            parse_num("--points", take_value("--points", &mut it)?)? as usize;
-                    }
-                    "--apps" => o.apps = take_value("--apps", &mut it)?.to_string(),
-                    "--sb" => {
-                        let v = take_value("--sb", &mut it)?;
-                        o.sbs = Some(
-                            v.split(',')
-                                .map(|x| {
-                                    x.parse()
-                                        .map_err(|_| CliError(format!("bad SB size {x:?}")))
-                                })
-                                .collect::<Result<_, _>>()?,
-                        );
-                    }
-                    "--budget" => {
-                        let v = take_value("--budget", &mut it)?;
-                        if v != "quick" && v != "paper" {
-                            return Err(CliError(format!(
-                                "--budget expects quick or paper, got {v:?}"
-                            )));
-                        }
-                        o.budget = v.to_string();
-                    }
-                    "--warmup" => {
-                        o.warmup = Some(parse_num("--warmup", take_value("--warmup", &mut it)?)?);
-                    }
-                    "--uops" => {
-                        o.uops = Some(parse_num("--uops", take_value("--uops", &mut it)?)?);
-                    }
-                    "--cache" => o.cache = take_value("--cache", &mut it)?.to_string(),
-                    "--out" => o.out = take_value("--out", &mut it)?.to_string(),
-                    "--name" => o.name = Some(take_value("--name", &mut it)?.to_string()),
-                    "--jobs" => {
-                        o.jobs =
-                            Some(parse_num("--jobs", take_value("--jobs", &mut it)?)? as usize);
-                    }
-                    "--retry" => {
-                        o.retry =
-                            parse_num("--retry", take_value("--retry", &mut it)?)?.max(1) as u32;
-                    }
-                    other => return Err(CliError(format!("unknown argument {other:?}"))),
+            while let Some(f) = args.flag() {
+                match f {
+                    "--strategy" => o.strategy = args.with(f, spb_tune::Strategy::parse)?,
+                    "--seed" => o.seed = args.num(f)?,
+                    "--points" => o.points = args.num(f)?,
+                    "--apps" => o.apps = args.value(f)?.into(),
+                    "--sb" => o.sbs = Some(args.list(f)?),
+                    "--budget" => o.budget = args.with(f, spb_serve::Budget::parse)?.label().into(),
+                    "--warmup" => o.warmup = Some(args.num(f)?),
+                    "--uops" => o.uops = Some(args.num(f)?),
+                    "--cache" => o.cache = args.value(f)?.into(),
+                    "--out" => o.out = args.value(f)?.into(),
+                    "--name" => o.name = Some(args.value(f)?.into()),
+                    "--jobs" => o.jobs = Some(args.num(f)?),
+                    "--retry" => o.retry = args.num_in(f, 1..)?,
+                    _ => return Err(unknown(f)),
                 }
             }
-            Ok(Command::Tune(o))
+            Command::Tune(o)
         }
         "bench" => {
-            let mut baseline = None;
-            let mut kernel = KernelMode::Wheel;
-            let mut samples = 3usize;
-            while let Some(a) = it.next() {
-                match a {
-                    "--baseline" => {
-                        baseline = Some(take_value("--baseline", &mut it)?.to_string());
-                    }
-                    "--kernel" => {
-                        let v = take_value("--kernel", &mut it)?;
-                        kernel =
-                            KernelMode::parse(v).map_err(|e| CliError(format!("--kernel: {e}")))?;
-                    }
-                    "--samples" => {
-                        let v = take_value("--samples", &mut it)?;
-                        samples = v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            CliError(format!("--samples expects a positive number, got {v:?}"))
-                        })?;
-                    }
-                    other => return Err(CliError(format!("unknown argument {other:?}"))),
+            let (mut baseline, mut kernel, mut samples) = (None, KernelMode::Wheel, 3);
+            while let Some(f) = args.flag() {
+                match f {
+                    "--baseline" => baseline = Some(args.value(f)?),
+                    "--kernel" => kernel = args.with(f, KernelMode::parse)?,
+                    "--samples" => samples = args.num_in(f, 1..)?,
+                    _ => return Err(unknown(f)),
                 }
             }
-            Ok(Command::Bench {
-                baseline: baseline
-                    .ok_or_else(|| CliError("bench requires --baseline SNAPSHOT.json".into()))?,
+            let baseline = required(baseline, "bench requires --baseline SNAPSHOT.json")?;
+            Command::Bench {
+                baseline,
                 kernel,
                 samples,
-            })
+            }
         }
-        other => Err(CliError(format!(
-            "unknown command {other:?}; try `spbsim help`"
-        ))),
-    }
+        other => {
+            let e = format!("unknown command {other:?}; try `spbsim help`");
+            return Err(CliError(e));
+        }
+    })
 }
 
 /// Looks up an application in both suites with a helpful error.
@@ -945,7 +674,8 @@ USAGE:
   spbsim apps                                   list application profiles
   spbsim run --app NAME [opts] [--chart]        run one application, print a report
   spbsim suite [--suite spec|parsec] [opts]     run a whole suite
-  spbsim record --app NAME --ops N --out FILE   record a trace file
+  spbsim record --app NAME --ops N --out FILE [--seed N]
+                                                record a trace file
   spbsim trace-info FILE                        inspect a trace file
   spbsim replay --trace FILE [opts]             replay a recorded trace
   spbsim sweep --app NAME [--sb 14,20,28,56] [--policy at-commit,spb] [--chart] [--resume]
@@ -1310,6 +1040,15 @@ mod tests {
     fn bad_numbers_are_reported() {
         assert!(parse(["run", "--app", "x", "--sb", "lots"]).is_err());
         assert!(parse(["record", "--app", "x", "--ops", "many", "--out", "f"]).is_err());
+        // A bad number names its flag in the shared wording, and a flag
+        // with no value says so instead of reading as an absent flag.
+        let err = |argv: &str| parse(argv.split_whitespace()).unwrap_err().to_string();
+        let ops = "--ops expects a number, got \"x\"";
+        assert_eq!(err("record --app x --ops x --out f"), ops);
+        assert_eq!(err("record --app"), "--app requires a value");
+        assert_eq!(err("run --app x264 --app"), "--app requires a value");
+        assert_eq!(err("trace --app x264 --out"), "--out requires a value");
+        assert_eq!(err("suite --suite"), "--suite requires a value");
     }
 
     #[test]
@@ -1324,6 +1063,9 @@ mod tests {
             vec!["run", "--app", "gcc", "--jobs", "-3"],
             vec!["sweep", "--app", "x264", "--fault-rate", "nope"],
             vec!["sweep", "--app", "x264", "--jobs", "0.5"],
+            // u32 fields reject values that used to truncate silently.
+            vec!["serve", "--dir", "d", "--retry", "4294967296"],
+            vec!["tune", "--seed", "1", "--retry", "4294967296"],
         ] {
             let flag = bad[3];
             let err = parse(bad.clone()).expect_err(&format!("{bad:?} must fail"));
@@ -1331,6 +1073,10 @@ mod tests {
                 err.to_string().contains(flag.trim_start_matches('-')),
                 "error {err} does not name {flag}"
             );
+        }
+        for flag in "--steps --fault-rate-e4 --mutate-at --spec-mutate-at".split(' ') {
+            let err = parse(["verify", "fuzz", flag, "4294967296"]).unwrap_err();
+            assert!(err.to_string().contains(flag), "{err}");
         }
     }
 
@@ -1347,6 +1093,12 @@ mod tests {
         }
         assert!(parse(["sweep", "--app", "x264", "--retry", "0"]).is_err());
         assert!(parse(["sweep", "--app", "x264", "--retry", "lots"]).is_err());
+        // Every --retry rejects zero with sweep's wording.
+        for cmd in ["sweep --app x264", "serve", "tune", "client sweep"] {
+            let argv = format!("{cmd} --retry 0");
+            let err = parse(argv.split_whitespace()).unwrap_err().to_string();
+            assert_eq!(err, "bad --retry \"0\" (expects ≥ 1)", "{argv}");
+        }
     }
 
     #[test]
@@ -1487,6 +1239,8 @@ mod tests {
         assert!(parse(["tune", "--points", "many"]).is_err());
         assert!(parse(["tune", "--sb", "14,big"]).is_err());
         assert!(parse(["tune", "--frobnicate"]).is_err());
+        assert!(parse(["tune", "--retry", "0"]).is_err());
+        assert!(parse(["tune", "--retry", "4294967296"]).is_err());
     }
 
     #[test]
@@ -1627,6 +1381,9 @@ mod tests {
         assert!(parse(["verify", "fuzz", "--cores", "0"]).is_err());
         assert!(parse(["verify", "fuzz", "--cores", "9"]).is_err());
         assert!(parse(["verify", "fuzz", "--steps", "lots"]).is_err());
+        assert!(parse(["verify", "fuzz", "--steps", "4294967297"]).is_err());
+        assert!(parse(["verify", "fuzz", "--fault-rate-e4", "20000"]).is_err());
+        assert!(parse(["verify", "fuzz", "--fault-rate-e4", "10000"]).is_ok());
         assert!(parse(["verify", "oracle"]).is_err());
         let cmd = parse(["verify", "oracle", "--app", "x264", "--sb", "14"]).unwrap();
         match cmd {
@@ -1636,5 +1393,29 @@ mod tests {
             }
             other => panic!("wrong parse: {other:?}"),
         }
+    }
+
+    #[test]
+    fn every_usage_flag_is_known_to_its_subcommand() {
+        let flags_in = |text: &'static str| {
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|w| w.len() > 2 && w.starts_with("--"))
+        };
+        let (synopses, options) = USAGE.split_once("RUN OPTIONS:").unwrap();
+        let run_flags: Vec<&str> = flags_in(options.split("\n\n").next().unwrap()).collect();
+        let mut checked = 0;
+        for block in synopses.split("\n  spbsim ").skip(1) {
+            let positional = |w: &&str| !w.starts_with(['-', '[']);
+            let words = block.split_whitespace().take_while(positional);
+            let opts = block.contains("[opts]").then_some(&run_flags[..]);
+            for flag in flags_in(block).chain(opts.into_iter().flatten().copied()) {
+                let argv: Vec<&str> = words.clone().chain([flag]).collect();
+                let err = parse(argv.clone()).err().map(|e| e.to_string());
+                let unknown = format!("unknown argument {flag:?}");
+                assert_ne!(err, Some(unknown), "USAGE lists {argv:?}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 60, "only {checked} synopsis flags found");
     }
 }

@@ -55,13 +55,24 @@ pub enum Budget {
 }
 
 impl Budget {
-    /// Parses `--quick` from argv (default: [`Budget::Paper`]).
+    /// Parses the only option an experiment binary takes, `--quick`, from
+    /// argv (default: [`Budget::Paper`]). Any other argument exits with
+    /// status 2, as under `spbsim experiment`.
     pub fn from_args() -> Budget {
-        if std::env::args().any(|a| a == "--quick") {
-            Budget::Quick
-        } else {
-            Budget::Paper
-        }
+        Self::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+            let bin = std::env::args().next().unwrap_or_default();
+            eprintln!("{bin}: {e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Budget::from_args`] over an explicit argument list.
+    pub fn parse_args<S: AsRef<str>>(args: impl IntoIterator<Item = S>) -> Result<Budget, String> {
+        args.into_iter()
+            .try_fold(Budget::Paper, |_, a| match a.as_ref() {
+                "--quick" => Ok(Budget::Quick),
+                other => Err(format!("unknown argument {other:?}")),
+            })
     }
 
     /// The base simulation configuration for this budget.
@@ -87,5 +98,19 @@ impl Budget {
 pub fn print_tables(tables: &[spb_stats::Table]) {
     for t in tables {
         println!("{t}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Budget;
+
+    #[test]
+    fn budget_args_accept_only_quick() {
+        assert_eq!(Budget::parse_args([] as [&str; 0]), Ok(Budget::Paper));
+        assert_eq!(Budget::parse_args(["--quick"]), Ok(Budget::Quick));
+        let unknown = |a: &str| Err(format!("unknown argument {a:?}"));
+        assert_eq!(Budget::parse_args(["--qiuck"]), unknown("--qiuck"));
+        assert_eq!(Budget::parse_args(["--quick", "extra"]), unknown("extra"));
     }
 }

@@ -62,6 +62,20 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
+    /// Every `sbs × policies × apps` cell, SB-major and app-minor.
+    pub fn cross(apps: &[String], policies: &[String], sbs: &[usize]) -> Vec<CellSpec> {
+        let mut cells = Vec::new();
+        for &sb in sbs {
+            for policy in policies {
+                for app in apps {
+                    let (app, policy) = (app.clone(), policy.clone());
+                    cells.push(CellSpec { app, policy, sb });
+                }
+            }
+        }
+        cells
+    }
+
     fn to_json(&self) -> Json {
         Json::obj([
             ("app", Json::str(&self.app)),

@@ -7,7 +7,6 @@
 
 use crate::config::SimConfig;
 use crate::runner::RunResult;
-use crate::simulation::Simulation;
 use crate::sweep::{run_cells, SweepOptions};
 use spb_stats::summary::geomean;
 use spb_trace::profile::AppProfile;
@@ -24,7 +23,7 @@ pub struct SuiteResult {
 impl SuiteResult {
     /// Runs `cfg` over all `apps`, parallelized per [`SweepOptions::from_env`]
     /// (`SPB_JOBS` or the machine's available parallelism). Results are
-    /// identical to [`SuiteResult::run_serial`] except for wall-clock
+    /// identical to a [`SweepOptions::serial`] run except for wall-clock
     /// fields.
     pub fn run(apps: &[AppProfile], cfg: &SimConfig) -> Self {
         Self::run_with(apps, cfg, &SweepOptions::from_env())
@@ -37,17 +36,6 @@ impl SuiteResult {
             runs: run_cells(&cells, opts),
             sb_bound: apps.iter().map(|a| a.is_sb_bound()).collect(),
         }
-    }
-
-    /// Runs `cfg` over all `apps` one at a time on the calling thread.
-    /// Reference path for differential tests of the parallel executor.
-    pub fn run_serial(apps: &[AppProfile], cfg: &SimConfig) -> Self {
-        let runs = apps
-            .iter()
-            .map(|a| Simulation::with_config(a, cfg).run_or_panic())
-            .collect();
-        let sb_bound = apps.iter().map(|a| a.is_sb_bound()).collect();
-        Self { runs, sb_bound }
     }
 
     /// The result for one application.

@@ -119,13 +119,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// [`parallel_map`], but a panic in `f` fails only that item instead of
-/// tearing down the whole pool.
+/// Applies `f` to every item on a pool of `jobs` scoped worker threads
+/// and returns the results **in input order**; a panic in `f` fails
+/// only that item instead of tearing down the whole pool.
 ///
-/// Each invocation of `f` runs under `catch_unwind`, so one poisoned
-/// item — a simulator bug, a pathological configuration — yields an
-/// `Err(panic_message)` in its slot while every other item still
-/// completes and returns `Ok`. Results stay in **input order**.
+/// Workers claim items through an atomic cursor, so scheduling is
+/// dynamic (long and short items interleave freely) while the output
+/// order stays deterministic. With `jobs <= 1` this degenerates to a
+/// plain serial loop on the calling thread. Each invocation of `f` runs
+/// under `catch_unwind`, so one poisoned item — a simulator bug, a
+/// pathological configuration — yields an `Err(panic_message)` in its
+/// slot while every other item still completes and returns `Ok`.
 pub fn parallel_map_catch<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<Result<R, String>>
 where
     T: Sync,
@@ -162,32 +166,6 @@ where
                 .expect("result slot poisoned")
                 .expect("every slot is filled once all workers join")
         })
-        .collect()
-}
-
-/// Applies `f` to every item on a pool of `jobs` scoped worker threads
-/// and returns the results **in input order**.
-///
-/// Workers claim items through an atomic cursor, so scheduling is
-/// dynamic (long and short items interleave freely) while the output
-/// order stays deterministic. With `jobs <= 1` this degenerates to a
-/// plain serial loop on the calling thread.
-///
-/// # Panics
-///
-/// Re-raises the first panic from `f` (in input order) — but only once
-/// **all** items have been attempted, so a sibling item's work is never
-/// lost to someone else's crash. Callers that need to keep the
-/// surviving results use [`parallel_map_catch`].
-pub fn parallel_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_catch(items, jobs, f)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|msg| panic!("worker panicked: {msg}")))
         .collect()
 }
 
@@ -491,25 +469,26 @@ pub fn run_cells_supervised(
                 _ => run_cell(app, cfg, sup.deadline_ms),
             };
             if opts.progress {
-                match &res {
+                // One line per attempt; the counter counts settled cells:
+                // successes and failures that will not be retried.
+                let retried = matches!(&res, Err(f) if f.is_transient() && attempt < max_attempts);
+                let step = usize::from(!retried);
+                let k = settled.fetch_add(step, Ordering::Relaxed) + step;
+                let (app, sb, policy, outcome) = match &res {
                     Ok(r) => {
-                        let k = settled.fetch_add(1, Ordering::Relaxed) + 1;
-                        eprintln!(
-                            "[{k}/{total}] {} sb={} {} {:.1}s (attempt {attempt})",
-                            r.app,
-                            r.sb_entries,
-                            r.policy,
-                            r.wall_ms / 1000.0
-                        );
+                        let secs = format!("{:.1}s", r.wall_ms / 1e3);
+                        (&r.app, r.sb_entries, &r.policy, secs)
                     }
                     Err(f) => {
                         let first = f.reason.lines().next().unwrap_or("");
-                        eprintln!(
-                            "{} sb={} {} attempt {attempt}/{max_attempts} FAILED: {first}",
-                            f.app, f.sb, f.policy
-                        );
+                        (&f.app, f.sb, &f.policy, format!("FAILED: {first}"))
                     }
-                }
+                };
+                let tries = match max_attempts {
+                    1 => String::new(),
+                    _ => format!(" (attempt {attempt}/{max_attempts})"),
+                };
+                eprintln!("[{k}/{total}] {app} sb={sb} {policy} {outcome}{tries}");
             }
             res
         });
@@ -547,86 +526,27 @@ pub fn run_cells_supervised(
         .collect()
 }
 
-/// Runs every `(application, configuration)` cell, isolating failures:
-/// a cell that panics or trips the coherence checker becomes an
-/// `Err(CellFailure)` in its slot while every other cell still runs to
-/// completion. Results are in input order.
-///
-/// This is what makes long sweeps crash-proof: hours of sibling results
-/// survive one poisoned cell, and the failures ride along in the
-/// [`SweepReport`] (see [`SweepReport::from_results`]) so a `--resume`
-/// pass can re-run exactly the missing cells.
-pub fn run_cells_checked(
-    cells: &[(&AppProfile, SimConfig)],
-    opts: &SweepOptions,
-) -> Vec<Result<RunResult, CellFailure>> {
-    let total = cells.len();
-    let done = AtomicUsize::new(0);
-    let raw = parallel_map_catch(cells, opts.jobs, |_, (app, cfg)| {
-        let res = Simulation::with_config(app, cfg).run();
-        if opts.progress {
-            let k = done.fetch_add(1, Ordering::Relaxed) + 1;
-            match &res {
-                Ok(r) => eprintln!(
-                    "[{k}/{total}] {} sb={} {} {:.1}s",
-                    r.app,
-                    r.sb_entries,
-                    r.policy,
-                    r.wall_ms / 1000.0
-                ),
-                Err(e) => eprintln!(
-                    "[{k}/{total}] {} sb={} {} FAILED: {}",
-                    e.app, e.sb_entries, e.policy, e.violation.kind
-                ),
-            }
-        }
-        res
-    });
-    raw.into_iter()
-        .zip(cells)
-        .map(|(slot, (app, cfg))| match slot {
-            Ok(Ok(run)) => Ok(run),
-            Ok(Err(e)) => {
-                let reason = e.violation.to_string();
-                Err(CellFailure {
-                    app: e.app,
-                    policy: e.policy,
-                    sb: e.sb_entries,
-                    reason,
-                    attempts: 1,
-                })
-            }
-            Err(panic_msg) => Err(CellFailure {
-                app: app.name().to_string(),
-                policy: cfg.policy.label(),
-                sb: cfg.effective_sb(),
-                reason: format!("panic: {panic_msg}"),
-                attempts: 1,
-            }),
-        })
-        .collect()
-}
-
 /// Runs every `(application, configuration)` cell and returns the
 /// results in input order.
 ///
 /// This is the execution core behind [`crate::suite::SuiteResult::run`]
-/// and the experiment grids: results are identical to running the cells
+/// and the experiment grids: [`run_cells_supervised`] with one attempt,
+/// no deadline and no chaos. Results are identical to running the cells
 /// one by one in order (modulo the wall-clock fields). With
 /// `opts.progress`, each completed cell prints a narrator line such as
-/// `[12/69] x264 sb=14 spb-burst(48) 1.8s` to stderr; the counter
-/// reflects completion order, not input order.
+/// `[12/69] x264 sb=14 spb 1.8s` to stderr; the counter reflects
+/// completion order, not input order.
 ///
 /// # Panics
 ///
 /// Panics with the collected diagnostics if any cell failed — but only
 /// after **every** cell has been attempted. Sweeps that must keep the
-/// surviving results use [`run_cells_checked`].
+/// surviving results call [`run_cells_supervised`] directly.
 pub fn run_cells(cells: &[(&AppProfile, SimConfig)], opts: &SweepOptions) -> Vec<RunResult> {
-    let results = run_cells_checked(cells, opts);
+    let results = run_cells_supervised(cells, opts, &Supervision::default());
     let mut runs = Vec::with_capacity(results.len());
     let mut failures = Vec::new();
-    for r in results {
+    for (r, _) in results {
         match r {
             Ok(run) => runs.push(run),
             Err(f) => failures.push(f.to_string()),
@@ -794,8 +714,8 @@ impl SweepReport {
         }
     }
 
-    /// Summarizes the output of [`run_cells_checked`]: successes become
-    /// records, failures ride along in `failed`.
+    /// Summarizes the results of [`run_cells_supervised`]: successes
+    /// become records, failures ride along in `failed`.
     pub fn from_results(
         name: impl Into<String>,
         results: &[Result<RunResult, CellFailure>],
@@ -1000,22 +920,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parallel_map_preserves_input_order() {
-        let items: Vec<u64> = (0..97).collect();
-        for jobs in [1, 2, 3, 8, 200] {
-            let out = parallel_map(&items, jobs, |i, &v| {
-                assert_eq!(i as u64, v);
-                v * v
-            });
-            assert_eq!(out, items.iter().map(|v| v * v).collect::<Vec<_>>());
-        }
+    fn parallel_map_handles_empty_and_single() {
+        let none: Vec<u32> = vec![];
+        assert!(parallel_map_catch(&none, 4, |_, v| *v).is_empty());
+        assert_eq!(parallel_map_catch(&[5u32], 4, |_, v| *v + 1), vec![Ok(6)]);
     }
 
     #[test]
-    fn parallel_map_handles_empty_and_single() {
-        let none: Vec<u32> = vec![];
-        assert!(parallel_map(&none, 4, |_, v| *v).is_empty());
-        assert_eq!(parallel_map(&[5u32], 4, |_, v| *v + 1), vec![6]);
+    fn parallel_map_preserves_input_order() {
+        let items: Vec<u64> = (0..97).collect();
+        for jobs in [1, 2, 3, 8, 200] {
+            let out = parallel_map_catch(&items, jobs, |i, &v| {
+                assert_eq!(i as u64, v);
+                v * v
+            });
+            assert_eq!(out, items.iter().map(|v| Ok(v * v)).collect::<Vec<_>>());
+        }
     }
 
     #[test]
@@ -1039,37 +959,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_repanics_only_after_all_items_ran() {
-        let attempted = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..8).collect();
-        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            parallel_map(&items, 2, |_, &v| {
-                attempted.fetch_add(1, Ordering::Relaxed);
-                if v == 0 {
-                    panic!("first cell dies");
-                }
-                v
-            })
-        }));
-        assert!(res.is_err(), "the panic still propagates to the caller");
-        assert_eq!(
-            attempted.load(Ordering::Relaxed),
-            8,
-            "every sibling item was still attempted"
-        );
-    }
-
-    #[test]
     fn run_cells_checked_survives_a_poisoned_cell() {
         let app = AppProfile::by_name("x264").unwrap();
-        let mut quick = SimConfig::quick();
-        quick.warmup_uops = 2_000;
-        quick.measure_uops = 10_000;
+        let quick = tiny();
         // A structurally invalid config: the run panics on the zero-entry
         // SB before simulating anything.
         let bad = quick.clone().with_sb(0);
         let cells = vec![(&app, quick.clone()), (&app, bad), (&app, quick.clone())];
-        let out = run_cells_checked(&cells, &SweepOptions::with_jobs(2));
+        let out: Vec<_> =
+            run_cells_supervised(&cells, &SweepOptions::with_jobs(2), &Supervision::default())
+                .into_iter()
+                .map(|(r, _)| r)
+                .collect();
 
         assert!(out[0].is_ok() && out[2].is_ok(), "siblings survive");
         let f = out[1].as_ref().unwrap_err();
@@ -1090,6 +991,27 @@ mod tests {
         let text = report.to_json_string();
         assert!(text.contains("\"failed\""));
         assert_eq!(SweepReport::parse(&text).unwrap(), report);
+    }
+
+    #[test]
+    fn parallel_map_repanics_only_after_all_items_ran() {
+        // `run_cells` attempts every cell, then panics naming each
+        // failure: poisoning the first and the last cell yields two
+        // diagnostics, so the first panic did not stop the sweep.
+        let app = AppProfile::by_name("x264").unwrap();
+        let quick = tiny();
+        let bad = quick.clone().with_sb(0);
+        let cells = vec![
+            (&app, bad.clone()),
+            (&app, quick.clone()),
+            (&app, quick.clone()),
+            (&app, bad),
+        ];
+        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_cells(&cells, &SweepOptions::with_jobs(2))
+        }));
+        let msg = panic_message(res.expect_err("the panic still propagates to the caller"));
+        assert!(msg.starts_with("2 sweep cell(s) failed"), "{msg}");
     }
 
     #[test]
@@ -1192,7 +1114,10 @@ mod tests {
             .iter()
             .map(|&sb| (&app, tiny().with_sb(sb)))
             .collect();
-        let baseline = run_cells_checked(&cells, &SweepOptions::serial());
+        let baseline: Vec<_> = cells
+            .iter()
+            .map(|(a, c)| Simulation::with_config(a, c).run().unwrap())
+            .collect();
         // Chaos at 100%: with rate_e4 = 10_000 every attempt is
         // sacrificed, so even generous retries end in chaos failures…
         let all_fail = Supervision {
@@ -1239,7 +1164,6 @@ mod tests {
         let out = run_cells_supervised(&cells, &SweepOptions::with_jobs(2), &flaky);
         for (i, ((res, attempts), base)) in out.into_iter().zip(&baseline).enumerate() {
             let run = res.expect("10 attempts at 40% chaos converge");
-            let base = base.as_ref().unwrap();
             assert_eq!(run.cycles, base.cycles, "retries never perturb results");
             assert_eq!(run.uops, base.uops);
             assert_eq!(attempts, expected_attempts[i], "attempts follow the plan");

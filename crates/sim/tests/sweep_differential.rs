@@ -53,7 +53,7 @@ fn assert_runs_identical(a: &RunResult, b: &RunResult, context: &str) {
 fn parallel_suite_equals_serial_across_seeds_and_job_counts() {
     for seed in [42u64, 7] {
         let cfg = small_cfg(seed);
-        let serial = SuiteResult::run_serial(&apps(), &cfg);
+        let serial = SuiteResult::run_with(&apps(), &cfg, &SweepOptions::serial());
         for jobs in [1usize, 2, 8] {
             let parallel = SuiteResult::run_with(&apps(), &cfg, &SweepOptions::with_jobs(jobs));
             assert_eq!(parallel.sb_bound, serial.sb_bound);
@@ -70,7 +70,7 @@ fn default_run_path_equals_serial() {
     // SuiteResult::run picks its job count from the environment; the
     // results must still be the serial ones whatever it picked.
     let cfg = small_cfg(42);
-    let serial = SuiteResult::run_serial(&apps(), &cfg);
+    let serial = SuiteResult::run_with(&apps(), &cfg, &SweepOptions::serial());
     let auto = SuiteResult::run(&apps(), &cfg);
     for (a, s) in auto.runs.iter().zip(&serial.runs) {
         assert_runs_identical(a, s, "env-selected jobs");
