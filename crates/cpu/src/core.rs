@@ -374,8 +374,13 @@ impl Core {
     /// would have produced under the lock-step kernel: cycle ticks, the
     /// captured dispatch-stall cause (and its Figure 3 region charge),
     /// L1D-miss-pending execution stalls, and the open stall episode.
+    /// An empty span (`until == now`) is a no-op: it covers no cycle, so
+    /// it must not flush or open a stall episode either.
     pub fn skip_span(&mut self, mem: &MemorySystem, now: u64, until: u64) {
         let n = until - now;
+        if n == 0 {
+            return;
+        }
         self.topdown.tick_n(n);
         if let Some((cause, region)) = self.skip_stall {
             self.topdown.record_stall_n(cause, n);

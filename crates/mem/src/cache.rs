@@ -36,7 +36,9 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if the size is not an exact multiple of `ways * block_bytes`.
+    /// Panics if the size is not an exact multiple of `ways * block_bytes`,
+    /// or if the resulting set count is not a power of two (the set index
+    /// is a mask, see [`CacheGeometry::set_of`]).
     pub fn new(size_bytes: u64, ways: usize) -> Self {
         let g = Self {
             size_bytes,
@@ -46,6 +48,10 @@ impl CacheGeometry {
         assert!(
             g.sets() > 0 && size_bytes.is_multiple_of(ways as u64 * g.block_bytes),
             "cache size must be a multiple of ways * block size"
+        );
+        assert!(
+            g.sets().is_power_of_two(),
+            "cache set count must be a power of two"
         );
         g
     }
@@ -60,9 +66,15 @@ impl CacheGeometry {
         self.sets() * self.ways
     }
 
-    /// The set a block maps into.
+    /// The mask selecting a block's set bits (`sets() - 1`; the set
+    /// count is a power of two).
+    fn set_mask(&self) -> u64 {
+        self.sets() as u64 - 1
+    }
+
+    /// The set a block maps into: the block's low `log2(sets())` bits.
     pub fn set_of(&self, block: u64) -> usize {
-        (block % self.sets() as u64) as usize
+        (block & self.set_mask()) as usize
     }
 }
 
@@ -94,6 +106,9 @@ pub struct Eviction {
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     geometry: CacheGeometry,
+    /// `geometry.sets() - 1`, cached: every tag probe needs the set and
+    /// recomputing the set count costs a hardware divide.
+    set_mask: u64,
     tag: Vec<u64>,
     state: Vec<CoherenceState>,
     ready: Vec<u64>,
@@ -191,6 +206,7 @@ impl CacheArray {
         let n = geometry.lines();
         Self {
             geometry,
+            set_mask: geometry.set_mask(),
             tag: vec![NO_TAG; n],
             state: vec![CoherenceState::Invalid; n],
             ready: vec![0; n],
@@ -250,8 +266,9 @@ impl CacheArray {
         self.tag_checks = 0;
     }
 
+    /// The first lane of `block`'s set ([`CacheGeometry::set_of`]).
     fn set_start(&self, block: u64) -> usize {
-        self.geometry.set_of(block) * self.geometry.ways
+        (block & self.set_mask) as usize * self.geometry.ways
     }
 
     /// The lane index holding `block`, if present and valid.
@@ -441,6 +458,12 @@ mod tests {
     #[should_panic(expected = "multiple")]
     fn bad_geometry_panics() {
         let _ = CacheGeometry::new(100, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_set_count_panics() {
+        let _ = CacheGeometry::new(3 * 2 * 64, 2); // 3 sets x 2 ways
     }
 
     #[test]

@@ -57,7 +57,10 @@ impl EventLog {
             self.ring.push(ev);
         } else {
             self.ring[self.head] = ev;
-            self.head = (self.head + 1) % self.capacity;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
         }
     }
 

@@ -47,6 +47,6 @@ pub mod suite;
 pub mod sweep;
 
 pub use config::{KernelMode, PolicyKind, SimConfig};
-pub use runner::{CoreWindow, RunError, RunResult};
+pub use runner::{CoreWindow, KernelStats, RunError, RunResult};
 pub use simulation::Simulation;
 pub use sweep::{CellFailure, ChaosPlan, Supervision, SweepOptions, SweepReport};

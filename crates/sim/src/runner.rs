@@ -5,10 +5,13 @@
 //! [`crate::config::KernelMode`]: the lock-step reference kernel
 //! ([`advance_tick`]) ticks every component every cycle, and the
 //! skip-ahead kernel ([`advance_skip_ahead`], the default) ticks the
-//! memory system only when it has work, probes the cores only on
-//! cycles where nothing committed, and jumps the clock to the earliest
-//! wakeup whenever nobody has same-cycle work (see DESIGN.md §9 and
-//! §12 for the contract).
+//! memory system only when it has work and lets each core sleep on its
+//! own: a core that committed nothing is probed for its horizon and
+//! its `cycle` calls are skipped until then, its idle span replayed
+//! lazily when it wakes. When every core sleeps, the clock jumps to the
+//! earliest wakeup. This works because a core's horizon depends only on
+//! its own state (see DESIGN.md §9 and §12 for the contract). Both
+//! kernels report their work in [`KernelStats`].
 
 use crate::config::KernelMode;
 use spb_cpu::core::{Core, CpuStats};
@@ -94,6 +97,10 @@ pub struct RunResult {
     /// component (`"runner"`, `"cpu"`, `"mem"`, `"sb"`, `"spb"`), for
     /// serialization into sweep reports and traces.
     pub metrics: MetricsRegistry,
+    /// Execution-kernel work counters for the measured window. Like
+    /// `wall_ms` they describe how the run was computed, so they are
+    /// kept out of serialized records and result comparisons.
+    pub kernel: KernelStats,
     /// Host wall-clock time spent simulating (warm-up + measurement),
     /// in milliseconds. Observability only: this is the one field that
     /// varies between repeated runs, so comparisons of results must
@@ -131,6 +138,32 @@ impl RunResult {
     }
 }
 
+/// How much work the advance loop did over the measured window: exact,
+/// deterministic counters of the execution kernel itself (not of the
+/// simulated machine), so a kernel change can be judged by the work it
+/// removes rather than by noisy wall time.
+///
+/// Every core accounts each cycle of the window exactly once, either by
+/// a `Core::cycle` call or inside a `Core::skip_span` replay, so
+/// `core_cycles_run + core_cycles_replayed == cores × cycles`. The
+/// lock-step kernel replays nothing and never probes.
+///
+/// These counters describe how a result was computed, not the result:
+/// they differ between kernels by design, so they stay out of every
+/// serialized record, cache key and bit-identity comparison.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelStats {
+    /// Cycles the loop executed (memory tick check plus core calls);
+    /// the rest were jumped over while every core slept.
+    pub cycles_entered: u64,
+    /// `Core::cycle` calls.
+    pub core_cycles_run: u64,
+    /// Core-cycles covered by `Core::skip_span` replays.
+    pub core_cycles_replayed: u64,
+    /// `Core::next_event_at` probes.
+    pub probes: u64,
+}
+
 /// A run aborted by the coherence checker or the forward-progress
 /// watchdog, with enough context to identify the offending sweep cell.
 #[derive(Debug, Clone)]
@@ -162,9 +195,10 @@ impl std::error::Error for RunError {
 }
 
 /// Advances the simulation until the slowest core has committed
-/// `target` µops, using the selected kernel. Both kernels poll the
-/// memory system's invariant checker and watch for forward progress,
-/// and produce bit-identical results.
+/// `target` µops, using the selected kernel, and returns the kernel's
+/// work counters for the advanced span. Both kernels poll the memory
+/// system's invariant checker and watch for forward progress, and
+/// produce bit-identical results.
 pub(crate) fn advance(
     cores: &mut [Core],
     mem: &mut MemorySystem,
@@ -172,7 +206,7 @@ pub(crate) fn advance(
     target: u64,
     watchdog: u64,
     kernel: KernelMode,
-) -> Result<(), InvariantViolation> {
+) -> Result<KernelStats, InvariantViolation> {
     match kernel {
         KernelMode::Tick => advance_tick(cores, mem, now, target, watchdog),
         KernelMode::Event | KernelMode::Wheel => {
@@ -212,13 +246,14 @@ pub(crate) fn advance_tick(
     now: &mut u64,
     target: u64,
     watchdog: u64,
-) -> Result<(), InvariantViolation> {
+) -> Result<KernelStats, InvariantViolation> {
+    let mut stats = KernelStats::default();
     let mut last_min = 0u64;
     let mut last_progress_at = *now;
     loop {
         let min_uops = cores.iter().map(|c| c.committed_uops()).min().unwrap_or(0);
         if min_uops >= target {
-            return Ok(());
+            return Ok(stats);
         }
         if min_uops > last_min {
             last_min = min_uops;
@@ -230,6 +265,8 @@ pub(crate) fn advance_tick(
         for core in cores.iter_mut() {
             core.cycle(mem, *now);
         }
+        stats.cycles_entered += 1;
+        stats.core_cycles_run += cores.len() as u64;
         if let Some(v) = mem.take_violation() {
             return Err(v);
         }
@@ -237,9 +274,58 @@ pub(crate) fn advance_tick(
     }
 }
 
-/// Longest stretch of unprobed cycles the skip-ahead kernel allows
-/// once probes keep finding same-cycle work.
+/// Longest stretch of unprobed cycles the skip-ahead kernel allows a
+/// core once its probes keep finding same-cycle work.
 const MAX_PROBE_BACKOFF: u64 = 64;
+
+/// One core's sleep and probe state in the skip-ahead kernel (the
+/// default is awake).
+#[derive(Clone, Copy, Default)]
+struct CoreSleep {
+    /// The core is asleep over `[from, until)`: its `cycle` calls are
+    /// skipped and the span is replayed with `Core::skip_span` when it
+    /// wakes (or when the loop exits). `until == u64::MAX` means "no
+    /// pending event of its own": asleep until the run ends.
+    asleep: bool,
+    from: u64,
+    until: u64,
+    /// Busy-probe backoff: the core is not probed before this cycle.
+    next_probe_at: u64,
+    backoff: u64,
+}
+
+impl CoreSleep {
+    /// Replays the sleep span up to (not including) `now` and wakes the
+    /// core. The span is cut at `now` because the loop can stop while
+    /// the core sleeps: another core can reach the target mid-span.
+    fn wake(&mut self, core: &mut Core, mem: &MemorySystem, now: u64, stats: &mut KernelStats) {
+        let end = self.until.min(now);
+        core.skip_span(mem, self.from, end);
+        stats.core_cycles_replayed += end - self.from;
+        self.asleep = false;
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Late-wake mutation for the equivalence tests: when set, the core
+    /// with this index wakes one cycle after its horizon. A correct
+    /// kernel never does this; the tests use it to prove that the
+    /// tick-vs-skip-ahead comparison catches a late wake.
+    static LATE_WAKE_CORE: std::cell::Cell<Option<usize>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// Extra cycles added to core `i`'s wake time (always 0 outside the
+/// late-wake mutation test).
+#[inline(always)]
+fn late_wake_skew(_i: usize) -> u64 {
+    #[cfg(test)]
+    if LATE_WAKE_CORE.with(|c| c.get()) == Some(_i) {
+        return 1;
+    }
+    0
+}
 
 /// The skip-ahead kernel (DESIGN.md §12), run for both the `wheel`
 /// and the `event` spelling.
@@ -249,37 +335,41 @@ const MAX_PROBE_BACKOFF: u64 = 64;
 ///   memory system publishes at the moment it changes (cached checker /
 ///   observer boundaries, burst-queue drain eligibility), not a probe
 ///   that recomputes boundaries every cycle.
-/// - Cores are probed for a horizon only on cycles where no core
-///   committed a µop — commit progress is the cheap busy signal.
-/// - Each entered cycle runs exactly as under [`advance_tick`]; when
-///   everyone is quiescent the clock jumps to the minimum of the
-///   memory system's wakeup, every core's horizon and the watchdog
-///   deadline, all read in that same probe, with the skipped span
-///   bulk-replayed (`Core::skip_span`). A wakeup may be early (the
-///   woken component finds no work and the next probe skips again) but
-///   never late, so checker runs, observer samples, burst issues and
-///   the watchdog all happen at exactly the cycles the lock-step kernel
-///   would have executed them.
+/// - Each core sleeps on its own. A core is probed for its horizon
+///   only on cycles where it committed nothing (with a per-core
+///   busy-probe backoff); an idle probe puts it to sleep until that
+///   horizon, and its `cycle` calls are skipped until then. A core's
+///   horizon depends only on its own state, so nothing another core or
+///   the memory system does can move it. The sleep span is replayed
+///   lazily with `Core::skip_span` when the core wakes, or — cut at
+///   the stop cycle — when the loop exits.
+/// - When every core is asleep the clock jumps to the minimum of their
+///   wake times, the memory system's wakeup and the watchdog deadline.
+///   A wakeup may be early (the woken component finds no work and
+///   sleeps again) but never late, so checker runs, observer samples,
+///   burst issues and the watchdog all happen at exactly the cycles the
+///   lock-step kernel would have executed them.
 pub(crate) fn advance_skip_ahead(
     cores: &mut [Core],
     mem: &mut MemorySystem,
     now: &mut u64,
     target: u64,
     watchdog: u64,
-) -> Result<(), InvariantViolation> {
+) -> Result<KernelStats, InvariantViolation> {
+    let mut stats = KernelStats::default();
     let mut last_min = 0u64;
     let mut last_progress_at = *now;
-    let mut last_total: u64 = cores.iter().map(|c| c.committed_uops()).sum();
-    // Probe backoff for busy-but-not-committing stretches: skipping a
-    // probe is always sound (the cycle then runs exactly as under the
-    // lock-step kernel), so each consecutive busy probe doubles the
-    // distance to the next one (capped) and an idle probe resets it.
-    let mut next_probe_at = *now;
-    let mut busy_backoff = 0u64;
+    let mut sleep = vec![CoreSleep::default(); cores.len()];
     loop {
+        // A sleeping core commits nothing, so its count is current.
         let min_uops = cores.iter().map(|c| c.committed_uops()).min().unwrap_or(0);
         if min_uops >= target {
-            return Ok(());
+            for (core, s) in cores.iter_mut().zip(sleep.iter_mut()) {
+                if s.asleep {
+                    s.wake(core, mem, *now, &mut stats);
+                }
+            }
+            return Ok(stats);
         }
         if min_uops > last_min {
             last_min = min_uops;
@@ -289,68 +379,79 @@ pub(crate) fn advance_skip_ahead(
         }
 
         // The cycle itself, exactly as under the lock-step kernel —
-        // except the memory system is ticked only when it has work.
+        // except the memory system is ticked only when it has work and
+        // sleeping cores are skipped.
+        stats.cycles_entered += 1;
         if mem.wake_at(*now) <= *now {
             mem.tick(*now);
         }
-        for core in cores.iter_mut() {
+        let mut wake = u64::MAX;
+        let mut all_asleep = true;
+        for (i, (core, s)) in cores.iter_mut().zip(sleep.iter_mut()).enumerate() {
+            if s.asleep {
+                if *now < s.until {
+                    wake = wake.min(s.until);
+                    continue;
+                }
+                s.wake(core, mem, *now, &mut stats);
+            }
+            let before = core.committed_uops();
             core.cycle(mem, *now);
+            stats.core_cycles_run += 1;
+            // Commit progress is the busy signal: a committing core is
+            // not probed.
+            if core.committed_uops() != before || *now < s.next_probe_at {
+                all_asleep = false;
+                continue;
+            }
+            stats.probes += 1;
+            match core.next_event_at(*now) {
+                Some(t) if t <= *now => {
+                    // Same-cycle work without a commit (e.g. a drain
+                    // mid-burst): back off and keep cycling.
+                    s.backoff = (s.backoff * 2).clamp(1, MAX_PROBE_BACKOFF);
+                    s.next_probe_at = *now + s.backoff;
+                    all_asleep = false;
+                }
+                Some(t) if t == *now + 1 => {
+                    // Work next cycle: no span to skip.
+                    s.backoff = 0;
+                    all_asleep = false;
+                }
+                horizon => {
+                    // The cycle at `*now` already ran, so the idle span
+                    // starts one cycle later.
+                    s.backoff = 0;
+                    s.asleep = true;
+                    s.from = *now + 1;
+                    s.until = horizon.map_or(u64::MAX, |t| t + late_wake_skew(i));
+                    wake = wake.min(s.until);
+                }
+            }
         }
         if let Some(v) = mem.take_violation() {
             return Err(v);
         }
-
-        // Commit progress is the busy signal: as long as some core
-        // commits, keep running cycles without probing anyone.
-        let new_total: u64 = cores.iter().map(|c| c.committed_uops()).sum();
-        let committed = new_total != last_total;
-        last_total = new_total;
-        if committed || *now < next_probe_at {
+        if !all_asleep {
             *now += 1;
             continue;
         }
 
-        // No commit anywhere: probe each core once. Any same-cycle work
-        // means the machine is still busy (e.g. a drain mid-burst) —
-        // back off and keep cycling.
-        let mut wake = u64::MAX;
-        let mut busy = false;
-        for core in cores.iter_mut() {
-            match core.next_event_at(*now) {
-                Some(t) if t <= *now => {
-                    busy = true;
-                    break;
-                }
-                Some(t) => wake = wake.min(t),
-                None => {}
-            }
-        }
-        if busy {
-            busy_backoff = (busy_backoff * 2).clamp(1, MAX_PROBE_BACKOFF);
-            next_probe_at = *now + busy_backoff;
-            *now += 1;
-            continue;
-        }
-        busy_backoff = 0;
+        // Every core is asleep: jump to the first cycle anything can
+        // happen.
         wake = wake.min(mem.wake_at(*now));
         if watchdog > 0 {
             // First cycle at which the watchdog check above fires.
             wake = wake.min(last_progress_at + watchdog + 1);
         }
-        if wake == u64::MAX {
-            // No pending events anywhere and no watchdog: run normal
-            // cycles, replicating the lock-step kernel's behaviour
-            // (spin until the caller's target or forever).
-            *now += 1;
-            continue;
-        }
-        // The cycle at `*now` already ran, so the quiescent span to
-        // replay starts one cycle later.
-        let t = wake.max(*now + 1);
-        for core in cores.iter_mut() {
-            core.skip_span(mem, *now + 1, t);
-        }
-        *now = t;
+        // With nothing pending anywhere and no watchdog this steps one
+        // cycle, replicating the lock-step kernel's behaviour (spin
+        // until the caller's target or forever).
+        *now = if wake == u64::MAX {
+            *now + 1
+        } else {
+            wake.max(*now + 1)
+        };
     }
 }
 
@@ -373,21 +474,103 @@ pub(crate) fn merge_cpu_stats(into: &mut CpuStats, from: &CpuStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{PolicyKind, SimConfig};
+    use crate::config::{KernelMode, PolicyKind, SimConfig};
     use crate::simulation::Simulation;
     use spb_trace::profile::AppProfile;
 
-    /// Asserts that two runs agree on cycles, µops, Top-Down, core and
-    /// memory counters, per-core windows and both histograms.
+    /// The 8-thread PARSEC apps of the benchmark's `parsec_mt` workload.
+    const PARSEC_MT: [&str; 5] = ["bodytrack", "dedup", "ferret", "fluidanimate", "streamcluster"];
+
+    /// The first of cycles, µops, Top-Down, core and memory counters,
+    /// per-core windows and both histograms on which two runs disagree.
+    /// Kernel work counters and wall time are not compared: they
+    /// describe how a result was computed, not the result.
+    fn first_divergence(a: &RunResult, b: &RunResult) -> Option<&'static str> {
+        [
+            ("cycles", a.cycles == b.cycles),
+            ("uops", a.uops == b.uops),
+            ("topdown", a.topdown == b.topdown),
+            ("cpu", a.cpu == b.cpu),
+            ("mem", a.mem == b.mem),
+            ("per_core", a.per_core == b.per_core),
+            ("sb_residency", a.sb_residency == b.sb_residency),
+            ("burst_lengths", a.burst_lengths == b.burst_lengths),
+        ]
+        .into_iter()
+        .find(|&(_, same)| !same)
+        .map(|(field, _)| field)
+    }
+
+    /// Asserts that two runs agree on every counter
+    /// [`first_divergence`] compares.
     fn assert_bit_identical(a: &RunResult, b: &RunResult, label: &str) {
-        assert_eq!(a.cycles, b.cycles, "{label}");
-        assert_eq!(a.uops, b.uops, "{label}");
-        assert_eq!(a.topdown, b.topdown, "{label}");
-        assert_eq!(a.cpu, b.cpu, "{label}");
-        assert_eq!(a.mem, b.mem, "{label}");
-        assert_eq!(a.per_core, b.per_core, "{label}");
-        assert_eq!(a.sb_residency, b.sb_residency, "{label}");
-        assert_eq!(a.burst_lengths, b.burst_lengths, "{label}");
+        assert_eq!(first_divergence(a, b), None, "{label}");
+    }
+
+    /// The 3k/30k-µop budget of the multi-core equivalence tests.
+    fn small_budget() -> SimConfig {
+        let mut cfg = SimConfig::quick().with_sb(14);
+        cfg.warmup_uops = 3_000;
+        cfg.measure_uops = 30_000;
+        cfg
+    }
+
+    /// Runs `app` under `kernel` with an observer attached and returns
+    /// the result with the emitted events as a sorted multiset. Events
+    /// are compared as a multiset because a sleeping core's stall
+    /// episode is replayed when it wakes, so its flush can land later in
+    /// the stream than under the lock-step kernel.
+    fn observed_run(
+        app: &AppProfile,
+        cfg: &SimConfig,
+        kernel: KernelMode,
+    ) -> (RunResult, Vec<String>) {
+        let collector = spb_obs::Collector::new();
+        let r = Simulation::with_config(app, &cfg.clone().with_kernel(kernel))
+            .observer(collector.observer())
+            .run_or_panic();
+        let mut events: Vec<String> = collector.take().iter().map(|e| format!("{e:?}")).collect();
+        events.sort_unstable();
+        (r, events)
+    }
+
+    /// The 8-core equivalence matrix: every `parsec_mt` app, plain,
+    /// under uniform faults, observed, and under squash storms, at SB 14
+    /// (mostly SB-bound stalls) and at the default SB 56 (mostly ROB/LQ
+    /// stalls), tick against skip-ahead. Returns the first divergence
+    /// found.
+    fn eight_core_divergence() -> Option<String> {
+        use spb_trace::SquashConfig;
+        let squash = SquashConfig::parse("rate=0.1,depth=8..32,storm=2,seed=5").unwrap();
+        for (name, sb) in PARSEC_MT.iter().flat_map(|n| [(n, 14), (n, 56)]) {
+            let base = small_budget().with_sb(sb);
+            let app = AppProfile::by_name(name).unwrap();
+            for variant in ["plain", "faulted", "observed", "squashed"] {
+                let cfg = match variant {
+                    "plain" => base.clone(),
+                    "squashed" => base
+                        .clone()
+                        .with_policy(PolicyKind::AtExecute)
+                        .with_squash(squash),
+                    _ => base.clone().with_policy(PolicyKind::spb_default()),
+                };
+                let run = |kernel: KernelMode| {
+                    let mut sim = Simulation::with_config(&app, &cfg.clone().with_kernel(kernel));
+                    if variant == "faulted" {
+                        sim = sim.faults(spb_mem::FaultConfig::uniform(0.02, 11));
+                    }
+                    if variant == "observed" {
+                        sim = sim.observer(spb_obs::Collector::new().observer());
+                    }
+                    sim.run_or_panic()
+                };
+                let (tick, wheel) = (run(KernelMode::Tick), run(KernelMode::Wheel));
+                if let Some(field) = first_divergence(&tick, &wheel) {
+                    return Some(format!("{name} sb={sb} {variant}: {field}"));
+                }
+            }
+        }
+        None
     }
 
     #[test]
@@ -518,7 +701,6 @@ mod tests {
     /// when the skip-ahead kernel may jump.
     #[test]
     fn skip_ahead_kernels_match_tick_kernel_bit_for_bit() {
-        use crate::config::KernelMode;
         use spb_stats::StallCause;
         let base = SimConfig::quick().with_sb(14);
         let mut tiny_iq = base.clone();
@@ -543,21 +725,89 @@ mod tests {
         }
     }
 
-    /// As above, for the multi-core PARSEC path (cross-core
-    /// invalidations and downgrades exercise the skip-ahead kernel's
-    /// retire-before-remote-kill discipline).
+    /// As above, for the multi-core PARSEC path, where per-core sleep
+    /// does most of its skipping (cross-core invalidations and
+    /// downgrades also exercise the retire-before-remote-kill
+    /// discipline).
     #[test]
     fn kernels_match_bit_for_bit_on_eight_cores() {
-        use crate::config::KernelMode;
-        let app = AppProfile::by_name("dedup").unwrap();
-        let mut cfg = SimConfig::quick();
-        cfg.warmup_uops = 3_000;
-        cfg.measure_uops = 30_000;
-        let tick = Simulation::with_config(&app, &cfg.clone().with_kernel(KernelMode::Tick))
-            .run_or_panic();
-        let wheel = Simulation::with_config(&app, &cfg.clone().with_kernel(KernelMode::Wheel))
-            .run_or_panic();
-        assert_bit_identical(&tick, &wheel, "dedup wheel");
+        assert_eq!(eight_core_divergence(), None);
+    }
+
+    /// The equivalence matrix above must catch a core that wakes one
+    /// cycle after its horizon.
+    #[test]
+    fn a_late_wake_is_caught_by_the_eight_core_matrix() {
+        LATE_WAKE_CORE.with(|c| c.set(Some(3)));
+        let divergence = eight_core_divergence();
+        LATE_WAKE_CORE.with(|c| c.set(None));
+        assert!(divergence.is_some(), "a late wake went unnoticed");
+    }
+
+    /// With an observer attached, both kernels emit the same events —
+    /// compared as sorted multisets — including stall episodes, which
+    /// the skip-ahead kernel replays in spans. An empty replay span must
+    /// not open or flush a zero-cycle episode.
+    #[test]
+    fn kernels_emit_the_same_event_multiset() {
+        let cfg = small_budget();
+        for name in ["mcf", "x264"].into_iter().chain(PARSEC_MT) {
+            let app = AppProfile::by_name(name).unwrap();
+            let (tick, tick_events) = observed_run(&app, &cfg, KernelMode::Tick);
+            let (wheel, wheel_events) = observed_run(&app, &cfg, KernelMode::Wheel);
+            assert_bit_identical(&tick, &wheel, name);
+            assert!(!tick_events.is_empty(), "{name}: no events");
+            if tick_events != wheel_events {
+                let first = tick_events
+                    .iter()
+                    .zip(&wheel_events)
+                    .find(|(a, b)| a != b)
+                    .map(|(a, b)| format!("tick {a} vs wheel {b}"));
+                panic!(
+                    "{name}: {} tick events vs {} wheel events; first difference: {}",
+                    tick_events.len(),
+                    wheel_events.len(),
+                    first.unwrap_or_else(|| "a longer tail".into())
+                );
+            }
+        }
+    }
+
+    /// Every core accounts each measured cycle exactly once, by a
+    /// `cycle` call or inside a `skip_span` replay. The lock-step kernel
+    /// never replays or probes; on the 8-core PARSEC apps per-core
+    /// sleep replays a large share of the core-cycles instead of
+    /// running them.
+    #[test]
+    fn kernel_stats_account_every_core_cycle() {
+        let cfg = small_budget();
+        let (mut run, mut replayed) = (0u64, 0u64);
+        for name in PARSEC_MT {
+            let app = AppProfile::by_name(name).unwrap();
+            for kernel in [KernelMode::Tick, KernelMode::Wheel] {
+                let r = Simulation::with_config(&app, &cfg.clone().with_kernel(kernel))
+                    .run_or_panic();
+                let k = r.kernel;
+                let cores = r.per_core.len() as u64;
+                assert_eq!(
+                    k.core_cycles_run + k.core_cycles_replayed,
+                    cores * r.cycles,
+                    "{name} {}: {k:?}",
+                    kernel.label()
+                );
+                if kernel == KernelMode::Tick {
+                    assert_eq!(k.core_cycles_replayed, 0, "{name}");
+                    assert_eq!(k.probes, 0, "{name}");
+                    assert_eq!(k.cycles_entered, r.cycles, "{name}");
+                } else {
+                    assert!(k.cycles_entered <= r.cycles, "{name}: {k:?}");
+                    run += k.core_cycles_run;
+                    replayed += k.core_cycles_replayed;
+                }
+            }
+        }
+        let share = replayed as f64 / (run + replayed) as f64;
+        assert!(share >= 0.4, "replayed share {share:.3}");
     }
 
     /// A squash model at rate 0 must be indistinguishable — bit for
@@ -583,7 +833,6 @@ mod tests {
     /// are all cycle-exact state machines, not approximations.
     #[test]
     fn kernels_match_bit_for_bit_with_squash_storms() {
-        use crate::config::KernelMode;
         use spb_trace::SquashConfig;
         let app = AppProfile::by_name("x264").unwrap();
         let squash = SquashConfig::parse("rate=0.1,depth=8..32,storm=2,seed=5").unwrap();
@@ -623,7 +872,6 @@ mod tests {
     /// the skip-ahead loop clamps its jumps to the watchdog deadline.
     #[test]
     fn watchdog_fires_identically_under_all_kernels() {
-        use crate::config::KernelMode;
         let app = AppProfile::by_name("gcc").unwrap();
         let mut cfg = SimConfig::quick();
         cfg.mem.fault = spb_mem::FaultConfig {

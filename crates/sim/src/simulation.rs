@@ -200,7 +200,7 @@ impl Simulation {
             core: 0,
             kind: EventKind::PhaseBegin(Phase::Measure),
         });
-        advance(
+        let kernel = advance(
             &mut cores,
             &mut mem,
             &mut now,
@@ -271,6 +271,7 @@ impl Simulation {
             burst_lengths,
             energy,
             metrics: MetricsRegistry::new(),
+            kernel,
             wall_ms: wall_start.elapsed().as_secs_f64() * 1000.0,
         };
         result.metrics = build_metrics(&result, threads, warmup_ms, measure_ms);
