@@ -7,7 +7,7 @@
 
 use spb_bench::harness::{Criterion, Throughput};
 use spb_bench::{criterion_group, criterion_main};
-use spb_core::detector::{SpbConfig, SpbDetector};
+use spb_core::{SpbDetector, SpbParams};
 use spb_mem::cache::{CacheArray, CacheGeometry};
 use spb_mem::line::CoherenceState;
 use spb_mem::{MemoryConfig, MemorySystem};
@@ -92,7 +92,7 @@ fn kernels(c: &mut Criterion) {
     g.throughput(Throughput::Elements(STORES));
     g.bench_function("observe_contiguous_stream", |b| {
         b.iter(|| {
-            let mut d = SpbDetector::new(SpbConfig::default());
+            let mut d = SpbDetector::new(SpbParams::default());
             let mut triggers = 0u64;
             for i in 0..STORES {
                 if d.observe_store(i * 8).is_some() {

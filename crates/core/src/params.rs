@@ -16,8 +16,6 @@
 //! rendering (which feeds content-addressed cache keys) is total-ordered
 //! and stable.
 
-use crate::detector::SpbConfig;
-
 /// Inclusive bounds of the detector window `n`.
 pub const N_RANGE: (u32, u32) = (1, 1024);
 /// Inclusive bounds of the explicit burst-threshold override (0 = auto).
@@ -73,11 +71,6 @@ impl Default for SpbParams {
 }
 
 impl SpbParams {
-    /// The paper's shipped configuration.
-    pub fn paper_default() -> Self {
-        Self::default()
-    }
-
     /// A base-detector point: window `n` plus the dedupe switch, every
     /// extended knob at its default.
     pub fn base(n: u32, dedupe: bool) -> Self {
@@ -93,14 +86,6 @@ impl SpbParams {
     /// before the extension knobs existed (`Spb { n, dedupe }`).
     pub fn is_base_only(&self) -> bool {
         self.burst == 0 && self.frac_milli == 1000 && !self.backward && self.cross == 0
-    }
-
-    /// The base-detector projection.
-    pub fn base_config(&self) -> SpbConfig {
-        SpbConfig {
-            n: self.n,
-            dedupe: self.dedupe,
-        }
     }
 
     /// Validates every field against its documented range.
@@ -321,8 +306,7 @@ mod tests {
     #[test]
     fn detector_carries_every_knob() {
         let p = SpbParams::parse_args("n=16,dedupe=off,burst=5,frac=0.25,backward=on,cross=2").unwrap();
-        let d = crate::detector::SpbDetector::with_params(p);
-        assert_eq!(d.config(), SpbConfig { n: 16, dedupe: false });
+        let d = crate::detector::SpbDetector::new(p);
         assert_eq!(d.threshold(), 5);
         // 58 + 4 + 5-bit store counter + direction bit + threshold and
         // page-fraction registers.

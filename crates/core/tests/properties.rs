@@ -1,7 +1,10 @@
 //! Property-based tests for the SPB detector.
 
 use proptest::prelude::*;
-use spb_core::detector::{SpbConfig, SpbDetector, SpbDynamicDetector, BLOCKS_PER_PAGE};
+use spb_core::detector::{SpbDetector, BLOCKS_PER_PAGE};
+use spb_core::{SpbParams, SpbPolicy};
+use spb_cpu::StorePrefetchPolicy;
+use spb_mem::{MemoryConfig, MemorySystem};
 
 proptest! {
     /// No burst ever crosses a 4 KiB page boundary, and bursts are never
@@ -11,7 +14,7 @@ proptest! {
         n in 1u32..64,
         addrs in proptest::collection::vec(0u64..(1 << 30), 1..2000),
     ) {
-        let mut d = SpbDetector::new(SpbConfig { n, dedupe: false });
+        let mut d = SpbDetector::new(SpbParams::base(n, false));
         for addr in addrs {
             if let Some(b) = d.observe_store(addr) {
                 prop_assert!(!b.is_empty());
@@ -30,7 +33,7 @@ proptest! {
     /// checks happen exactly every N+1 observations.
     #[test]
     fn checks_follow_the_window(n in 1u32..64, count in 1usize..4000) {
-        let mut d = SpbDetector::new(SpbConfig { n, dedupe: false });
+        let mut d = SpbDetector::new(SpbParams::base(n, false));
         for i in 0..count as u64 {
             let _ = d.observe_store(i * 8);
         }
@@ -43,14 +46,14 @@ proptest! {
     /// stores that never leaves one block cannot trigger.
     #[test]
     fn contiguous_triggers_same_block_does_not(n in 8u32..49) {
-        let mut contiguous = SpbDetector::new(SpbConfig { n, dedupe: false });
+        let mut contiguous = SpbDetector::new(SpbParams::base(n, false));
         let mut fired = false;
         for i in 0..20_000u64 {
             fired |= contiguous.observe_store(i * 8).is_some();
         }
         prop_assert!(fired, "contiguous stream must trigger for n={n}");
 
-        let mut same_block = SpbDetector::new(SpbConfig { n, dedupe: false });
+        let mut same_block = SpbDetector::new(SpbParams::base(n, false));
         for i in 0..20_000u64 {
             prop_assert_eq!(same_block.observe_store((i % 8) * 8), None);
         }
@@ -60,8 +63,8 @@ proptest! {
     /// never changes which pages are covered first.
     #[test]
     fn dedupe_is_a_filter(addrs in proptest::collection::vec(0u64..(1 << 20), 1..2000)) {
-        let mut plain = SpbDetector::new(SpbConfig { n: 8, dedupe: false });
-        let mut deduped = SpbDetector::new(SpbConfig { n: 8, dedupe: true });
+        let mut plain = SpbDetector::new(SpbParams::base(8, false));
+        let mut deduped = SpbDetector::new(SpbParams::base(8, true));
         let mut plain_bursts = Vec::new();
         let mut deduped_bursts = Vec::new();
         for &addr in &addrs {
@@ -83,7 +86,7 @@ proptest! {
     /// paper's 67-bit figure holds exactly for N ≤ 31 without dedupe.
     #[test]
     fn storage_bits_accounting(n in 1u32..1024) {
-        let d = SpbDetector::new(SpbConfig { n, dedupe: false });
+        let d = SpbDetector::new(SpbParams::base(n, false));
         let count_bits = 32 - n.leading_zeros();
         prop_assert_eq!(d.storage_bits(), 58 + 4 + count_bits);
         // The paper's 67-bit figure corresponds to a 5-bit store counter
@@ -93,19 +96,22 @@ proptest! {
         }
     }
 
-    /// The dynamic variant degenerates to the plain detector when all
-    /// stores are 8 bytes (its adapted size stays 8).
+    /// The dynamic variant degenerates to the plain policy when all
+    /// stores are 8 bytes: the same bursts reach the L1 controller
+    /// after every store.
     #[test]
     fn dynamic_matches_plain_for_8_byte_stores(
         addrs in proptest::collection::vec(0u64..(1 << 20), 1..1500),
     ) {
-        let mut plain = SpbDetector::new(SpbConfig { n: 16, dedupe: true });
-        let mut dynamic = SpbDynamicDetector::new(SpbConfig { n: 16, dedupe: true });
-        for &addr in &addrs {
-            let a = plain.observe_store(addr);
-            let b = dynamic.observe_store(addr, 8);
-            prop_assert_eq!(a, b);
+        let mut plain_mem = MemorySystem::new(MemoryConfig::default());
+        let mut dynamic_mem = MemorySystem::new(MemoryConfig::default());
+        let mut plain = SpbPolicy::new(SpbParams::base(16, true));
+        let mut dynamic = SpbPolicy::dynamic(16);
+        for (i, &addr) in addrs.iter().enumerate() {
+            plain.on_store_commit(&mut plain_mem, 0, addr, 8, 0x400, i as u64);
+            dynamic.on_store_commit(&mut dynamic_mem, 0, addr, 8, 0x400, i as u64);
+            prop_assert_eq!(plain_mem.burst_queue_len(0), dynamic_mem.burst_queue_len(0));
         }
-        prop_assert_eq!(dynamic.adapted_size(), 8);
+        prop_assert_eq!(plain.detector(), dynamic.detector());
     }
 }

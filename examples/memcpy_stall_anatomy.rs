@@ -11,7 +11,7 @@
 
 use store_prefetch_burst::cpu::{config::CoreConfig, core::Core, policy::AtCommitPolicy};
 use store_prefetch_burst::mem::{MemoryConfig, MemorySystem};
-use store_prefetch_burst::spb::detector::{SpbConfig, SpbDetector};
+use store_prefetch_burst::spb::{SpbDetector, SpbParams};
 use store_prefetch_burst::stats::StallCause;
 use store_prefetch_burst::trace::generators::MemcpyGen;
 use store_prefetch_burst::trace::{CodeRegion, OpKind, TraceSource};
@@ -21,7 +21,7 @@ const COPY_BYTES: u64 = 64 * 1024;
 fn main() {
     // --- 1. What does the SPB detector see in this store stream? -------
     let mut probe = MemcpyGen::new(0x1000_0000, 0x2000_0000, COPY_BYTES, CodeRegion::Memcpy, 7);
-    let mut detector = SpbDetector::new(SpbConfig::default());
+    let mut detector = SpbDetector::new(SpbParams::default());
     let mut bursts = Vec::new();
     while let Some(op) = probe.next_op() {
         if let OpKind::Store { addr, .. } = op.kind() {

@@ -13,12 +13,13 @@
 
 use store_prefetch_burst::mem::system::{RfoResponse, StoreDrainOutcome};
 use store_prefetch_burst::mem::{MemoryConfig, MemorySystem, RfoOrigin};
-use store_prefetch_burst::spb::detector::{Burst, SpbConfig, SpbDetector};
+use store_prefetch_burst::spb::detector::{Burst, SpbDetector};
+use store_prefetch_burst::spb::SpbParams;
 
 #[test]
 fn figure4_protocol_sequence() {
     let mut mem = MemorySystem::new(MemoryConfig::default());
-    let mut spb = SpbDetector::new(SpbConfig { n: 8, dedupe: true });
+    let mut spb = SpbDetector::new(SpbParams::base(8, true));
     let pc = 0x400;
 
     // T0: the first store of the burst reaches the head of the SB and
@@ -93,7 +94,7 @@ fn figure4_protocol_sequence() {
 /// The figure's register table: Sat and St Count transitions at T8.
 #[test]
 fn figure4_register_transitions() {
-    let mut spb = SpbDetector::new(SpbConfig { n: 8, dedupe: true });
+    let mut spb = SpbDetector::new(SpbParams::base(8, true));
     for i in 0..8u64 {
         assert_eq!(spb.observe_store(i * 8), None);
     }
