@@ -30,10 +30,9 @@
 
 use crate::CODE_VERSION;
 use spb_sim::config::SimConfig;
-use spb_sim::sweep::SweepRecord;
+use spb_sim::sweep::{write_atomically, SweepRecord};
 use spb_stats::hash::{fnv1a64, hex16};
 use spb_stats::json::Json;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The content-addressed key of one cell result.
@@ -149,17 +148,7 @@ impl ResultCache {
         ]);
         let checksum = Self::body_checksum(&body);
         let v = Json::obj([("body", body), ("checksum", Json::str(checksum))]);
-        let path = self.entry_path(key);
-        let tmp = self
-            .dir
-            .join(format!(".{}.tmp{}", key.file_name(), std::process::id()));
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(format!("{v:#}\n").as_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, &path).inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })?;
+        write_atomically(&self.entry_path(key), &format!("{v:#}\n"))?;
         // Best-effort: a failed eviction only leaves the cache larger
         // than asked, never corrupts an entry.
         self.enforce_bounds();
