@@ -11,7 +11,7 @@
 //!
 //! The event types and the bounded ring themselves live in [`spb_obs`]:
 //! [`crate::system::MemorySystem`] emits one
-//! [`Event`](spb_obs::Event) per protocol action, the checker's
+//! [`Event`] per protocol action, the checker's
 //! [`EventLog`] ring is just one consumer of that stream (cheap: a
 //! struct write, no formatting), and any attached
 //! [`Observer`](spb_obs::Observer) sink sees the same events. The

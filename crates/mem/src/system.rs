@@ -630,7 +630,7 @@ impl MemorySystem {
     /// Checks, in order:
     /// 1. the directory's own records are well formed;
     /// 2. no MSHR file leaks: no duplicate entries, length within
-    ///    capacity, no entry stuck beyond [`MSHR_STUCK_HORIZON`];
+    ///    capacity, no entry stuck beyond `MSHR_STUCK_HORIZON`;
     /// 3. every *stable* line (fill complete by `now`) in a private L1 or
     ///    L2 agrees with the directory: writable lines (M/E) must be
     ///    tracked as `Owned` by this core, readable lines must be tracked

@@ -3,7 +3,7 @@
 //! This is the bounded diagnostic buffer the coherence invariant checker
 //! keeps: always on (when the checker is), O(1) to record, and filtered
 //! per block only when a violation needs its history. It consumes the
-//! same [`Event`] type as every other [`Sink`](crate::sink::Sink), so
+//! same [`Event`] type as every other [`Sink`], so
 //! the checker's ring is just one more consumer of the event stream.
 
 use crate::event::{Event, EventKind};

@@ -3,8 +3,8 @@
 //! The execution entry point is [`crate::simulation::Simulation`]. The
 //! loop itself comes in two bit-identical flavours selected by
 //! [`crate::config::KernelMode`]: the lock-step reference kernel
-//! ([`advance_tick`]) ticks every component every cycle, and the
-//! skip-ahead kernel ([`advance_skip_ahead`], the default) ticks the
+//! (`advance_tick`) ticks every component every cycle, and the
+//! skip-ahead kernel (`advance_skip_ahead`, the default) ticks the
 //! memory system only when it has work and lets each core sleep on its
 //! own: a core that committed nothing is probed for its horizon and
 //! its `cycle` calls are skipped until then, its idle span replayed

@@ -11,9 +11,9 @@
 //!
 //! Three layers:
 //!
-//! - [`space`]: [`TuneSpace`](space::TuneSpace) enumerates candidate
+//! - [`space`]: [`TuneSpace`] enumerates candidate
 //!   points in a canonical order and draws seeded samples from it.
-//! - [`engine`]: [`run_tune`](engine::run_tune) evaluates candidates
+//! - [`engine`]: [`run_tune`] evaluates candidates
 //!   through the supervised sweep executor and the content-addressed
 //!   result cache (`spb-serve`), under a grid / seeded-random /
 //!   successive-halving strategy. Re-running a tune is a cache hit.

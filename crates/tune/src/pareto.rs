@@ -7,7 +7,7 @@
 //! - **cycles** — measured cycles (the paper's performance axis),
 //! - **energy** — total nJ from the `spb-energy` model,
 //! - **coherence traffic** — interconnect messages
-//!   ([`spb_mem::MemStats::coherence_traffic`]).
+//!   (`MemStats::coherence_traffic`).
 //!
 //! A point is on the frontier iff no other point is at least as good on
 //! every objective and strictly better on one.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: everything CI gates on, runnable offline.
 #
-#   scripts/tier1.sh          full check (build, tests, clippy)
+#   scripts/tier1.sh          full check (build, tests, clippy, rustdoc)
 #   scripts/tier1.sh --fast   skip the release build
 #
 # The workspace has no external dependencies (everything external is
@@ -22,4 +22,6 @@ if [[ "$FAST" == 0 ]]; then
 fi
 run cargo test -q --workspace --offline
 run cargo clippy --all-targets --offline -- -D warnings
+# Broken intra-doc links (e.g. to a deleted type) fail the check.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "tier1: OK"
