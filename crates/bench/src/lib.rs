@@ -17,7 +17,7 @@
 pub mod harness;
 pub mod snapshot;
 
-use spb_sim::config::{PolicyKind, SimConfig};
+use spb_sim::config::SimConfig;
 use spb_trace::profile::AppProfile;
 
 /// A short but representative simulation budget for benches: covers at
@@ -44,15 +44,6 @@ pub fn bench_sb_bound_apps() -> Vec<AppProfile> {
         .iter()
         .map(|n| AppProfile::by_name(n).expect("suite app"))
         .collect()
-}
-
-/// The three policies the main figures compare.
-pub fn bench_policies() -> [PolicyKind; 3] {
-    [
-        PolicyKind::AtCommit,
-        PolicyKind::spb_default(),
-        PolicyKind::IdealSb,
-    ]
 }
 
 #[cfg(test)]

@@ -209,11 +209,6 @@ impl Core {
         &self.stats
     }
 
-    /// The policy's display name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Whether the trace ended and all in-flight work has retired.
     pub fn is_drained(&self) -> bool {
         self.trace_done && self.rob.is_empty() && self.sb_pending.is_empty()

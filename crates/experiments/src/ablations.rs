@@ -32,13 +32,14 @@ use spb_stats::Table;
 use spb_trace::profile::AppProfile;
 
 /// The ablation rows: display label + policy spelling.
-const VARIANTS: [(&str, &str); 6] = [
+const VARIANTS: [(&str, &str); 7] = [
     ("spb (shipped)", "spb"),
     ("+ backward bursts", "spb:backward=on"),
     ("+ cross-page (1)", "spb:cross=1"),
     ("+ cross-page (3)", "spb:cross=3"),
     ("no-dedupe", "spb:dedupe=off"),
     ("half-page bursts", "spb:frac=0.5"),
+    ("feedback bursts", "spb-feedback"),
 ];
 
 fn suite_cycles_and_tags(apps: &[AppProfile], cfg: &SimConfig) -> Vec<(u64, u64)> {
@@ -61,14 +62,8 @@ pub fn run(budget: Budget) -> Vec<Table> {
         &["perf vs ideal", "tag checks vs shipped"],
     );
     let mut shipped_tags: Option<Vec<u64>> = None;
-    let rows = VARIANTS
-        .iter()
-        .map(|&(label, spec)| (label, PolicyKind::parse(spec).expect(spec)))
-        .chain(std::iter::once((
-            "feedback bursts",
-            PolicyKind::SpbFeedback { n: 48 },
-        )));
-    for (label, policy) in rows {
+    for (label, spec) in VARIANTS {
+        let policy = PolicyKind::parse(spec).expect(spec);
         let results = suite_cycles_and_tags(&apps, &base_cfg.clone().with_policy(policy));
         let perf: Vec<f64> = results
             .iter()

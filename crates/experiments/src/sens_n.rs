@@ -34,38 +34,24 @@ pub fn run(budget: Budget) -> Vec<Table> {
         &["SB14", "SB28", "SB56"],
     );
     let ideal = SuiteResult::run(&apps, &base.clone().with_policy(PolicyKind::IdealSb));
-    for n in [8u32, 16, 24, 32, 48, 64] {
+    // The N sweep, then the dynamic-S variant and disabling burst dedupe.
+    let windows = [8u32, 16, 24, 32, 48, 64].map(|n| (format!("N={n}"), PolicyKind::spb(n, true)));
+    let ablations = [
+        (
+            "dynamic-S (N=48)".to_string(),
+            PolicyKind::SpbDynamic { n: 48 },
+        ),
+        ("no-dedupe (N=48)".to_string(), PolicyKind::spb(48, false)),
+    ];
+    for (label, policy) in windows.into_iter().chain(ablations) {
         let row: Vec<f64> = sbs
             .iter()
             .map(|&sb| {
-                let cfg = base.clone().with_sb(sb).with_policy(PolicyKind::spb(n, true));
+                let cfg = base.clone().with_sb(sb).with_policy(policy);
                 norm(&SuiteResult::run(&apps, &cfg), &ideal)
             })
             .collect();
-        t.push_row(format!("N={n}"), &row);
+        t.push_row(label, &row);
     }
-    // Ablations: the dynamic-S variant and disabling burst dedupe.
-    let dyn_row: Vec<f64> = sbs
-        .iter()
-        .map(|&sb| {
-            let cfg = base
-                .clone()
-                .with_sb(sb)
-                .with_policy(PolicyKind::SpbDynamic { n: 48 });
-            norm(&SuiteResult::run(&apps, &cfg), &ideal)
-        })
-        .collect();
-    t.push_row("dynamic-S (N=48)", &dyn_row);
-    let nodedupe_row: Vec<f64> = sbs
-        .iter()
-        .map(|&sb| {
-            let cfg = base
-                .clone()
-                .with_sb(sb)
-                .with_policy(PolicyKind::parse("spb:dedupe=off").expect("grammar"));
-            norm(&SuiteResult::run(&apps, &cfg), &ideal)
-        })
-        .collect();
-    t.push_row("no-dedupe (N=48)", &nodedupe_row);
     vec![t]
 }

@@ -109,24 +109,14 @@ impl TuneSpace {
                 }
             }
         }
-        if self.dynamic {
-            for &n in &self.n {
-                for &sb in &self.sb {
-                    points.push(TunePoint {
-                        policy: PolicyKind::SpbDynamic { n },
-                        sb,
-                    });
-                }
-            }
-        }
-        if self.feedback {
-            for &n in &self.n {
-                for &sb in &self.sb {
-                    points.push(TunePoint {
-                        policy: PolicyKind::SpbFeedback { n },
-                        sb,
-                    });
-                }
+        let dynamic = self.n.iter().filter(|_| self.dynamic);
+        let feedback = self.n.iter().filter(|_| self.feedback);
+        let adaptive = dynamic
+            .map(|&n| PolicyKind::SpbDynamic { n })
+            .chain(feedback.map(|&n| PolicyKind::SpbFeedback { n }));
+        for policy in adaptive {
+            for &sb in &self.sb {
+                points.push(TunePoint { policy, sb });
             }
         }
         points
