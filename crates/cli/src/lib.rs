@@ -715,7 +715,7 @@ RUN OPTIONS:
                                         n=1..1024, dedupe=on|off, burst=auto|1..15,
                                         frac=(0,1] (≤3 decimals), backward=on|off,
                                         cross=0..8   e.g. spb:n=32,dedupe=off,burst=3
-                    spb-dynamic[:n=N]   per-core adaptive window
+                    spb-dynamic[:n=N]   §IV-C store-size-adaptive threshold
                     spb-feedback[:n=N]  accuracy-feedback burst throttling
                   the classic spellings parse (and print) exactly as before;
                   every label round-trips: parse(label(p)) == p
