@@ -38,12 +38,12 @@ pub struct BenchRecord {
 
 impl BenchRecord {
     /// Fastest sample, in nanoseconds.
-    pub fn min_ns(&self) -> u64 {
+    pub(crate) fn min_ns(&self) -> u64 {
         self.samples_ns.iter().copied().min().unwrap_or(0)
     }
 
     /// Arithmetic mean, in (fractional) nanoseconds.
-    pub fn mean_ns(&self) -> f64 {
+    pub(crate) fn mean_ns(&self) -> f64 {
         if self.samples_ns.is_empty() {
             return 0.0;
         }
@@ -51,7 +51,7 @@ impl BenchRecord {
     }
 
     /// Median sample, in nanoseconds (midpoint average for even counts).
-    pub fn median_ns(&self) -> f64 {
+    pub(crate) fn median_ns(&self) -> f64 {
         if self.samples_ns.is_empty() {
             return 0.0;
         }
@@ -66,7 +66,7 @@ impl BenchRecord {
     }
 
     /// Elements per second at the median, if a throughput was declared.
-    pub fn per_sec(&self) -> Option<f64> {
+    pub(crate) fn per_sec(&self) -> Option<f64> {
         let med = self.median_ns();
         self.elements
             .filter(|_| med > 0.0)
@@ -75,7 +75,7 @@ impl BenchRecord {
 
     /// Millions of operations per second at the median — the
     /// human-facing throughput number the snapshot records per bench.
-    pub fn mops_per_sec(&self) -> Option<f64> {
+    pub(crate) fn mops_per_sec(&self) -> Option<f64> {
         self.per_sec().map(|p| p / 1e6)
     }
 
@@ -139,7 +139,7 @@ impl BenchSnapshot {
     /// Geometric mean of per-bench median throughput (Mops/s), across
     /// records that declared a throughput. The single headline number a
     /// snapshot carries.
-    pub fn geomean_mops(&self) -> Option<f64> {
+    pub(crate) fn geomean_mops(&self) -> Option<f64> {
         let mut log_sum = 0.0;
         let mut n = 0u32;
         for r in &self.records {
@@ -203,7 +203,7 @@ impl BenchSnapshot {
     /// **minimum** samples: benches run on shared machines, and
     /// contention only ever inflates a sample, so the minimum is the
     /// least-noisy estimate of true cost.
-    pub fn geomean_speedup(&self, new: &BenchSnapshot) -> Option<f64> {
+    pub(crate) fn geomean_speedup(&self, new: &BenchSnapshot) -> Option<f64> {
         let mut log_sum = 0.0;
         let mut n = 0u32;
         for base in &self.records {
@@ -379,8 +379,7 @@ impl GateReport {
 /// `mode` through the public [`Simulation`] entry point: one untimed
 /// warm-up run per cell, then `samples` timed runs. `on_record` fires
 /// as each cell finishes (progress reporting); the returned snapshot
-/// carries every record. Shared by the `bench_snapshot` binary and
-/// `spbsim bench`.
+/// carries every record. The `bench_snapshot` binary's `--out` mode.
 pub fn record_quick_grid(
     mode: KernelMode,
     samples: usize,
@@ -485,7 +484,7 @@ mod tests {
         let g = base.geomean_speedup(&new).unwrap();
         assert!((g - (2.0f64 * (100.0 / 130.0)).sqrt()).abs() < 1e-9);
         // The printed table: one ratio line per common bench, then the
-        // geomean lines both `bench_snapshot` and `spbsim bench` print.
+        // geomean lines `bench_snapshot --compare` prints.
         let table = base.comparison(&new);
         let lines: Vec<&str> = table.lines().collect();
         assert_eq!(lines.len(), 4, "{table}");

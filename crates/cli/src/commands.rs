@@ -52,36 +52,7 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
         } => serve_cmd(&addr, &dir, jobs, queue, retry, deadline_ms),
         Command::Client { addr, action } => client_cmd(&addr, action),
         Command::Tune(o) => tune_cmd(&o),
-        Command::Bench {
-            baseline,
-            kernel,
-            samples,
-        } => bench_cmd(&baseline, kernel, samples),
     }
-}
-
-/// `spbsim bench`: re-time the quick grid under `kernel` and print the
-/// per-bench ratios and the geometric-mean speedup over `baseline`.
-fn bench_cmd(baseline: &str, kernel: spb_sim::KernelMode, samples: usize) -> Result<(), CliError> {
-    use spb_bench::snapshot::BenchSnapshot;
-    let text = std::fs::read_to_string(baseline)
-        .map_err(|e| CliError(format!("reading {baseline}: {e}")))?;
-    let base = BenchSnapshot::parse(&text)
-        .map_err(|e| CliError(format!("{baseline} is not a valid snapshot: {e}")))?;
-    println!(
-        "baseline {baseline} (kernel {}, {} benches); timing fresh grid with kernel {}...",
-        base.kernel,
-        base.records.len(),
-        kernel.label()
-    );
-    let fresh = spb_bench::snapshot::record_quick_grid(kernel, samples, |rec| {
-        let mops = rec
-            .mops_per_sec()
-            .map_or_else(|| "-".into(), |m| format!("{m:.2}"));
-        println!("{:<44} {:>9.2}ms  {mops} Mops/s", rec.name, rec.median_ns() / 1e6);
-    });
-    print!("{}", base.comparison(&fresh));
-    Ok(())
 }
 
 /// Resolves the `--apps` spelling of `spbsim tune`.

@@ -147,16 +147,6 @@ pub enum Command {
     /// Explore the parameterized policy design space and report the
     /// Pareto frontier (cycles × energy × coherence traffic).
     Tune(TuneCmd),
-    /// Re-time the quick benchmark grid and print the geometric-mean
-    /// speedup against a committed `spb-bench-v1` snapshot.
-    Bench {
-        /// Baseline snapshot path (e.g. `BENCH_PR9.json`).
-        baseline: String,
-        /// Execution kernel to time.
-        kernel: KernelMode,
-        /// Timed samples per cell.
-        samples: usize,
-    },
     /// Print usage.
     Help,
 }
@@ -313,7 +303,7 @@ impl RunOpts {
     }
 
     /// Sweep options: `--jobs` if given, else `SPB_JOBS`/auto.
-    pub fn sweep_options(&self) -> spb_sim::sweep::SweepOptions {
+    pub(crate) fn sweep_options(&self) -> spb_sim::sweep::SweepOptions {
         match self.jobs {
             Some(n) => spb_sim::sweep::SweepOptions::with_jobs(n),
             None => spb_sim::sweep::SweepOptions::from_env(),
@@ -637,23 +627,6 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Command, Cli
             }
             Command::Tune(o)
         }
-        "bench" => {
-            let (mut baseline, mut kernel, mut samples) = (None, KernelMode::Wheel, 3);
-            while let Some(f) = args.flag() {
-                match f {
-                    "--baseline" => baseline = Some(args.value(f)?),
-                    "--kernel" => kernel = args.with(f, KernelMode::parse)?,
-                    "--samples" => samples = args.num_in(f, 1..)?,
-                    _ => return Err(unknown(f)),
-                }
-            }
-            let baseline = required(baseline, "bench requires --baseline SNAPSHOT.json")?;
-            Command::Bench {
-                baseline,
-                kernel,
-                samples,
-            }
-        }
         other => {
             let e = format!("unknown command {other:?}; try `spbsim help`");
             return Err(CliError(e));
@@ -662,7 +635,7 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Command, Cli
 }
 
 /// Looks up an application in both suites with a helpful error.
-pub fn find_app(name: &str) -> Result<AppProfile, CliError> {
+pub(crate) fn find_app(name: &str) -> Result<AppProfile, CliError> {
     AppProfile::by_name(name).map_err(|e| CliError(e.to_string()))
 }
 
@@ -696,10 +669,6 @@ USAGE:
                                                 full 230-cell quick grid)
   spbsim client health [--addr H:P]             print the service health snapshot
   spbsim client shutdown [--addr H:P]           stop the service gracefully
-  spbsim bench --baseline SNAPSHOT.json [--kernel wheel|tick] [--samples N]
-                                                re-time the quick benchmark grid and
-                                                print the geomean speedup over the
-                                                committed snapshot
   spbsim tune [--strategy grid|random|halving] [--seed N] [--points N]
               [--apps sb-bound|spec|LIST] [--sb LIST] [--budget quick|paper]
               [--warmup N] [--uops N] [--cache DIR] [--out DIR] [--name NAME]
@@ -797,32 +766,6 @@ mod tests {
             Command::Sweep { cfg, .. } => assert_eq!(cfg.kernel, KernelMode::Tick),
             other => panic!("wrong parse: {other:?}"),
         }
-    }
-
-    #[test]
-    fn parses_bench_against_a_baseline() {
-        let cmd = parse(["bench", "--baseline", "BENCH_PR9.json"]).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Bench {
-                baseline: "BENCH_PR9.json".into(),
-                kernel: KernelMode::Wheel,
-                samples: 3,
-            }
-        );
-        match parse(["bench", "--baseline", "b.json", "--kernel", "event", "--samples", "5"])
-            .unwrap()
-        {
-            Command::Bench {
-                kernel, samples, ..
-            } => {
-                assert_eq!(kernel, KernelMode::Event);
-                assert_eq!(samples, 5);
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        assert!(parse(["bench"]).is_err(), "--baseline is required");
-        assert!(parse(["bench", "--baseline", "b.json", "--samples", "0"]).is_err());
     }
 
     #[test]

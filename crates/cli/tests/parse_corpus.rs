@@ -90,9 +90,9 @@ const GOLDEN: &[(&str, u64, Option<u64>)] = &[
     ("client sweep --app x264,gcc --policy spb --sb 14,56 --retry 3 --name mini --out r.json", 0xe7f662ed28d91d54, None),
     ("client sweep --addr h:1 --app x264 --sb 14 --budget paper --retry 2", 0x823b2f5101a4d884, None),
     ("client sweep --policy spb", 0x260e71b5511389cf, None),
-    ("bench", 0x402e2356981a4ddf, None),
-    ("bench --baseline BENCH_PR9.json", 0xb09ed438e9662d9b, None),
-    ("bench --baseline b.json --kernel event --samples 5", 0x4a1b151348a0109a, None),
+    ("bench", 0x342038ca3ba92d6a, None),
+    ("bench --baseline BENCH_PR9.json", 0x342038ca3ba92d6a, None),
+    ("bench --baseline b.json --kernel event --samples 5", 0x342038ca3ba92d6a, None),
     ("tune", 0xb6ed070871df487d, None),
     ("tune --strategy halving --seed 7 --points 200 --apps sb-bound --sb 14,56 --budget paper --warmup 5000 --uops 20000 --cache /tmp/c --out /tmp/r --name t --jobs 2 --retry 4", 0xac55d9c1b5c99578, None),
     ("tune --frobnicate", 0x0ad2a05334213340, None),

@@ -19,11 +19,11 @@
 /// Inclusive bounds of the detector window `n`.
 pub const N_RANGE: (u32, u32) = (1, 1024);
 /// Inclusive bounds of the explicit burst-threshold override (0 = auto).
-pub const BURST_RANGE: (u8, u8) = (1, 15);
+pub(crate) const BURST_RANGE: (u8, u8) = (1, 15);
 /// Inclusive bounds of the page fraction, in thousandths (`frac=0.5` ⇔ 500).
-pub const FRAC_MILLI_RANGE: (u16, u16) = (1, 1000);
+pub(crate) const FRAC_MILLI_RANGE: (u16, u16) = (1, 1000);
 /// Inclusive bounds of the cross-page extension.
-pub const CROSS_RANGE: (u32, u32) = (0, 8);
+pub(crate) const CROSS_RANGE: (u32, u32) = (0, 8);
 
 /// One sentence naming every key and its range, used verbatim in every
 /// parse error so a bad spelling teaches the full grammar.
@@ -215,7 +215,7 @@ fn switch_label(v: bool) -> &'static str {
 
 /// Parses a page fraction in `(0, 1]` with at most 3 decimal places
 /// into thousandths (`0.5` → 500, `1` → 1000).
-pub fn parse_frac(value: &str) -> Result<u16, String> {
+pub(crate) fn parse_frac(value: &str) -> Result<u16, String> {
     let err = |why: &str| format!("frac={value:?} {why} (valid keys: {KEYS_HELP})");
     let f: f64 = value.parse().map_err(|_| err("is not a number"))?;
     if !(f > 0.0 && f <= 1.0) {
@@ -230,7 +230,7 @@ pub fn parse_frac(value: &str) -> Result<u16, String> {
 
 /// Renders thousandths back to the decimal spelling (`500` → "0.5",
 /// `1000` → "1"); the exact inverse of [`parse_frac`].
-pub fn frac_label(frac_milli: u16) -> String {
+pub(crate) fn frac_label(frac_milli: u16) -> String {
     if frac_milli == 1000 {
         return "1".to_string();
     }

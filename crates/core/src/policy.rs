@@ -298,9 +298,9 @@ impl StoreSize {
 }
 
 /// The page-fraction ladder, in thousandths of the remaining page.
-pub const FEEDBACK_FRAC_LEVELS: [u64; 4] = [250, 500, 750, 1000];
+pub(crate) const FEEDBACK_FRAC_LEVELS: [u64; 4] = [250, 500, 750, 1000];
 /// Burst blocks issued between feedback evaluations.
-pub const FEEDBACK_WINDOW: u64 = 256;
+pub(crate) const FEEDBACK_WINDOW: u64 = 256;
 
 /// Feedback-directed burst sizing (Srinath-style FDP applied to
 /// bursts): the detector decides *when* to burst, and measured

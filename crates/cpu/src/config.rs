@@ -52,7 +52,7 @@ impl CoreConfig {
     }
 
     /// Silvermont-like energy-efficient core (Table II "SLM").
-    pub fn silvermont() -> Self {
+    pub(crate) fn silvermont() -> Self {
         Self {
             dispatch_width: 4,
             commit_width: 4,
@@ -68,7 +68,7 @@ impl CoreConfig {
     }
 
     /// Nehalem-like core (Table II "NHL").
-    pub fn nehalem() -> Self {
+    pub(crate) fn nehalem() -> Self {
         Self {
             dispatch_width: 4,
             commit_width: 4,
@@ -84,7 +84,7 @@ impl CoreConfig {
     }
 
     /// Haswell-like core (Table II "HSW").
-    pub fn haswell() -> Self {
+    pub(crate) fn haswell() -> Self {
         Self {
             dispatch_width: 8,
             commit_width: 8,
@@ -100,7 +100,7 @@ impl CoreConfig {
     }
 
     /// Sunny-Cove-like core (Table II "SNC").
-    pub fn sunny_cove() -> Self {
+    pub(crate) fn sunny_cove() -> Self {
         Self {
             dispatch_width: 8,
             commit_width: 8,

@@ -260,7 +260,7 @@ impl Core {
     /// the pipeline (SMT round-robin): the clock advances and the
     /// memory-boundness metric keeps ticking, but no dispatch, commit,
     /// or drain happens.
-    pub fn tick_idle(&mut self, mem: &mut MemorySystem, now: u64) {
+    pub(crate) fn tick_idle(&mut self, mem: &mut MemorySystem, now: u64) {
         self.topdown.tick();
         if (!self.rob.is_empty() || !self.sb_pending.is_empty())
             && mem.has_pending_demand_miss(self.id, now)

@@ -82,7 +82,7 @@ impl RobRing {
     /// The completion cycle of the oldest entry — the only field the
     /// commit gate and the idle probe read.
     #[inline]
-    pub fn head_complete_at(&self) -> Option<u64> {
+    pub(crate) fn head_complete_at(&self) -> Option<u64> {
         (self.len > 0).then(|| self.complete_at[self.head])
     }
 
@@ -168,13 +168,13 @@ impl SbRing {
 
     /// PC of the store blocking the SB head (Figure 3 region charge).
     #[inline]
-    pub fn front_pc(&self) -> Option<u64> {
+    pub(crate) fn front_pc(&self) -> Option<u64> {
         (self.len > 0).then(|| self.pc[self.head])
     }
 
     /// Address of the youngest SB entry (coalescing candidate).
     #[inline]
-    pub fn back_addr(&self) -> Option<u64> {
+    pub(crate) fn back_addr(&self) -> Option<u64> {
         (self.len > 0).then(|| self.addr[wrap(self.head + self.len - 1, self.cap)])
     }
 
@@ -234,7 +234,7 @@ impl IssueQueue {
     /// Whether `cap` entries are still waiting to issue at `now`.
     /// `now` must not decrease between calls.
     #[inline]
-    pub fn is_full(&mut self, now: u64) -> bool {
+    pub(crate) fn is_full(&mut self, now: u64) -> bool {
         if self.issue_at.len() < self.cap {
             return false;
         }

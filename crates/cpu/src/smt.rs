@@ -88,11 +88,6 @@ impl SmtCore {
         Self { threads, turn: 0 }
     }
 
-    /// Number of hardware threads.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Per-thread access.
     pub fn thread(&self, i: usize) -> &Core {
         &self.threads[i]

@@ -112,11 +112,6 @@ impl EnergyBreakdown {
         self.cache_dynamic_nj + self.core_dynamic_nj + self.dram_dynamic_nj + self.static_nj
     }
 
-    /// Total dynamic energy.
-    pub fn dynamic_nj(&self) -> f64 {
-        self.cache_dynamic_nj + self.core_dynamic_nj + self.dram_dynamic_nj
-    }
-
     /// Energy–delay product in nJ·cycles: the single-number
     /// efficiency score `spbsim tune` prints alongside the raw
     /// objectives (lower is better; rewards saving cycles only when
@@ -198,8 +193,8 @@ mod tests {
     #[test]
     fn zero_events_give_zero_dynamic_energy() {
         let b = EnergyModel::default().evaluate(&EnergyEvents::default());
-        assert_eq!(b.dynamic_nj(), 0.0);
         assert_eq!(b.static_nj, 0.0);
+        assert_eq!(b.total_nj(), 0.0);
     }
 
     #[test]

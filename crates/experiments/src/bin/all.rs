@@ -43,14 +43,13 @@ fn main() {
     }
 
     // The machine-readable JSON sweep report from the same grid.
-    let label = match budget {
-        exp::Budget::Quick => "quick",
-        exp::Budget::Paper => "paper",
-    };
-    let report = grid.to_report(format!("sweep-grid-{label}"));
+    let report = grid.to_report(format!("sweep-grid-{}", budget.label()));
     match report.save(std::path::Path::new("results")) {
         Ok(path) => eprintln!("[all] wrote {}", path.display()),
-        Err(e) => eprintln!("[all] could not write sweep report: {e}"),
+        Err(e) => {
+            eprintln!("[all] could not write sweep report: {e}");
+            std::process::exit(1);
+        }
     }
     eprintln!(
         "[all] total wall time {:.1}s with {} jobs",

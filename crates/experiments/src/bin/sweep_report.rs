@@ -13,10 +13,7 @@ use std::time::Instant;
 fn main() {
     let budget = exp::Budget::from_args();
     let opts = SweepOptions::from_env().progress(true);
-    let label = match budget {
-        exp::Budget::Quick => "quick",
-        exp::Budget::Paper => "paper",
-    };
+    let label = budget.label();
     let start = Instant::now();
     let grid =
         exp::grid::Grid::compute_with(spb_trace::profile::AppProfile::spec2017(), budget, &opts);

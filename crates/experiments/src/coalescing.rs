@@ -11,7 +11,6 @@
 use crate::Budget;
 use spb_sim::config::PolicyKind;
 use spb_sim::suite::SuiteResult;
-use spb_stats::summary::geomean;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
 
@@ -24,22 +23,12 @@ pub fn run(budget: Budget) -> Vec<Table> {
     );
     let base = budget.sim_config();
     let ideal = SuiteResult::run(&apps, &base.clone().with_policy(PolicyKind::IdealSb));
-    let norm = |suite: &SuiteResult| {
-        geomean(
-            &suite
-                .runs
-                .iter()
-                .zip(&ideal.runs)
-                .map(|(r, i)| i.cycles as f64 / r.cycles as f64)
-                .collect::<Vec<_>>(),
-        )
-    };
     let run_cfg = |sb: usize, coalesce: bool, policy: PolicyKind| {
         let mut cfg = base.clone().with_sb(sb).with_policy(policy);
         if coalesce {
             cfg.core = cfg.core.with_coalescing();
         }
-        norm(&SuiteResult::run(&apps, &cfg))
+        SuiteResult::run(&apps, &cfg).geomean_speedup_all(&ideal)
     };
     for (label, coalesce, policy) in [
         ("at-commit", false, PolicyKind::AtCommit),

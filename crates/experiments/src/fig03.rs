@@ -8,6 +8,7 @@
 
 use crate::grid::Grid;
 use crate::Budget;
+use spb_sim::suite::SuiteResult;
 use spb_sim::RunResult;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
@@ -52,11 +53,11 @@ pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
 
 /// Runs the experiment at `budget` (at-commit, 56-entry SB).
 pub fn run(budget: Budget) -> Vec<Table> {
-    let cfg = budget.sim_config();
+    let apps = AppProfile::spec2017_sb_bound();
+    let suite = SuiteResult::run(&apps, &budget.sim_config());
     let mut t = empty_table();
-    for app in AppProfile::spec2017_sb_bound() {
-        let r = spb_sim::Simulation::with_config(&app, &cfg).run_or_panic();
-        t.push_row(app.name(), &region_fractions(&r));
+    for (app, r) in apps.iter().zip(&suite.runs) {
+        t.push_row(app.name(), &region_fractions(r));
     }
     vec![t]
 }

@@ -24,10 +24,10 @@ pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
     );
     for (s, &sb) in SB_SIZES.iter().enumerate() {
         let row_all: Vec<f64> = (0..policies().len())
-            .map(|p| grid.geomean_norm_perf_all(grid.at(p, s)))
+            .map(|p| grid.at(p, s).geomean_speedup_all(&grid.ideal))
             .collect();
         let row_sb: Vec<f64> = (0..policies().len())
-            .map(|p| grid.geomean_norm_perf_sb_bound(grid.at(p, s)))
+            .map(|p| grid.at(p, s).geomean_speedup_sb_bound(&grid.ideal))
             .collect();
         all.push_row(format!("SB{sb}"), &row_all);
         sb_bound.push_row(format!("SB{sb}"), &row_sb);

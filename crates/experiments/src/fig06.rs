@@ -18,10 +18,11 @@ pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
                 format!("Fig. 6 — SB-bound apps normalized to Ideal (SB{sb})"),
                 &cols,
             );
+            let norm: Vec<Vec<f64>> = (0..policies().len())
+                .map(|p| grid.at(p, s).speedup_vs(&grid.ideal))
+                .collect();
             for (a, app) in grid.apps.iter().enumerate() {
-                let row: Vec<f64> = (0..policies().len())
-                    .map(|p| grid.norm_perf_vs_ideal(grid.at(p, s))[a])
-                    .collect();
+                let row: Vec<f64> = norm.iter().map(|n| n[a]).collect();
                 t.push_row(app.name(), &row);
             }
             t

@@ -8,12 +8,18 @@ use crate::grid::{Grid, SB_SIZES};
 use crate::Budget;
 use spb_sim::suite::SuiteResult;
 use spb_stats::summary::geomean;
-use spb_stats::{StallCause, Table};
+use spb_stats::{StallCause, Table, TopDown};
 
-/// Per-suite geomean of SB stalls normalized to a baseline suite. Apps
-/// with (near-)zero baseline stalls are skipped — a ratio over ~nothing
-/// is noise, and the paper's figure is over SB-bound apps anyway.
-pub fn norm_sb_stalls(suite: &SuiteResult, baseline: &SuiteResult, sb_bound_only: bool) -> f64 {
+/// Per-suite geomean of a Top-Down stall count normalized to a
+/// baseline suite. Apps with (near-)zero baseline stalls are skipped — a
+/// ratio over ~nothing is noise, and the paper's figures are over
+/// SB-bound apps anyway.
+fn norm_stalls(
+    suite: &SuiteResult,
+    baseline: &SuiteResult,
+    sb_bound_only: bool,
+    stalls: fn(&TopDown) -> u64,
+) -> f64 {
     let vals: Vec<f64> = suite
         .runs
         .iter()
@@ -21,38 +27,43 @@ pub fn norm_sb_stalls(suite: &SuiteResult, baseline: &SuiteResult, sb_bound_only
         .zip(&suite.sb_bound)
         .filter(|(_, b)| !sb_bound_only || **b)
         .filter_map(|((r, base), _)| {
-            let b = base.topdown.stall_cycles(StallCause::StoreBuffer);
-            (b > 100).then(|| r.topdown.stall_cycles(StallCause::StoreBuffer) as f64 / b as f64)
+            let b = stalls(&base.topdown);
+            (b > 100).then(|| stalls(&r.topdown) as f64 / b as f64)
         })
         .collect();
     geomean(&vals)
 }
 
-/// Builds the Figure 8 tables from the main grid.
-pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
+/// The ALL and SB-BOUND tables of a stall count normalized to
+/// at-commit: at-execute, SPB and the ideal SB at every SB size
+/// (Figures 8 and 14).
+pub(crate) fn stall_tables(
+    grid: &Grid,
+    titles: [&str; 2],
+    stalls: fn(&TopDown) -> u64,
+) -> Vec<Table> {
     let mut out = Vec::new();
-    for (title, bound_only) in [
-        ("Fig. 8 — SB stalls normalized to at-commit (ALL)", false),
-        (
-            "Fig. 8 — SB stalls normalized to at-commit (SB-BOUND)",
-            true,
-        ),
-    ] {
+    for (title, bound_only) in titles.into_iter().zip([false, true]) {
         let mut t = Table::new(title, &["at-execute", "spb", "ideal"]);
         for (s, &sb) in SB_SIZES.iter().enumerate() {
-            let base = grid.at(1, s);
+            let norm = |suite: &SuiteResult| norm_stalls(suite, grid.at(1, s), bound_only, stalls);
             t.push_row(
                 format!("SB{sb}"),
-                &[
-                    norm_sb_stalls(grid.at(0, s), base, bound_only),
-                    norm_sb_stalls(grid.at(2, s), base, bound_only),
-                    norm_sb_stalls(&grid.ideal, base, bound_only),
-                ],
+                &[norm(grid.at(0, s)), norm(grid.at(2, s)), norm(&grid.ideal)],
             );
         }
         out.push(t);
     }
     out
+}
+
+/// Builds the Figure 8 tables from the main grid.
+pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
+    let titles = [
+        "Fig. 8 — SB stalls normalized to at-commit (ALL)",
+        "Fig. 8 — SB stalls normalized to at-commit (SB-BOUND)",
+    ];
+    stall_tables(grid, titles, |t| t.stall_cycles(StallCause::StoreBuffer))
 }
 
 /// Runs the experiment at `budget`.

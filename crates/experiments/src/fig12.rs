@@ -10,12 +10,13 @@ use crate::grid::Grid;
 use crate::Budget;
 use spb_mem::RfoOrigin;
 use spb_sim::config::PolicyKind;
+use spb_sim::suite::SuiteResult;
 use spb_sim::RunResult;
 use spb_stats::summary::geomean;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
 
-fn store_prefetch_traffic(r: &spb_sim::RunResult) -> (u64, u64) {
+fn store_prefetch_traffic(r: &RunResult) -> (u64, u64) {
     let origins = [
         RfoOrigin::AtExecute,
         RfoOrigin::AtCommit,
@@ -84,19 +85,7 @@ pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
 pub fn run(budget: Budget) -> Vec<Table> {
     let cfg = budget.sim_config();
     let apps = AppProfile::spec2017();
-    let ac: Vec<RunResult> = apps
-        .iter()
-        .map(|app| spb_sim::Simulation::with_config(app, &cfg).run_or_panic())
-        .collect();
-    let spb: Vec<RunResult> = apps
-        .iter()
-        .map(|app| {
-            spb_sim::Simulation::with_config(
-                app,
-                &cfg.clone().with_policy(PolicyKind::spb_default()),
-            )
-            .run_or_panic()
-        })
-        .collect();
-    tables_from_runs(&apps, &ac, &spb)
+    let ac = SuiteResult::run(&apps, &cfg);
+    let spb = SuiteResult::run(&apps, &cfg.with_policy(PolicyKind::spb_default()));
+    tables_from_runs(&apps, &ac.runs, &spb.runs)
 }

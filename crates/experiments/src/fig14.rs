@@ -5,56 +5,17 @@
 //! (−27.2% at SB14 overall, −52.8% for SB-bound apps), because bursts
 //! convert long store-miss waits into hits.
 
-use crate::grid::{Grid, SB_SIZES};
+use crate::grid::Grid;
 use crate::Budget;
-use spb_sim::suite::SuiteResult;
-use spb_stats::summary::geomean;
-use spb_stats::Table;
-
-/// Geomean of the L1D-miss-pending stall metric normalized to baseline.
-pub fn norm_l1d_stalls(suite: &SuiteResult, baseline: &SuiteResult, sb_bound_only: bool) -> f64 {
-    let vals: Vec<f64> = suite
-        .runs
-        .iter()
-        .zip(&baseline.runs)
-        .zip(&suite.sb_bound)
-        .filter(|(_, b)| !sb_bound_only || **b)
-        .filter_map(|((r, base), _)| {
-            let b = base.topdown.l1d_miss_pending_stalls();
-            (b > 100).then(|| r.topdown.l1d_miss_pending_stalls() as f64 / b as f64)
-        })
-        .collect();
-    geomean(&vals)
-}
+use spb_stats::{Table, TopDown};
 
 /// Builds the tables from the main grid.
 pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
-    let mut out = Vec::new();
-    for (title, bound_only) in [
-        (
-            "Fig. 14 — execution stalls with L1D miss pending, vs at-commit (ALL)",
-            false,
-        ),
-        (
-            "Fig. 14 — execution stalls with L1D miss pending, vs at-commit (SB-BOUND)",
-            true,
-        ),
-    ] {
-        let mut t = Table::new(title, &["at-execute", "spb", "ideal"]);
-        for (s, &sb) in SB_SIZES.iter().enumerate() {
-            let base = grid.at(1, s);
-            t.push_row(
-                format!("SB{sb}"),
-                &[
-                    norm_l1d_stalls(grid.at(0, s), base, bound_only),
-                    norm_l1d_stalls(grid.at(2, s), base, bound_only),
-                    norm_l1d_stalls(&grid.ideal, base, bound_only),
-                ],
-            );
-        }
-        out.push(t);
-    }
-    out
+    let titles = [
+        "Fig. 14 — execution stalls with L1D miss pending, vs at-commit (ALL)",
+        "Fig. 14 — execution stalls with L1D miss pending, vs at-commit (SB-BOUND)",
+    ];
+    crate::fig08::stall_tables(grid, titles, TopDown::l1d_miss_pending_stalls)
 }
 
 /// Runs the experiment at `budget`.

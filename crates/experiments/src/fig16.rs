@@ -10,21 +10,8 @@ use crate::Budget;
 use spb_mem::prefetch::PrefetcherKind;
 use spb_sim::config::PolicyKind;
 use spb_sim::suite::SuiteResult;
-use spb_stats::summary::geomean;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
-
-fn norm_perf(suite: &SuiteResult, ideal: &SuiteResult, sb_bound_only: bool) -> f64 {
-    let vals: Vec<f64> = suite
-        .runs
-        .iter()
-        .zip(&ideal.runs)
-        .zip(&suite.sb_bound)
-        .filter(|(_, b)| !sb_bound_only || **b)
-        .map(|((r, i), _)| i.cycles as f64 / r.cycles as f64)
-        .collect();
-    geomean(&vals)
-}
 
 /// Runs the experiment at `budget` (SB56 and SB14).
 pub fn run(budget: Budget) -> Vec<Table> {
@@ -35,7 +22,14 @@ pub fn run(budget: Budget) -> Vec<Table> {
         ("adaptive", PrefetcherKind::Adaptive),
     ];
     let mut tables = Vec::new();
-    for (scope, bound_only) in [("ALL", false), ("SB-BOUND", true)] {
+    for (scope, sb_bound_only) in [("ALL", false), ("SB-BOUND", true)] {
+        let norm = |suite: &SuiteResult, ideal: &SuiteResult| {
+            if sb_bound_only {
+                suite.geomean_speedup_sb_bound(ideal)
+            } else {
+                suite.geomean_speedup_all(ideal)
+            }
+        };
         let mut t = Table::new(
             format!("Fig. 16 — perf normalized to Ideal + same prefetcher ({scope})"),
             &["at-commit SB56", "spb SB56", "at-commit SB14", "spb SB14"],
@@ -61,10 +55,10 @@ pub fn run(budget: Budget) -> Vec<Table> {
             t.push_row(
                 name,
                 &[
-                    norm_perf(&ac56, &ideal, bound_only),
-                    norm_perf(&spb56, &ideal, bound_only),
-                    norm_perf(&ac14, &ideal, bound_only),
-                    norm_perf(&spb14, &ideal, bound_only),
+                    norm(&ac56, &ideal),
+                    norm(&spb56, &ideal),
+                    norm(&ac14, &ideal),
+                    norm(&spb14, &ideal),
                 ],
             );
         }

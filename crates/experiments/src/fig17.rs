@@ -10,27 +10,21 @@ use crate::Budget;
 use spb_cpu::CoreConfig;
 use spb_sim::config::PolicyKind;
 use spb_sim::suite::SuiteResult;
-use spb_stats::summary::geomean;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
-
-fn norm(suite: &SuiteResult, ideal: &SuiteResult, sb_bound_only: bool) -> f64 {
-    let vals: Vec<f64> = suite
-        .runs
-        .iter()
-        .zip(&ideal.runs)
-        .zip(&suite.sb_bound)
-        .filter(|(_, b)| !sb_bound_only || **b)
-        .map(|((r, i), _)| i.cycles as f64 / r.cycles as f64)
-        .collect();
-    geomean(&vals)
-}
 
 /// Runs the experiment at `budget`.
 pub fn run(budget: Budget) -> Vec<Table> {
     let apps = AppProfile::spec2017();
     let mut tables = Vec::new();
-    for (scope, bound_only) in [("ALL", false), ("SB-BOUND", true)] {
+    for (scope, sb_bound_only) in [("ALL", false), ("SB-BOUND", true)] {
+        let norm = |suite: &SuiteResult, ideal: &SuiteResult| {
+            if sb_bound_only {
+                suite.geomean_speedup_sb_bound(ideal)
+            } else {
+                suite.geomean_speedup_all(ideal)
+            }
+        };
         let mut t = Table::new(
             format!("Fig. 17 — perf normalized to Ideal per core configuration ({scope})"),
             &["at-commit full", "spb full", "at-commit half", "spb half"],
@@ -58,10 +52,10 @@ pub fn run(budget: Budget) -> Vec<Table> {
             t.push_row(
                 name,
                 &[
-                    norm(&ac_full, &ideal, bound_only),
-                    norm(&spb_full, &ideal, bound_only),
-                    norm(&ac_half, &ideal, bound_only),
-                    norm(&spb_half, &ideal, bound_only),
+                    norm(&ac_full, &ideal),
+                    norm(&spb_full, &ideal),
+                    norm(&ac_half, &ideal),
+                    norm(&spb_half, &ideal),
                 ],
             );
         }

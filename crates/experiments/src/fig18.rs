@@ -9,13 +9,8 @@
 use crate::Budget;
 use spb_sim::config::PolicyKind;
 use spb_sim::suite::SuiteResult;
-use spb_stats::summary::geomean;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
-
-fn norm(suite: &SuiteResult, ideal: &SuiteResult, a: usize) -> f64 {
-    ideal.runs[a].cycles as f64 / suite.runs[a].cycles as f64
-}
 
 /// Runs the experiment at `budget`.
 pub fn run(budget: Budget) -> Vec<Table> {
@@ -41,39 +36,22 @@ pub fn run(budget: Budget) -> Vec<Table> {
         "Fig. 18 — PARSEC (8 threads) normalized to Ideal",
         &["at-commit SB56", "spb SB56", "at-commit SB14", "spb SB14"],
     );
-    let mut rows_all: Vec<[f64; 4]> = Vec::new();
-    let mut rows_bound: Vec<[f64; 4]> = Vec::new();
+    let suites = [&ac56, &spb56, &ac14, &spb14];
+    let norm: Vec<Vec<f64>> = suites.iter().map(|s| s.speedup_vs(&ideal)).collect();
     for (a, app) in apps.iter().enumerate() {
-        let row = [
-            norm(&ac56, &ideal, a),
-            norm(&spb56, &ideal, a),
-            norm(&ac14, &ideal, a),
-            norm(&spb14, &ideal, a),
-        ];
         if app.is_sb_bound() {
-            t.push_row(app.name(), &row);
-            rows_bound.push(row);
+            t.push_row(app.name(), &norm.iter().map(|n| n[a]).collect::<Vec<_>>());
         }
-        rows_all.push(row);
     }
-    let gm = |rows: &[[f64; 4]], i: usize| geomean(&rows.iter().map(|r| r[i]).collect::<Vec<_>>());
-    t.push_row(
-        "SB-BOUND",
-        &[
-            gm(&rows_bound, 0),
-            gm(&rows_bound, 1),
-            gm(&rows_bound, 2),
-            gm(&rows_bound, 3),
-        ],
-    );
-    t.push_row(
-        "ALL",
-        &[
-            gm(&rows_all, 0),
-            gm(&rows_all, 1),
-            gm(&rows_all, 2),
-            gm(&rows_all, 3),
-        ],
-    );
+    let sb_bound: Vec<f64> = suites
+        .iter()
+        .map(|s| s.geomean_speedup_sb_bound(&ideal))
+        .collect();
+    t.push_row("SB-BOUND", &sb_bound);
+    let all: Vec<f64> = suites
+        .iter()
+        .map(|s| s.geomean_speedup_all(&ideal))
+        .collect();
+    t.push_row("ALL", &all);
     vec![t]
 }

@@ -91,41 +91,13 @@ impl Grid {
     }
 
     /// Only the SB-bound subset (for per-application figures).
-    pub fn spec_sb_bound(budget: Budget) -> Self {
+    pub(crate) fn spec_sb_bound(budget: Budget) -> Self {
         Self::compute(AppProfile::spec2017_sb_bound(), budget)
     }
 
     /// The result set for (policy index, SB index).
     pub fn at(&self, policy_idx: usize, sb_idx: usize) -> &SuiteResult {
         &self.results[policy_idx][sb_idx]
-    }
-
-    /// Per-application performance of `suite` normalized to the ideal SB
-    /// (`ideal_cycles / cycles`; 1.0 = matches ideal).
-    pub fn norm_perf_vs_ideal(&self, suite: &SuiteResult) -> Vec<f64> {
-        suite
-            .runs
-            .iter()
-            .zip(&self.ideal.runs)
-            .map(|(r, i)| i.cycles as f64 / r.cycles as f64)
-            .collect()
-    }
-
-    /// Geometric-mean normalized performance over all applications.
-    pub fn geomean_norm_perf_all(&self, suite: &SuiteResult) -> f64 {
-        spb_stats::summary::geomean(&self.norm_perf_vs_ideal(suite))
-    }
-
-    /// Geometric-mean normalized performance over the SB-bound subset.
-    pub fn geomean_norm_perf_sb_bound(&self, suite: &SuiteResult) -> f64 {
-        let vals: Vec<f64> = self
-            .norm_perf_vs_ideal(suite)
-            .into_iter()
-            .zip(&suite.sb_bound)
-            .filter(|(_, sb)| **sb)
-            .map(|(v, _)| v)
-            .collect();
-        spb_stats::summary::geomean(&vals)
     }
 }
 
@@ -143,7 +115,7 @@ mod tests {
         assert_eq!(grid.results.len(), 3);
         assert_eq!(grid.results[0].len(), 3);
         assert_eq!(grid.ideal.runs.len(), 2);
-        let norm = grid.norm_perf_vs_ideal(grid.at(1, 2));
+        let norm = grid.at(1, 2).speedup_vs(&grid.ideal);
         assert_eq!(norm.len(), 2);
         // 1 ideal + 3 policies × 3 SB sizes, each over 2 apps.
         let report = grid.to_report("unit");

@@ -43,55 +43,7 @@ pub mod sb20;
 pub mod sens_n;
 pub mod tab1;
 
-use spb_sim::SimConfig;
-
-/// How much simulation to spend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Budget {
-    /// Small budgets for smoke tests and benches.
-    Quick,
-    /// The budget used for the recorded EXPERIMENTS.md results.
-    Paper,
-}
-
-impl Budget {
-    /// Parses the only option an experiment binary takes, `--quick`, from
-    /// argv (default: [`Budget::Paper`]). Any other argument exits with
-    /// status 2, as under `spbsim experiment`.
-    pub fn from_args() -> Budget {
-        Self::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-            let bin = std::env::args().next().unwrap_or_default();
-            eprintln!("{bin}: {e}");
-            std::process::exit(2);
-        })
-    }
-
-    /// [`Budget::from_args`] over an explicit argument list.
-    pub fn parse_args<S: AsRef<str>>(args: impl IntoIterator<Item = S>) -> Result<Budget, String> {
-        args.into_iter()
-            .try_fold(Budget::Paper, |_, a| match a.as_ref() {
-                "--quick" => Ok(Budget::Quick),
-                other => Err(format!("unknown argument {other:?}")),
-            })
-    }
-
-    /// The base simulation configuration for this budget.
-    pub fn sim_config(self) -> SimConfig {
-        match self {
-            Budget::Quick => SimConfig::quick(),
-            Budget::Paper => SimConfig::paper_default(),
-        }
-    }
-
-    /// A scaled-down configuration for 8-thread PARSEC runs, keeping
-    /// total simulated work comparable to a single-threaded run.
-    pub fn parsec_sim_config(self) -> SimConfig {
-        let mut cfg = self.sim_config();
-        cfg.warmup_uops /= 4;
-        cfg.measure_uops /= 4;
-        cfg
-    }
-}
+pub use spb_sim::config::Budget;
 
 /// Prints a list of tables with blank lines between them (the common
 /// tail of every experiment binary).

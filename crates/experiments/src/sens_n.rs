@@ -8,21 +8,8 @@
 use crate::Budget;
 use spb_sim::config::PolicyKind;
 use spb_sim::suite::SuiteResult;
-use spb_stats::summary::geomean;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
-
-fn norm(suite: &SuiteResult, ideal: &SuiteResult) -> f64 {
-    let vals: Vec<f64> = suite
-        .runs
-        .iter()
-        .zip(&ideal.runs)
-        .zip(&suite.sb_bound)
-        .filter(|(_, b)| **b)
-        .map(|((r, i), _)| i.cycles as f64 / r.cycles as f64)
-        .collect();
-    geomean(&vals)
-}
 
 /// Runs the experiment at `budget` over the SB-bound subset.
 pub fn run(budget: Budget) -> Vec<Table> {
@@ -48,7 +35,7 @@ pub fn run(budget: Budget) -> Vec<Table> {
             .iter()
             .map(|&sb| {
                 let cfg = base.clone().with_sb(sb).with_policy(policy);
-                norm(&SuiteResult::run(&apps, &cfg), &ideal)
+                SuiteResult::run(&apps, &cfg).geomean_speedup_sb_bound(&ideal)
             })
             .collect();
         t.push_row(label, &row);

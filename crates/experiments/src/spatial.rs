@@ -15,7 +15,6 @@ use crate::Budget;
 use spb_mem::prefetch::PrefetcherKind;
 use spb_sim::config::PolicyKind;
 use spb_sim::suite::SuiteResult;
-use spb_stats::summary::geomean;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
 
@@ -30,16 +29,7 @@ pub fn run(budget: Budget) -> Vec<Table> {
     let mut base_cfg = budget.sim_config().with_sb(14);
     base_cfg.mem.prefetcher = PrefetcherKind::Stride;
     let ideal = SuiteResult::run(&apps, &base_cfg.clone().with_policy(PolicyKind::IdealSb));
-    let norm = |suite: &SuiteResult| {
-        geomean(
-            &suite
-                .runs
-                .iter()
-                .zip(&ideal.runs)
-                .map(|(r, i)| i.cycles as f64 / r.cycles as f64)
-                .collect::<Vec<_>>(),
-        )
-    };
+    let norm = |suite: &SuiteResult| suite.geomean_speedup_all(&ideal);
     for (label, pk) in [
         ("stride", PrefetcherKind::Stride),
         ("spatial", PrefetcherKind::Spatial),

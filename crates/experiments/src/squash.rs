@@ -45,7 +45,7 @@ fn storm(rate: f64) -> SquashConfig {
 }
 
 /// Builds the waste-curve tables for `apps` on top of `base`.
-pub fn tables_for(apps: &[AppProfile], base: &SimConfig) -> Vec<Table> {
+pub(crate) fn tables_for(apps: &[AppProfile], base: &SimConfig) -> Vec<Table> {
     let cols: Vec<&str> = policies().iter().map(|(l, _)| *l).collect();
     let mut rfos = Table::new(
         "Squash storms — wasted RFOs per 1k committed µops (SB14)",

@@ -9,7 +9,6 @@
 use crate::Budget;
 use spb_sim::config::PolicyKind;
 use spb_sim::suite::SuiteResult;
-use spb_stats::summary::geomean;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
 
@@ -27,16 +26,10 @@ pub fn run(budget: Budget) -> Vec<Table> {
         let ideal = SuiteResult::run(&apps, &cfg.clone().with_policy(PolicyKind::IdealSb));
         let ac = SuiteResult::run(&apps, &cfg.clone());
         let spb = SuiteResult::run(&apps, &cfg.clone().with_policy(PolicyKind::spb_default()));
-        let norm = |s: &SuiteResult| {
-            geomean(
-                &s.runs
-                    .iter()
-                    .zip(&ideal.runs)
-                    .map(|(r, i)| i.cycles as f64 / r.cycles as f64)
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let (a, b) = (norm(&ac), norm(&spb));
+        let (a, b) = (
+            ac.geomean_speedup_all(&ideal),
+            spb.geomean_speedup_all(&ideal),
+        );
         let gain = (b / a - 1.0) * 100.0;
         gains.push(gain);
         t.push_row(format!("seed {seed}"), &[a, b, gain]);

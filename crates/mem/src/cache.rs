@@ -38,7 +38,7 @@ impl CacheGeometry {
     ///
     /// Panics if the size is not an exact multiple of `ways * block_bytes`,
     /// or if the resulting set count is not a power of two (the set index
-    /// is a mask, see [`CacheGeometry::set_of`]).
+    /// is a mask of the block's low bits).
     pub fn new(size_bytes: u64, ways: usize) -> Self {
         let g = Self {
             size_bytes,
@@ -70,11 +70,6 @@ impl CacheGeometry {
     /// count is a power of two).
     fn set_mask(&self) -> u64 {
         self.sets() as u64 - 1
-    }
-
-    /// The set a block maps into: the block's low `log2(sets())` bits.
-    pub fn set_of(&self, block: u64) -> usize {
-        (block & self.set_mask()) as usize
     }
 }
 
@@ -145,7 +140,7 @@ impl LineMut<'_> {
     }
 
     /// Rewrites the coherence state (e.g. an in-place upgrade to M).
-    pub fn set_state(&mut self, state: CoherenceState) {
+    pub(crate) fn set_state(&mut self, state: CoherenceState) {
         debug_assert!(
             state != CoherenceState::Invalid,
             "invalidate lines via CacheArray::invalidate"
@@ -163,7 +158,7 @@ impl LineMut<'_> {
     }
 
     /// Moves the fill-completion cycle (upgrade in flight).
-    pub fn set_ready(&mut self, ready: u64) {
+    pub(crate) fn set_ready(&mut self, ready: u64) {
         if self.arr.ready[self.idx] != ready {
             self.arr.ready[self.idx] = ready;
             let block = self.arr.tag[self.idx];
@@ -177,7 +172,7 @@ impl LineMut<'_> {
     }
 
     /// Marks the line dirty (or clean).
-    pub fn set_dirty(&mut self, dirty: bool) {
+    pub(crate) fn set_dirty(&mut self, dirty: bool) {
         self.arr.dirty[self.idx] = dirty;
     }
 
@@ -224,23 +219,18 @@ impl CacheArray {
     /// Starts recording every block whose checker-visible lanes change
     /// into the mutation log. Off by default so arrays nobody audits
     /// (the shared L3, standalone tests) pay nothing.
-    pub fn enable_mutation_log(&mut self) {
+    pub(crate) fn enable_mutation_log(&mut self) {
         self.log_mutations = true;
-    }
-
-    /// Whether the mutation log is being recorded.
-    pub fn logs_mutations(&self) -> bool {
-        self.log_mutations
     }
 
     /// Blocks mutated since the last [`CacheArray::clear_mutation_log`],
     /// in write order (duplicates possible).
-    pub fn mutation_log(&self) -> &[u64] {
+    pub(crate) fn mutation_log(&self) -> &[u64] {
         &self.mutated
     }
 
     /// Forgets the recorded mutations (the checker consumed them).
-    pub fn clear_mutation_log(&mut self) {
+    pub(crate) fn clear_mutation_log(&mut self) {
         self.mutated.clear();
     }
 
@@ -257,16 +247,16 @@ impl CacheArray {
     }
 
     /// Number of tag-array checks performed so far (Figure 13's metric).
-    pub fn tag_checks(&self) -> u64 {
+    pub(crate) fn tag_checks(&self) -> u64 {
         self.tag_checks
     }
 
     /// Resets the tag-check counter (end of warm-up).
-    pub fn reset_tag_checks(&mut self) {
+    pub(crate) fn reset_tag_checks(&mut self) {
         self.tag_checks = 0;
     }
 
-    /// The first lane of `block`'s set ([`CacheGeometry::set_of`]).
+    /// The first lane of `block`'s set (the block's low `log2(sets)` bits).
     fn set_start(&self, block: u64) -> usize {
         (block & self.set_mask) as usize * self.geometry.ways
     }
@@ -424,7 +414,7 @@ impl CacheArray {
 
     /// Iterates `(block, state, ready)` of every valid line, touching
     /// only those three lanes — the invariant checker's periodic sweep.
-    pub fn iter_valid_meta(&self) -> impl Iterator<Item = (u64, CoherenceState, u64)> + '_ {
+    pub(crate) fn iter_valid_meta(&self) -> impl Iterator<Item = (u64, CoherenceState, u64)> + '_ {
         self.tag
             .iter()
             .enumerate()
@@ -447,8 +437,6 @@ mod tests {
         let g = CacheGeometry::new(32 * 1024, 8);
         assert_eq!(g.sets(), 64);
         assert_eq!(g.lines(), 512);
-        assert_eq!(g.set_of(64), 0);
-        assert_eq!(g.set_of(65), 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::fmt;
 use std::ops::Deref;
 
 /// Maximum number of cores the sharer bitmask supports.
-pub const MAX_CORES: usize = 16;
+pub(crate) const MAX_CORES: usize = 16;
 
 /// A block's directory entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +44,7 @@ impl Default for DirEntry {
 /// An inline set of core ids to invalidate.
 ///
 /// Exclusive requests used to heap-allocate a `Vec<u8>` per remote
-/// invalidation; the sharer mask bounds the set by [`MAX_CORES`], so it
+/// invalidation; the sharer mask bounds the set by 16 cores, so it
 /// fits in a fixed array on the stack. Derefs to a slice for iteration
 /// and comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,7 +140,6 @@ pub struct Directory {
     log_mutations: bool,
     invalidations_sent: u64,
     downgrades_sent: u64,
-    reinstates: u64,
 }
 
 impl Directory {
@@ -148,7 +147,8 @@ impl Directory {
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is zero or exceeds [`MAX_CORES`].
+    /// Panics if `cores` is zero or exceeds 16 (the sharer mask's
+    /// width).
     pub fn new(cores: usize) -> Self {
         assert!(
             cores > 0 && cores <= MAX_CORES,
@@ -162,24 +162,23 @@ impl Directory {
             log_mutations: false,
             invalidations_sent: 0,
             downgrades_sent: 0,
-            reinstates: 0,
         }
     }
 
     /// Starts recording every entry write/removal into the mutation log.
     /// Off by default so standalone directories pay nothing.
-    pub fn enable_mutation_log(&mut self) {
+    pub(crate) fn enable_mutation_log(&mut self) {
         self.log_mutations = true;
     }
 
     /// Blocks whose entry changed since the last
     /// [`Directory::clear_mutation_log`], in write order.
-    pub fn mutation_log(&self) -> &[u64] {
+    pub(crate) fn mutation_log(&self) -> &[u64] {
         &self.mutated
     }
 
     /// Forgets the recorded mutations (the checker consumed them).
-    pub fn clear_mutation_log(&mut self) {
+    pub(crate) fn clear_mutation_log(&mut self) {
         self.mutated.clear();
     }
 
@@ -191,16 +190,6 @@ impl Directory {
     /// Current entry for `block`, if any core caches it.
     pub fn entry(&self, block: u64) -> Option<DirEntry> {
         self.entries.get(block).copied()
-    }
-
-    /// Total invalidation messages generated.
-    pub fn invalidations_sent(&self) -> u64 {
-        self.invalidations_sent
-    }
-
-    /// Total downgrade messages generated.
-    pub fn downgrades_sent(&self) -> u64 {
-        self.downgrades_sent
     }
 
     /// Why `e` is malformed for a `cores`-core directory, if it is.
@@ -321,21 +310,13 @@ impl Directory {
     /// Without this, the reinstated copy would be invisible to the
     /// directory: a later exclusive request by another core would not
     /// invalidate it and the single-writer invariant could break. The
-    /// call sends no messages and touches no counters other than
-    /// [`Directory::reinstates`], so it cannot perturb timing on its
-    /// own.
-    pub fn reinstate_owner(&mut self, core: u8, block: u64) {
+    /// call sends no messages and touches no counters, so it cannot
+    /// perturb timing on its own.
+    pub(crate) fn reinstate_owner(&mut self, core: u8, block: u64) {
         assert!((core as usize) < self.cores, "core id out of range");
         if !self.entries.contains(block) {
             self.set(block, DirEntry::Owned { owner: core });
-            self.reinstates += 1;
         }
-    }
-
-    /// How many times [`Directory::reinstate_owner`] actually re-created
-    /// a forgotten entry.
-    pub fn reinstates(&self) -> u64 {
-        self.reinstates
     }
 
     /// Core `core` evicted its copy of `block`; the directory forgets it.
@@ -369,7 +350,7 @@ impl Directory {
     /// O(1) in the healthy case: every write validates its entry and
     /// maintains the malformed-block list, so this only has work to do
     /// when a directory bug already happened.
-    pub fn find_malformed(&self) -> Option<(u64, String)> {
+    pub(crate) fn find_malformed(&self) -> Option<(u64, String)> {
         let &block = self.malformed.first()?;
         let e = self.entries.get(block)?;
         Self::malformed_why(e, self.cores).map(|why| (block, why))
@@ -392,7 +373,7 @@ impl Directory {
     }
 
     /// Iterates over all tracked blocks and their entries.
-    pub fn iter_entries(&self) -> impl Iterator<Item = (u64, DirEntry)> + '_ {
+    pub(crate) fn iter_entries(&self) -> impl Iterator<Item = (u64, DirEntry)> + '_ {
         self.entries.iter().map(|(b, &e)| (b, e))
     }
 }
@@ -428,7 +409,7 @@ mod tests {
         let a = d.request_shared(1, 7);
         assert_eq!(a.downgrade, Some(0));
         assert_eq!(d.entry(7), Some(DirEntry::Shared { sharers: 0b11 }));
-        assert_eq!(d.downgrades_sent(), 1);
+        assert_eq!(d.downgrades_sent, 1);
     }
 
     #[test]
@@ -522,12 +503,10 @@ mod tests {
         // Forgotten block: reinstate re-registers ownership.
         d.reinstate_owner(1, 9);
         assert_eq!(d.entry(9), Some(DirEntry::Owned { owner: 1 }));
-        assert_eq!(d.reinstates(), 1);
         // Tracked block: reinstate must not clobber the real state.
         d.request_exclusive(0, 10);
         d.reinstate_owner(1, 10);
         assert_eq!(d.entry(10), Some(DirEntry::Owned { owner: 0 }));
-        assert_eq!(d.reinstates(), 1);
     }
 
     #[test]

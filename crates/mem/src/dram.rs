@@ -112,11 +112,6 @@ impl DramPort {
         self.accesses
     }
 
-    /// Accesses that hit an open row.
-    pub fn row_hits(&self) -> u64 {
-        self.row_hits
-    }
-
     /// Total write-backs absorbed.
     pub fn writebacks(&self) -> u64 {
         self.writebacks
@@ -124,7 +119,7 @@ impl DramPort {
 
     /// Channels still servicing a request at `now` — a cheap queue-
     /// pressure reading sampled by the observability layer.
-    pub fn busy_channels(&self, now: u64) -> usize {
+    pub(crate) fn busy_channels(&self, now: u64) -> usize {
         self.next_free.iter().filter(|&&t| t > now).count()
     }
 
@@ -157,7 +152,7 @@ impl DramPort {
 
     /// Absorbs a write-back: consumes channel bandwidth (and the open
     /// row) but nobody waits for its completion.
-    pub fn writeback(&mut self, now: u64, block: u64) {
+    pub(crate) fn writeback(&mut self, now: u64, block: u64) {
         self.writebacks += 1;
         let (ch, row) = self.channel_and_row(block);
         let start = self.next_free[ch].max(now);
@@ -166,7 +161,7 @@ impl DramPort {
     }
 
     /// Resets counters (end of warm-up) but keeps channel/row state.
-    pub fn reset_counters(&mut self) {
+    pub(crate) fn reset_counters(&mut self) {
         self.accesses = 0;
         self.row_hits = 0;
         self.writebacks = 0;
@@ -191,7 +186,7 @@ mod tests {
     fn first_access_is_a_row_miss() {
         let mut d = one_channel();
         assert_eq!(d.access(5, 0), 105);
-        assert_eq!(d.row_hits(), 0);
+        assert_eq!(d.row_hits, 0);
     }
 
     #[test]
@@ -203,7 +198,7 @@ mod tests {
         assert_eq!(a, 100);
         assert_eq!(b, 68, "row hit from the second transfer slot");
         assert_eq!(c, 76);
-        assert_eq!(d.row_hits(), 2);
+        assert_eq!(d.row_hits, 2);
     }
 
     #[test]
@@ -214,7 +209,7 @@ mod tests {
         assert_eq!(b, 108, "8 (queue) + 100 (row miss)");
         let c = d.access(0, 0); // row 0 again: conflict again
         assert_eq!(c, 116);
-        assert_eq!(d.row_hits(), 0);
+        assert_eq!(d.row_hits, 0);
     }
 
     #[test]
@@ -269,7 +264,7 @@ mod tests {
         let _ = d.access(0, 0);
         d.reset_counters();
         assert_eq!(d.accesses(), 0);
-        assert_eq!(d.row_hits(), 0);
+        assert_eq!(d.row_hits, 0);
         let b = d.access(0, 1);
         assert_eq!(b, 68, "row state survives the counter reset");
     }

@@ -167,7 +167,7 @@ impl FaultPlan {
     /// Resets the fired-fault counters (end of warm-up). The decision
     /// stream itself keeps advancing — determinism comes from the draw
     /// counters, which are never reset.
-    pub fn reset_counts(&mut self) {
+    pub(crate) fn reset_counts(&mut self) {
         self.counts = FaultCounts::default();
     }
 
@@ -185,7 +185,7 @@ impl FaultPlan {
     }
 
     /// Extra cycles to add to a store-prefetch ack, if this one is hit.
-    pub fn ack_delay(&mut self) -> Option<u64> {
+    pub(crate) fn ack_delay(&mut self) -> Option<u64> {
         if self.roll(Site::AckDelay, self.config.ack_delay_rate) {
             self.counts.acks_delayed += 1;
             Some(self.config.ack_delay_cycles)
@@ -214,7 +214,7 @@ impl FaultPlan {
     }
 
     /// Whether this SPB burst block is dropped instead of issued.
-    pub fn drop_burst_block(&mut self) -> bool {
+    pub(crate) fn drop_burst_block(&mut self) -> bool {
         let hit = self.roll(Site::BurstDrop, self.config.burst_drop_rate);
         if hit {
             self.counts.bursts_dropped += 1;

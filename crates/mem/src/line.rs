@@ -31,7 +31,7 @@ impl CoherenceState {
     ///
     /// `Exclusive` upgrades to `Modified` silently (no traffic), so it
     /// counts as writable.
-    pub fn writable(self) -> bool {
+    pub(crate) fn writable(self) -> bool {
         matches!(self, CoherenceState::Exclusive | CoherenceState::Modified)
     }
 }
@@ -140,16 +140,6 @@ impl CacheLine {
             lru: 0,
         }
     }
-
-    /// Whether the line holds a valid copy of some block.
-    pub fn is_valid(&self) -> bool {
-        self.state != CoherenceState::Invalid
-    }
-
-    /// Whether the fill has completed by `now`.
-    pub fn is_ready(&self, now: u64) -> bool {
-        self.ready <= now
-    }
 }
 
 impl Default for CacheLine {
@@ -165,8 +155,8 @@ mod tests {
     #[test]
     fn invalid_line_is_not_valid() {
         let l = CacheLine::invalid();
-        assert!(!l.is_valid());
-        assert!(l.is_ready(0));
+        assert_eq!(l.state, CoherenceState::Invalid);
+        assert_eq!(l.ready, 0);
     }
 
     #[test]
@@ -176,14 +166,6 @@ mod tests {
         assert!(!CoherenceState::Shared.writable());
         assert!(CoherenceState::Exclusive.writable());
         assert!(CoherenceState::Modified.writable());
-    }
-
-    #[test]
-    fn readiness_follows_fill_time() {
-        let mut l = CacheLine::invalid();
-        l.ready = 100;
-        assert!(!l.is_ready(99));
-        assert!(l.is_ready(100));
     }
 
     #[test]

@@ -123,16 +123,6 @@ impl MshrFile {
         self.allocations
     }
 
-    /// Total merged (secondary) requests.
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
-
-    /// Times a request found the file full.
-    pub fn full_events(&self) -> u64 {
-        self.full_events
-    }
-
     /// A sound wakeup bound for occupancy-gated work: the earliest
     /// cycle ≥ the caller's view of "now" at which retiring completed
     /// entries *could* have brought occupancy down to at most `limit`.
@@ -140,7 +130,7 @@ impl MshrFile {
     /// earliest in-flight completion. The bound may fire early (the
     /// caller re-checks and finds the file still too full — a no-op),
     /// never late: occupancy cannot drop before the first completion.
-    pub fn drained_to_at(&self, limit: usize, now: u64) -> u64 {
+    pub(crate) fn drained_to_at(&self, limit: usize, now: u64) -> u64 {
         if self.occupied.len() <= limit {
             now
         } else {
@@ -203,7 +193,7 @@ impl MshrFile {
     /// present. Used when a remote invalidation kills an in-flight fill:
     /// letting the entry live would later merge a store into a line the
     /// directory no longer grants — a stale writable copy.
-    pub fn invalidate_entry(&mut self, block: u64) -> Option<MshrEntry> {
+    pub(crate) fn invalidate_entry(&mut self, block: u64) -> Option<MshrEntry> {
         let i = self.occupied.iter().position(|&s| self.block[s as usize] == block)?;
         let slot = self.occupied.swap_remove(i);
         self.free.push(slot);
@@ -213,7 +203,7 @@ impl MshrFile {
     /// Strips write permission from an in-flight entry for `block` (a
     /// remote read downgraded the grant). Returns whether an exclusive
     /// entry was actually downgraded.
-    pub fn downgrade_entry(&mut self, block: u64) -> bool {
+    pub(crate) fn downgrade_entry(&mut self, block: u64) -> bool {
         match self.find(block) {
             Some(s) if self.exclusive[s as usize] => {
                 self.exclusive[s as usize] = false;
@@ -225,7 +215,7 @@ impl MshrFile {
 
     /// Upgrades an in-flight read entry to exclusive (a store merged into
     /// a load miss); returns the entry's ready time if present.
-    pub fn upgrade_to_exclusive(&mut self, block: u64) -> Option<u64> {
+    pub(crate) fn upgrade_to_exclusive(&mut self, block: u64) -> Option<u64> {
         let s = self.find(block)? as usize;
         self.exclusive[s] = true;
         Some(self.ready[s])
@@ -236,7 +226,7 @@ impl MshrFile {
     /// Returns `false` when no entry for `block` exists (the caller
     /// allocates a fresh one). One entry per block is what the MSHR-leak
     /// invariant demands; a blind second `allocate` would duplicate.
-    pub fn merge_exclusive(&mut self, block: u64, ready: u64) -> bool {
+    pub(crate) fn merge_exclusive(&mut self, block: u64, ready: u64) -> bool {
         match self.find(block) {
             Some(s) => {
                 let s = s as usize;
@@ -252,7 +242,7 @@ impl MshrFile {
     }
 
     /// Records a merged (secondary) request against an existing entry.
-    pub fn record_merge(&mut self) {
+    pub(crate) fn record_merge(&mut self) {
         self.merges += 1;
     }
 
@@ -320,7 +310,7 @@ mod tests {
         m.allocate(2, 60, false, None, 0).unwrap();
         let err = m.allocate(3, 120, false, None, 10).unwrap_err();
         assert_eq!(err, 60);
-        assert_eq!(m.full_events(), 1);
+        assert_eq!(m.full_events, 1);
     }
 
     #[test]

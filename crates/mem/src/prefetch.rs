@@ -41,7 +41,7 @@ struct StrideEntry {
 
 /// Aggressiveness level: (degree, distance) in blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Aggressiveness {
+pub(crate) struct Aggressiveness {
     /// Blocks prefetched per trigger.
     pub degree: u32,
     /// How far ahead (in strides) the first prefetch lands.
@@ -133,24 +133,9 @@ impl Prefetcher {
         }
     }
 
-    /// The prefetcher's kind.
-    pub fn kind(&self) -> PrefetcherKind {
-        self.kind
-    }
-
-    /// Current aggressiveness (degree/distance).
-    pub fn aggressiveness(&self) -> Aggressiveness {
-        self.aggressiveness
-    }
-
-    /// Total prefetch candidates issued.
-    pub fn issued_total(&self) -> u64 {
-        self.issued_total
-    }
-
     /// Reports that a previously prefetched block was used by a demand
     /// access (FDP accuracy feedback).
-    pub fn feedback_useful(&mut self) {
+    pub(crate) fn feedback_useful(&mut self) {
         self.useful_window += 1;
     }
 
@@ -293,7 +278,7 @@ mod tests {
     #[test]
     fn adaptive_ramps_up_with_good_feedback() {
         let mut p = Prefetcher::new(PrefetcherKind::Adaptive);
-        let start = p.aggressiveness().degree;
+        let start = p.aggressiveness.degree;
         // Every issued prefetch is useful.
         let mut out = Vec::new();
         for b in 0..2000u64 {
@@ -303,7 +288,7 @@ mod tests {
                 p.feedback_useful();
             }
         }
-        assert!(p.aggressiveness().degree > start);
+        assert!(p.aggressiveness.degree > start);
     }
 
     #[test]
@@ -315,15 +300,15 @@ mod tests {
             p.train(0x40, b, &mut out);
             // no feedback_useful: accuracy 0
         }
-        assert_eq!(p.aggressiveness().degree, 1);
+        assert_eq!(p.aggressiveness.degree, 1);
     }
 
     #[test]
     fn issued_total_accumulates() {
         let mut p = Prefetcher::new(PrefetcherKind::Stride);
         let out = train_stream(&mut p, 0x50, 0..10);
-        assert_eq!(p.issued_total(), out.len() as u64);
-        assert!(p.issued_total() > 0);
+        assert_eq!(p.issued_total, out.len() as u64);
+        assert!(p.issued_total > 0);
     }
 }
 
@@ -345,7 +330,7 @@ mod tests {
 /// the `spatial` experiment demonstrates exactly that, while the same
 /// prefetcher does help re-referenced footprints.
 #[derive(Debug, Clone)]
-pub struct SpatialPrefetcher {
+pub(crate) struct SpatialPrefetcher {
     /// Active generations: (page, footprint bitvec), small FIFO.
     active: Vec<(u64, u64)>,
     /// Learned footprints: direct-mapped by page, (page, bitvec).
@@ -370,17 +355,6 @@ impl SpatialPrefetcher {
             issued_total: 0,
             replays: 0,
         }
-    }
-
-    /// Total prefetch candidates issued.
-    pub fn issued_total(&self) -> u64 {
-        self.issued_total
-    }
-
-    /// Footprint replays triggered (re-accessed pages with a learned
-    /// footprint).
-    pub fn replays(&self) -> u64 {
-        self.replays
     }
 
     fn pht_slot(&self, page: u64) -> usize {
@@ -450,7 +424,7 @@ mod spatial_tests {
         let mut got = out.clone();
         got.sort_unstable();
         assert_eq!(got, expect, "footprint minus the trigger block");
-        assert_eq!(p.replays(), 1);
+        assert_eq!(p.replays, 1);
     }
 
     #[test]
@@ -461,8 +435,8 @@ mod spatial_tests {
             let out = touch_page(&mut p, page, &[0, 1, 2, 3]);
             assert!(out.is_empty(), "page {page} replayed without reuse");
         }
-        assert_eq!(p.replays(), 0);
-        assert_eq!(p.issued_total(), 0);
+        assert_eq!(p.replays, 0);
+        assert_eq!(p.issued_total, 0);
     }
 
     #[test]

@@ -133,7 +133,7 @@ pub struct AccessResult {
 
 /// Whether an access needs read or write permission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Want {
+pub(crate) enum Want {
     /// A readable copy suffices.
     Read,
     /// Ownership (write permission) is required.
@@ -283,17 +283,6 @@ impl MemStats {
             + self.invalidations
             + self.load_remote_hits
     }
-
-    /// Success rate of store prefetches for `origin` over all issued.
-    pub fn success_rate(&self, origin: RfoOrigin) -> f64 {
-        let i = origin.index();
-        let issued = self.prefetch_requests[i];
-        if issued == 0 {
-            0.0
-        } else {
-            self.prefetch_successful[i] as f64 / issued as f64
-        }
-    }
 }
 
 /// Per-block record of speculation-caused ownership: which core's
@@ -380,8 +369,8 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics if `config.cores` is zero or exceeds
-    /// [`crate::directory::MAX_CORES`], or if a cache geometry is invalid.
+    /// Panics if `config.cores` is zero or exceeds 16 (the directory's
+    /// sharer mask), or if a cache geometry is invalid.
     pub fn new(config: MemoryConfig) -> Self {
         // With the checker enabled, private caches and the directory log
         // which blocks they mutate so each boundary check re-verifies
@@ -1511,7 +1500,7 @@ impl MemorySystem {
     /// [`MemorySystem::store_drain`] with an explicit PC for prefetcher
     /// training (the generic L1 prefetcher trains on demand accesses:
     /// loads and performed stores, as in gem5).
-    pub fn store_drain_with_pc(
+    pub(crate) fn store_drain_with_pc(
         &mut self,
         core: usize,
         addr: u64,
@@ -1841,11 +1830,6 @@ impl MemorySystem {
         });
     }
 
-    /// Number of blocks currently tagged as speculatively owned.
-    pub fn spec_tagged_blocks(&self) -> usize {
-        self.spec_tags.len()
-    }
-
     /// Queues a page burst: RFO prefetches for `blocks`, drained at
     /// [`MemoryConfig::burst_issue_per_cycle`] by [`MemorySystem::tick`].
     pub fn enqueue_burst(&mut self, core: usize, blocks: impl IntoIterator<Item = u64>, now: u64) {
@@ -2070,14 +2054,14 @@ mod tests {
         let resp = m.store_prefetch_spec(0, 0x80000, 0xDEAD, 0, RfoOrigin::AtExecute);
         assert_eq!(resp, RfoResponse::Issued);
         assert_eq!(m.stats().spec_rfos_issued, 1);
-        assert_eq!(m.spec_tagged_blocks(), 1);
+        assert_eq!(m.spec_tags.len(), 1);
         // Cold block: the RFO went to DRAM, and no store ever performs.
         m.attribute_squash(0, 100);
         assert_eq!(m.stats().spec_wasted_rfos, 1);
         assert_eq!(m.stats().spec_leaked_m_blocks, 1);
         assert_eq!(m.stats().spec_wasted_dram, 1);
         assert_eq!(m.stats().spec_squashes, 1);
-        assert_eq!(m.spec_tagged_blocks(), 0);
+        assert_eq!(m.spec_tags.len(), 0);
     }
 
     #[test]
@@ -2088,7 +2072,7 @@ mod tests {
         // the block before any squash reaches the controller.
         let o = m.store_drain(0, 0x90000, 1000);
         assert_eq!(o, StoreDrainOutcome::Performed { l1_hit: true });
-        assert_eq!(m.spec_tagged_blocks(), 0);
+        assert_eq!(m.spec_tags.len(), 0);
         m.attribute_squash(0, 1001);
         assert_eq!(m.stats().spec_wasted_rfos, 0);
         assert_eq!(m.stats().spec_leaked_m_blocks, 0);

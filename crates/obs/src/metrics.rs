@@ -10,7 +10,7 @@ use spb_stats::Histogram;
 
 /// A compact, serializable summary of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
+pub(crate) struct HistogramSnapshot {
     /// The histogram's name.
     pub name: String,
     /// Recorded samples.

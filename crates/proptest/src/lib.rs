@@ -21,7 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Number of generated cases per property unless overridden with
 /// `#![proptest_config(ProptestConfig::with_cases(n))]`.
-pub const DEFAULT_CASES: u32 = 48;
+pub(crate) const DEFAULT_CASES: u32 = 48;
 
 /// Runner configuration (only the case count is modelled).
 #[derive(Debug, Clone, Copy)]

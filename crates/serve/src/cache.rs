@@ -20,13 +20,12 @@
 //!   or wrong-key entry is renamed to `<name>.quarantined` (kept for
 //!   post-mortem) and reported as [`Lookup::Corrupt`] so the caller
 //!   recomputes; the service counts these in its health stats.
-//! - **Bounded growth**: an optional LRU bound on entry count and/or
-//!   total bytes ([`ResultCache::with_entry_bound`],
-//!   [`ResultCache::with_size_bound`]). Eviction removes whole entries,
-//!   never edits them, so it can only turn a future hit into a miss —
-//!   and a miss recomputes bit-identically (the simulator is
-//!   deterministic). Lookups bump an entry's file mtime, which is the
-//!   recency the evictor sorts by.
+//! - **Bounded growth**: an optional LRU bound on the entry count
+//!   ([`ServeConfig::cache_max_entries`](crate::ServeConfig::cache_max_entries)).
+//!   Eviction removes whole entries, never edits them, so it can only
+//!   turn a future hit into a miss — and a miss recomputes
+//!   bit-identically (the simulator is deterministic). Lookups bump an
+//!   entry's file mtime, which is the recency the evictor sorts by.
 
 use crate::CODE_VERSION;
 use spb_sim::config::SimConfig;
@@ -40,10 +39,10 @@ use std::path::{Path, PathBuf};
 pub struct CacheKey(u64);
 
 impl CacheKey {
-    /// Derives the key for `(app, cfg)` under the current
-    /// [`CODE_VERSION`]. The config digest covers the `Debug` rendering
-    /// of the *whole* [`SimConfig`] — any field that could change the
-    /// simulated numbers changes the key.
+    /// Derives the key for `(app, cfg)` under the current code version
+    /// (`spb-<crate version>-g<N>`). The config digest covers the
+    /// `Debug` rendering of the *whole* [`SimConfig`] — any field that
+    /// could change the simulated numbers changes the key.
     pub fn for_cell(app: &str, cfg: &SimConfig) -> Self {
         Self(fnv1a64(
             format!("{CODE_VERSION}|{app}|{cfg:?}").as_bytes(),
@@ -79,8 +78,6 @@ pub struct ResultCache {
     dir: PathBuf,
     /// Evict least-recently-used entries past this count, if set.
     max_entries: Option<usize>,
-    /// Evict least-recently-used entries past this total size, if set.
-    max_bytes: Option<u64>,
 }
 
 impl ResultCache {
@@ -95,20 +92,12 @@ impl ResultCache {
         Ok(Self {
             dir,
             max_entries: None,
-            max_bytes: None,
         })
     }
 
     /// Bounds the cache to at most `n` entries (LRU eviction on store).
-    pub fn with_entry_bound(mut self, n: usize) -> Self {
+    pub(crate) fn with_entry_bound(mut self, n: usize) -> Self {
         self.max_entries = Some(n);
-        self
-    }
-
-    /// Bounds the cache to at most `bytes` of entry files (LRU eviction
-    /// on store).
-    pub fn with_size_bound(mut self, bytes: u64) -> Self {
-        self.max_bytes = Some(bytes);
         self
     }
 
@@ -168,7 +157,7 @@ impl ResultCache {
             Ok(record) => {
                 // Bump recency so the LRU evictor keeps hot entries.
                 // Best-effort: a stale mtime only skews eviction order.
-                if self.max_entries.is_some() || self.max_bytes.is_some() {
+                if self.max_entries.is_some() {
                     if let Ok(f) = std::fs::File::options().write(true).open(&path) {
                         let _ = f.set_modified(std::time::SystemTime::now());
                     }
@@ -208,9 +197,9 @@ impl ResultCache {
         SweepRecord::from_json(body.get("record").ok_or("missing record")?)
     }
 
-    /// Live entries as `(path, mtime, bytes)`; excludes quarantined and
+    /// Live entries as `(path, mtime)`; excludes quarantined and
     /// in-flight tmp files (both fail the `*.json`, non-dot filter).
-    fn live_entries(&self) -> Vec<(PathBuf, std::time::SystemTime, u64)> {
+    fn live_entries(&self) -> Vec<(PathBuf, std::time::SystemTime)> {
         let Ok(rd) = std::fs::read_dir(&self.dir) else {
             return Vec::new();
         };
@@ -221,39 +210,29 @@ impl ResultCache {
                 name.ends_with(".json") && !name.starts_with('.')
             })
             .filter_map(|e| {
-                let meta = e.metadata().ok()?;
-                let mtime = meta.modified().ok()?;
-                Some((e.path(), mtime, meta.len()))
+                let mtime = e.metadata().ok()?.modified().ok()?;
+                Some((e.path(), mtime))
             })
             .collect()
     }
 
-    /// The number of live (non-quarantined) entries on disk.
-    pub fn entry_count(&self) -> usize {
-        self.live_entries().len()
-    }
-
-    /// Deletes least-recently-used entries until the configured bounds
-    /// hold. Whole-entry deletion only: an evicted key becomes a clean
+    /// Deletes least-recently-used entries until the configured bound
+    /// holds. Whole-entry deletion only: an evicted key becomes a clean
     /// [`Lookup::Miss`] whose recompute is bit-identical, so eviction
     /// can never corrupt a result.
     fn enforce_bounds(&self) {
-        if self.max_entries.is_none() && self.max_bytes.is_none() {
+        let Some(max) = self.max_entries else {
             return;
-        }
+        };
         let mut entries = self.live_entries();
-        entries.sort_by_key(|&(_, mtime, _)| mtime);
+        entries.sort_by_key(|&(_, mtime)| mtime);
         let mut count = entries.len();
-        let mut bytes: u64 = entries.iter().map(|&(_, _, len)| len).sum();
-        for (path, _, len) in entries {
-            let over_count = self.max_entries.is_some_and(|m| count > m);
-            let over_bytes = self.max_bytes.is_some_and(|m| bytes > m);
-            if !over_count && !over_bytes {
+        for (path, _) in entries {
+            if count <= max {
                 break;
             }
             if std::fs::remove_file(&path).is_ok() {
                 count -= 1;
-                bytes = bytes.saturating_sub(len);
             }
         }
     }
@@ -266,21 +245,6 @@ impl ResultCache {
         q.push(".quarantined");
         let _ = std::fs::rename(path, PathBuf::from(q));
         Lookup::Corrupt(why)
-    }
-
-    /// The number of quarantined entries currently on disk.
-    pub fn quarantined_count(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|rd| {
-                rd.filter_map(Result::ok)
-                    .filter(|e| {
-                        e.file_name()
-                            .to_string_lossy()
-                            .ends_with(".quarantined")
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
     }
 }
 
@@ -307,6 +271,20 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("spb-cache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         ResultCache::open(dir).unwrap()
+    }
+
+    fn entry_count(cache: &ResultCache) -> usize {
+        cache.live_entries().len()
+    }
+
+    fn quarantined_count(cache: &ResultCache) -> usize {
+        std::fs::read_dir(cache.dir())
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().ends_with(".quarantined")
+            })
+            .count()
     }
 
     #[test]
@@ -384,7 +362,7 @@ mod tests {
             other => panic!("expected Corrupt, got {other:?}"),
         }
         // The bad entry is quarantined, not deleted; the slot now misses.
-        assert_eq!(cache.quarantined_count(), 1);
+        assert_eq!(quarantined_count(&cache), 1);
         assert_eq!(cache.lookup(key), Lookup::Miss);
         // Recompute-and-store heals the slot.
         cache.store(key, "x264", &record()).unwrap();
@@ -404,7 +382,7 @@ mod tests {
         assert!(matches!(cache.lookup(key), Lookup::Corrupt(_)));
         std::fs::write(cache.dir().join(key.file_name()), "not json at all").unwrap();
         assert!(matches!(cache.lookup(key), Lookup::Corrupt(_)));
-        assert_eq!(cache.quarantined_count(), 1, "second quarantine overwrote");
+        assert_eq!(quarantined_count(&cache), 1, "second quarantine overwrote");
         std::fs::remove_dir_all(cache.dir()).unwrap();
     }
 
@@ -429,13 +407,13 @@ mod tests {
                 .unwrap();
             f.set_modified(base + Duration::from_secs(i as u64)).unwrap();
         }
-        assert_eq!(cache.entry_count(), 4);
+        assert_eq!(entry_count(&cache), 4);
         // A lookup refreshes "a"'s recency, so it must survive the
         // coming evictions while the untouched "b" does not.
         assert!(matches!(cache.lookup(keys[0]), Lookup::Hit(_)));
         cache.store(keys[4], "e", &record()).unwrap();
         cache.store(keys[5], "f", &record()).unwrap();
-        assert_eq!(cache.entry_count(), 4, "bound enforced after stores");
+        assert_eq!(entry_count(&cache), 4, "bound enforced after stores");
         assert!(
             matches!(cache.lookup(keys[0]), Lookup::Hit(_)),
             "recently-used entry survived eviction"
@@ -449,11 +427,11 @@ mod tests {
     }
 
     #[test]
-    fn size_bound_evicts_and_spares_quarantined_evidence() {
+    fn bound_evicts_and_spares_quarantined_evidence() {
         // Seed and quarantine through an unbounded handle so the bound
         // cannot evict the entry before the corruption check sees it.
-        let unbounded = tmp_cache("sizebound");
-        let cache = unbounded.clone().with_size_bound(1);
+        let unbounded = tmp_cache("zerobound");
+        let cache = unbounded.clone().with_entry_bound(0);
         let cfg = SimConfig::quick();
         let key_a = CacheKey::for_cell("a", &cfg);
         let key_b = CacheKey::for_cell("b", &cfg);
@@ -465,12 +443,12 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replacen("123456", "999999", 1)).unwrap();
         assert!(matches!(cache.lookup(key_a), Lookup::Corrupt(_)));
-        assert_eq!(cache.quarantined_count(), 1);
-        // Every store now exceeds the 1-byte bound, so the cache keeps
-        // evicting down to nothing — but the quarantined file stays.
+        assert_eq!(quarantined_count(&cache), 1);
+        // Every store now exceeds the zero-entry bound, so the cache
+        // keeps evicting down to nothing — but the quarantined file stays.
         cache.store(key_b, "b", &record()).unwrap();
-        assert_eq!(cache.entry_count(), 0, "size bound evicts everything");
-        assert_eq!(cache.quarantined_count(), 1, "evidence untouched");
+        assert_eq!(entry_count(&cache), 0, "bound evicts everything");
+        assert_eq!(quarantined_count(&cache), 1, "evidence untouched");
         std::fs::remove_dir_all(cache.dir()).unwrap();
     }
 

@@ -37,7 +37,7 @@
 //! [`spb_sim::sweep::SweepReport`] JSON, records in request order) and
 //! `stats` (`cache_hits`, `computed`, `retries`, `failed`). Every
 //! error is an explicit `{"ok": false, "error": "…"}` line. Requests
-//! are bounded: JSON nested deeper than [`spb_stats::json::MAX_DEPTH`]
+//! are bounded: JSON nested deeper than the parser's depth limit (256)
 //! is a bad request, and a line longer than
 //! [`service::MAX_REQUEST_BYTES`] gets an error and the connection is
 //! closed.
@@ -74,4 +74,4 @@ pub use spec::{Budget, CellSpec, JobSpec};
 /// kernels, policy fixes, config defaults): old cache entries then
 /// miss — and are recomputed — instead of silently serving stale
 /// results from a different simulator.
-pub const CODE_VERSION: &str = concat!("spb-", env!("CARGO_PKG_VERSION"), "-g1");
+pub(crate) const CODE_VERSION: &str = concat!("spb-", env!("CARGO_PKG_VERSION"), "-g1");

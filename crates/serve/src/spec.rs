@@ -7,47 +7,11 @@
 //! same dependency-free JSON as [`spb_sim::sweep::SweepReport`], so the
 //! request and response sides of the protocol share one schema family.
 
+pub use spb_sim::config::Budget;
 use spb_sim::config::{PolicyKind, SimConfig};
 use spb_trace::SquashConfig;
 use spb_stats::json::Json;
 use spb_trace::profile::AppProfile;
-
-/// Simulation budget names accepted on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Budget {
-    /// [`SimConfig::quick`] — the CI/golden-grid budget.
-    #[default]
-    Quick,
-    /// [`SimConfig::paper_default`] — the full paper budget.
-    Paper,
-}
-
-impl Budget {
-    /// Parses the wire spelling (`quick` / `paper`).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "quick" => Ok(Budget::Quick),
-            "paper" => Ok(Budget::Paper),
-            other => Err(format!("unknown budget {other:?} (valid: quick, paper)")),
-        }
-    }
-
-    /// The wire spelling.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Budget::Quick => "quick",
-            Budget::Paper => "paper",
-        }
-    }
-
-    /// The base configuration this budget names.
-    pub fn sim_config(&self) -> SimConfig {
-        match self {
-            Budget::Quick => SimConfig::quick(),
-            Budget::Paper => SimConfig::paper_default(),
-        }
-    }
-}
 
 /// One requested sweep cell: which app, policy, and configured SB size.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -485,6 +449,19 @@ mod tests {
         let mut job = JobSpec::quick_grid();
         job.cells[1].policy = "magic".into();
         assert!(job.resolve().unwrap_err().contains("magic"));
+    }
+
+    #[test]
+    fn budget_labels_round_trip_and_each_entry_point_keeps_its_default() {
+        for b in [Budget::Quick, Budget::Paper] {
+            assert_eq!(Budget::parse(b.label()), Ok(b));
+        }
+        // The wire default: a job without a `budget` field runs quick.
+        let job = r#"{"name":"x","cells":[{"app":"x264","policy":"spb","sb":14}]}"#;
+        let job = JobSpec::from_json(&Json::parse(job).unwrap()).unwrap();
+        assert_eq!(job.budget, Budget::Quick);
+        // An experiment binary run without `--quick` spends the paper budget.
+        assert_eq!(Budget::parse_args([] as [&str; 0]), Ok(Budget::Paper));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt;
 
 /// The SB entry count used for the "ideal" configuration (the paper
 /// normalizes to a 1024-entry SB).
-pub const IDEAL_SB_ENTRIES: usize = 1024;
+pub(crate) const IDEAL_SB_ENTRIES: usize = 1024;
 
 /// Which execution kernel drives the cores and the memory system.
 ///
@@ -368,6 +368,76 @@ impl SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         Self::paper_default()
+    }
+}
+
+/// How much simulation to spend: names one of the two base
+/// configurations. The sweep service's wire default is
+/// [`Budget::Quick`]; an experiment binary run without `--quick`
+/// ([`Budget::parse_args`]) spends [`Budget::Paper`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Budget {
+    /// [`SimConfig::quick`] — the CI and golden-grid budget.
+    #[default]
+    Quick,
+    /// [`SimConfig::paper_default`] — the budget of the recorded
+    /// EXPERIMENTS.md results.
+    Paper,
+}
+
+impl Budget {
+    /// Parses the wire spelling (`quick` / `paper`).
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "quick" => Ok(Budget::Quick),
+            "paper" => Ok(Budget::Paper),
+            other => Err(format!("unknown budget {other:?} (valid: quick, paper)")),
+        }
+    }
+
+    /// The wire spelling.
+    pub fn label(self) -> &'static str {
+        match self {
+            Budget::Quick => "quick",
+            Budget::Paper => "paper",
+        }
+    }
+
+    /// Parses the only option an experiment binary takes, `--quick`, from
+    /// argv (default: [`Budget::Paper`]). Any other argument exits with
+    /// status 2, as under `spbsim experiment`.
+    pub fn from_args() -> Budget {
+        Self::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+            let bin = std::env::args().next().unwrap_or_default();
+            eprintln!("{bin}: {e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Budget::from_args`] over an explicit argument list.
+    pub fn parse_args<S: AsRef<str>>(args: impl IntoIterator<Item = S>) -> Result<Budget, String> {
+        args.into_iter()
+            .try_fold(Budget::Paper, |_, a| match a.as_ref() {
+                "--quick" => Ok(Budget::Quick),
+                other => Err(format!("unknown argument {other:?}")),
+            })
+    }
+
+    /// The base configuration this budget names.
+    pub fn sim_config(self) -> SimConfig {
+        match self {
+            Budget::Quick => SimConfig::quick(),
+            Budget::Paper => SimConfig::paper_default(),
+        }
+    }
+
+    /// A scaled-down configuration for 8-thread PARSEC runs, keeping
+    /// total simulated work comparable to a single-threaded run.
+    pub fn parsec_sim_config(self) -> SimConfig {
+        let mut cfg = self.sim_config();
+        cfg.warmup_uops /= 4;
+        cfg.measure_uops /= 4;
+        cfg
     }
 }
 

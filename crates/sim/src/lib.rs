@@ -46,7 +46,7 @@ pub mod simulation;
 pub mod suite;
 pub mod sweep;
 
-pub use config::{KernelMode, PolicyKind, SimConfig};
+pub use config::{Budget, KernelMode, PolicyKind, SimConfig};
 pub use runner::{CoreWindow, KernelStats, RunError, RunResult};
 pub use simulation::Simulation;
 pub use sweep::{CellFailure, ChaosPlan, Supervision, SweepOptions, SweepReport};

@@ -129,7 +129,7 @@ impl RunResult {
     }
 
     /// Host simulation rate: committed µops per wall-clock second.
-    pub fn uops_per_sec(&self) -> f64 {
+    pub(crate) fn uops_per_sec(&self) -> f64 {
         if self.wall_ms <= 0.0 {
             0.0
         } else {

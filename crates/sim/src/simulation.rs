@@ -105,11 +105,6 @@ impl Simulation {
         self
     }
 
-    /// The configuration the run will use.
-    pub fn config_ref(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// Runs the simulation: one core per thread over a shared memory
     /// hierarchy, warm-up, then a fixed per-core measured µop budget.
     ///
@@ -355,8 +350,8 @@ mod tests {
             .policy(PolicyKind::IdealSb)
             .sb_entries(20)
             .seed(99);
-        assert_eq!(sim.config_ref().seed, 99);
-        assert_eq!(sim.config_ref().core.sb_entries, 20);
+        assert_eq!(sim.cfg.seed, 99);
+        assert_eq!(sim.cfg.core.sb_entries, 20);
     }
 
     #[test]

@@ -130,7 +130,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// under `catch_unwind`, so one poisoned item — a simulator bug, a
 /// pathological configuration — yields an `Err(panic_message)` in its
 /// slot while every other item still completes and returns `Ok`.
-pub fn parallel_map_catch<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<Result<R, String>>
+pub(crate) fn parallel_map_catch<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,
@@ -181,8 +181,9 @@ pub struct CellFailure {
     /// Effective SB entries of the failed cell.
     pub sb: usize,
     /// The panic message, deadline notice, or invariant-violation
-    /// diagnostic. The prefix encodes the failure class (see
-    /// [`CellFailure::is_transient`]).
+    /// diagnostic. The prefix encodes the failure class: worker panics,
+    /// missed deadlines and injected faults are transient, so a retry
+    /// may pass; invariant violations are not.
     pub reason: String,
     /// How many attempts this cell consumed before the supervisor gave
     /// up (1 when no retry was configured).
@@ -212,7 +213,7 @@ impl CellFailure {
     /// supervisor retries them with backoff. Invariant violations are
     /// *deterministic* — the same cell replays to the same violation —
     /// so they fail fast and keep their full diagnostic.
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         self.reason.starts_with("panic:")
             || self.reason.starts_with("deadline:")
             || self.reason.starts_with("chaos:")
@@ -258,10 +259,12 @@ impl CellFailure {
 }
 
 /// A stable fingerprint of one sweep cell, used to seed per-cell
-/// backoff jitter and chaos draws, and as the service's cache-key
-/// ingredient. Depends only on cell *content* (app, policy, SB, seed,
-/// budgets), never on position in the sweep.
-pub fn cell_fingerprint(app: &AppProfile, cfg: &SimConfig) -> u64 {
+/// backoff jitter and chaos draws. Depends only on cell *content* (app,
+/// policy, SB, seed, budgets), never on position in the sweep. It is
+/// not the sweep service's cache key: `spb_serve::CacheKey` hashes the
+/// code version, the app and the `Debug` rendering of the whole
+/// [`SimConfig`].
+pub(crate) fn cell_fingerprint(app: &AppProfile, cfg: &SimConfig) -> u64 {
     fnv1a64(
         format!(
             "{}|{}|{}|{}|{}|{}",
@@ -281,7 +284,7 @@ pub fn cell_fingerprint(app: &AppProfile, cfg: &SimConfig) -> u64 {
 /// carry their diagnostic, and — when `deadline_ms` is set — a cell
 /// that overruns its deadline is abandoned on a detached worker thread
 /// and reported as `deadline: …`.
-pub fn run_cell(
+pub(crate) fn run_cell(
     app: &AppProfile,
     cfg: &SimConfig,
     deadline_ms: Option<u64>,
@@ -357,7 +360,7 @@ pub struct ChaosPlan {
 
 impl ChaosPlan {
     /// Whether this (cell, attempt) pair is sacrificed.
-    pub fn injects(&self, cell_fingerprint: u64, attempt: u32) -> bool {
+    pub(crate) fn injects(&self, cell_fingerprint: u64, attempt: u32) -> bool {
         let draw = mix64(mix64(self.seed ^ cell_fingerprint) ^ u64::from(attempt));
         draw % 10_000 < u64::from(self.rate_e4)
     }
@@ -411,7 +414,7 @@ impl Supervision {
     /// fingerprint: deterministic exponential growth plus seeded
     /// jitter, capped at [`Supervision::max_backoff_ms`]. Attempt 1
     /// never waits.
-    pub fn backoff_ms(&self, cell_fingerprint: u64, attempt: u32) -> u64 {
+    pub(crate) fn backoff_ms(&self, cell_fingerprint: u64, attempt: u32) -> u64 {
         if attempt <= 1 {
             return 0;
         }
@@ -714,27 +717,6 @@ impl SweepReport {
         }
     }
 
-    /// Summarizes the results of [`run_cells_supervised`]: successes
-    /// become records, failures ride along in `failed`.
-    pub fn from_results(
-        name: impl Into<String>,
-        results: &[Result<RunResult, CellFailure>],
-    ) -> Self {
-        let mut report = Self {
-            name: name.into(),
-            records: Vec::new(),
-            failed: Vec::new(),
-            metrics: None,
-        };
-        for r in results {
-            match r {
-                Ok(run) => report.records.push(SweepRecord::from_run(run)),
-                Err(f) => report.failed.push(f.clone()),
-            }
-        }
-        report
-    }
-
     /// Whether the report already holds a **successful** record for this
     /// cell (failed cells don't count — they are what `--resume`
     /// re-runs).
@@ -979,7 +961,9 @@ mod tests {
         assert_eq!(f.sb, 0);
         assert!(f.reason.contains("panic:"), "reason: {}", f.reason);
 
-        let report = SweepReport::from_results("partial", &out);
+        let runs: Vec<RunResult> = out.iter().flatten().cloned().collect();
+        let mut report = SweepReport::new("partial", &runs);
+        report.failed = out.iter().filter_map(|r| r.clone().err()).collect();
         assert_eq!(report.records.len(), 2);
         assert_eq!(report.failed.len(), 1);
         let policy = quick.policy.label();

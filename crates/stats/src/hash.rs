@@ -61,15 +61,6 @@ pub fn hex16(v: u64) -> String {
     format!("{v:016x}")
 }
 
-/// Parses the [`hex16`] form back. `None` on anything that is not
-/// exactly 16 hex digits.
-pub fn parse_hex16(s: &str) -> Option<u64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,10 +95,8 @@ mod tests {
         for v in [0u64, 1, 0xdead_beef, u64::MAX] {
             let s = hex16(v);
             assert_eq!(s.len(), 16);
-            assert_eq!(parse_hex16(&s), Some(v));
+            assert_eq!(u64::from_str_radix(&s, 16), Ok(v));
         }
-        assert_eq!(parse_hex16("xyz"), None);
-        assert_eq!(parse_hex16("00"), None);
-        assert_eq!(parse_hex16("zzzzzzzzzzzzzzzz"), None);
+        assert_eq!(hex16(0xdead_beef), "00000000deadbeef");
     }
 }

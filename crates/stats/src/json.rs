@@ -12,8 +12,8 @@
 //! Parsing and rendering are linear in the size of the text. The
 //! parser copies each run of plain string bytes (everything up to the
 //! next `"` or `\`) as one slice, and the writer emits each run that
-//! needs no escaping with one `write_str`. Nesting is bounded by
-//! [`MAX_DEPTH`]: a deeper document is a [`JsonError`], not a stack
+//! needs no escaping with one `write_str`. Nesting is bounded at 256
+//! levels: a deeper document is a [`JsonError`], not a stack
 //! overflow, so a hostile request line cannot abort a server.
 //!
 //! # Examples
@@ -37,7 +37,7 @@ use std::fmt;
 /// The deepest array/object nesting [`Json::parse`] accepts. The
 /// workspace's own documents nest fewer than ten levels; the bound only
 /// keeps the recursive parser's stack use fixed.
-pub const MAX_DEPTH: usize = 256;
+pub(crate) const MAX_DEPTH: usize = 256;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -5,13 +5,12 @@
 //! Intel's Top-Down model, and normalized geometric-mean summaries.
 //! This crate provides those building blocks:
 //!
-//! - [`Counter`]: a named event counter.
 //! - [`Histogram`]: fixed-width bucketed histogram with percentile queries.
 //! - [`topdown`]: issue-stall attribution ([`topdown::StallCause`],
 //!   [`topdown::TopDown`]) and the "execution stalls with L1D miss
 //!   pending" metric used by Figures 10, 14 and 15 of the paper.
 //! - [`table`]: a small table type ([`table::Table`]) that renders the
-//!   rows/series the paper reports as aligned text, Markdown or CSV.
+//!   rows/series the paper reports as aligned text.
 //! - [`summary`]: normalization and geometric-mean helpers.
 //! - [`json`]: a dependency-free JSON value type ([`json::Json`]) used
 //!   for the machine-readable sweep reports.
@@ -22,12 +21,13 @@
 //! # Examples
 //!
 //! ```
-//! use spb_stats::{Counter, summary::geomean};
+//! use spb_stats::{summary::geomean, Histogram};
 //!
-//! let mut hits = Counter::new("l1d_hits");
-//! hits.add(3);
-//! hits.inc();
-//! assert_eq!(hits.value(), 4);
+//! let mut latency = Histogram::new("l1d_miss_latency", 10, 8);
+//! latency.record(3);
+//! latency.record(17);
+//! assert_eq!(latency.count(), 2);
+//! assert_eq!(latency.max(), 17);
 //! assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
 //! ```
 
@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod chart;
-pub mod counter;
 pub mod hash;
 pub mod histogram;
 pub mod json;
@@ -43,7 +42,6 @@ pub mod summary;
 pub mod table;
 pub mod topdown;
 
-pub use counter::Counter;
 pub use histogram::Histogram;
 pub use table::Table;
 pub use topdown::{StallCause, TopDown};

@@ -83,25 +83,6 @@ pub fn normalize(value: f64, baseline: f64) -> f64 {
     }
 }
 
-/// Normalizes each element of `values` to the matching element of
-/// `baselines`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn normalize_all(values: &[f64], baselines: &[f64]) -> Vec<f64> {
-    assert_eq!(
-        values.len(),
-        baselines.len(),
-        "normalize_all: slice length mismatch"
-    );
-    values
-        .iter()
-        .zip(baselines)
-        .map(|(&v, &b)| normalize(v, b))
-        .collect()
-}
-
 /// Speedup of `time` relative to `baseline_time`: `baseline / time`.
 ///
 /// This is the inverse of [`normalize`] and is what "performance
@@ -120,19 +101,6 @@ pub fn speedup(time: f64, baseline_time: f64) -> f64 {
     } else {
         baseline_time / time
     }
-}
-
-/// Relative change of `value` versus `baseline` in percent
-/// (`+10.0` means 10% above the baseline).
-///
-/// # Examples
-///
-/// ```
-/// use spb_stats::summary::percent_change;
-/// assert!((percent_change(110.0, 100.0) - 10.0).abs() < 1e-12);
-/// ```
-pub fn percent_change(value: f64, baseline: f64) -> f64 {
-    (normalize(value, baseline) - 1.0) * 100.0
 }
 
 #[cfg(test)]
@@ -178,24 +146,7 @@ mod tests {
     }
 
     #[test]
-    fn normalize_all_matches_elementwise() {
-        let v = normalize_all(&[2.0, 4.0], &[4.0, 4.0]);
-        assert_eq!(v, vec![0.5, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn normalize_all_rejects_mismatched_lengths() {
-        let _ = normalize_all(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
     fn speedup_of_zero_time_is_zero() {
         assert_eq!(speedup(0.0, 10.0), 0.0);
-    }
-
-    #[test]
-    fn percent_change_is_symmetric_around_baseline() {
-        assert!((percent_change(90.0, 100.0) + 10.0).abs() < 1e-12);
     }
 }

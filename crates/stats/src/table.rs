@@ -17,7 +17,7 @@ use std::fmt;
 /// t.push_row("SB56", &[0.981, 1.005]);
 /// t.push_row("SB14", &[0.859, 0.954]);
 /// assert_eq!(t.get("SB56", "SPB"), Some(1.005));
-/// println!("{}", t.to_markdown());
+/// println!("{t}");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
@@ -55,7 +55,7 @@ impl Table {
     }
 
     /// Row labels in insertion order.
-    pub fn row_labels(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn row_labels(&self) -> impl Iterator<Item = &str> {
         self.rows.iter().map(|(l, _)| l.as_str())
     }
 
@@ -92,52 +92,9 @@ impl Table {
     }
 
     /// Returns one column's values in row order.
-    pub fn column_values(&self, column: &str) -> Option<Vec<f64>> {
+    pub(crate) fn column_values(&self, column: &str) -> Option<Vec<f64>> {
         let col = self.columns.iter().position(|c| c == column)?;
         Some(self.rows.iter().map(|(_, cells)| cells[col]).collect())
-    }
-
-    /// Renders as GitHub-flavoured Markdown.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("**{}**\n\n", self.title));
-        out.push_str("| |");
-        for c in &self.columns {
-            out.push_str(&format!(" {c} |"));
-        }
-        out.push('\n');
-        out.push_str("|---|");
-        for _ in &self.columns {
-            out.push_str("---|");
-        }
-        out.push('\n');
-        for (label, cells) in &self.rows {
-            out.push_str(&format!("| {label} |"));
-            for v in cells {
-                out.push_str(&format!(" {v:.prec$} |", prec = self.precision));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders as CSV with the title in a leading comment line.
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("# {}\n", self.title);
-        out.push_str("label");
-        for c in &self.columns {
-            out.push(',');
-            out.push_str(c);
-        }
-        out.push('\n');
-        for (label, cells) in &self.rows {
-            out.push_str(label);
-            for v in cells {
-                out.push_str(&format!(",{v:.prec$}", prec = self.precision));
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -207,23 +164,6 @@ mod tests {
     fn push_row_rejects_wrong_width() {
         let mut t = Table::new("t", &["a"]);
         t.push_row("r", &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn markdown_contains_all_labels() {
-        let md = sample().to_markdown();
-        for s in ["r1", "r2", "| a |", "**t**"] {
-            assert!(md.contains(s), "missing {s:?} in {md}");
-        }
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let csv = sample().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "# t");
-        assert_eq!(lines[1], "label,a,b");
-        assert_eq!(lines.len(), 4);
     }
 
     #[test]

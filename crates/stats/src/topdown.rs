@@ -40,7 +40,7 @@ impl StallCause {
 
     /// Whether this cause is lumped into "Other" (i.e. not the SB) in the
     /// paper's Figure 10 breakdown.
-    pub fn is_other(self) -> bool {
+    pub(crate) fn is_other(self) -> bool {
         !matches!(self, StallCause::StoreBuffer)
     }
 

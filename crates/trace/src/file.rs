@@ -42,9 +42,9 @@ use crate::TraceSource;
 use std::io::{self, Read, Write};
 
 /// File magic: "SPBT".
-pub const MAGIC: [u8; 4] = *b"SPBT";
+pub(crate) const MAGIC: [u8; 4] = *b"SPBT";
 /// Current format version.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 
 const TAG_INT: u8 = 0;
 const TAG_FP: u8 = 1;

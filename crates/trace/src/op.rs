@@ -47,11 +47,6 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Whether this µop reads or writes memory.
-    pub fn is_mem(&self) -> bool {
-        matches!(self, OpKind::Load { .. } | OpKind::Store { .. })
-    }
-
     /// Whether this µop is a store.
     pub fn is_store(&self) -> bool {
         matches!(self, OpKind::Store { .. })
@@ -117,12 +112,13 @@ impl MicroOp {
     /// an at-execute or SPB-style policy issues for them) can be modeled
     /// and attributed.
     #[must_use]
-    pub fn with_wrong_path(mut self) -> Self {
+    pub(crate) fn with_wrong_path(mut self) -> Self {
         self.wrong_path = true;
         self
     }
 
-    /// Whether this µop is on the wrong path (see [`Self::with_wrong_path`]).
+    /// Whether this µop is on the wrong path: synthesized by the squash
+    /// model, never committed.
     pub fn is_wrong_path(&self) -> bool {
         self.wrong_path
     }
@@ -209,7 +205,6 @@ mod tests {
         let op = MicroOp::new(OpKind::IntAlu { latency: 1 }, 0);
         assert_eq!(op.block(), None);
         assert_eq!(op.page(), None);
-        assert!(!op.kind().is_mem());
     }
 
     #[test]
@@ -230,7 +225,7 @@ mod tests {
     fn kind_predicates() {
         assert!(OpKind::Load { addr: 0, size: 8 }.is_load());
         assert!(OpKind::Store { addr: 0, size: 8 }.is_store());
-        assert!(!OpKind::Branch { mispredict: true }.is_mem());
+        assert!(!OpKind::Branch { mispredict: true }.is_load());
     }
 
     #[test]

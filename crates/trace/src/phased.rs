@@ -335,11 +335,6 @@ impl PhasedWorkload {
         }
     }
 
-    /// Number of completed outer iterations of the phase list.
-    pub fn iterations(&self) -> u64 {
-        self.iteration
-    }
-
     /// Moves on to the next phase once the current one is exhausted.
     fn next_phase(&mut self) {
         self.phase_idx += 1;
@@ -403,7 +398,7 @@ mod tests {
         );
         let ops = take(&mut w, 5_000);
         assert_eq!(ops.len(), 5_000);
-        assert!(w.iterations() > 10);
+        assert!(w.iteration > 10);
     }
 
     #[test]

@@ -160,12 +160,6 @@ impl AppCatalog {
         Self { apps }
     }
 
-    /// A catalog over a custom application set (for experiments that
-    /// mix their own profiles with the standard ones).
-    pub fn from_apps(apps: Vec<AppProfile>) -> Self {
-        Self { apps }
-    }
-
     /// Every application, SPEC first, in figure order.
     pub fn all(&self) -> &[AppProfile] {
         &self.apps

@@ -42,7 +42,7 @@ impl CodeRegion {
     }
 
     /// Base of this region's PC range.
-    pub fn pc_base(self) -> u64 {
+    pub(crate) fn pc_base(self) -> u64 {
         match self {
             CodeRegion::Application => 0x0000_0000_0040_0000,
             CodeRegion::Memcpy => 0x0000_7f00_0001_0000,
@@ -53,7 +53,7 @@ impl CodeRegion {
     }
 
     /// Size of each region's PC range in bytes.
-    pub const PC_RANGE: u64 = 0x1_0000;
+    pub(crate) const PC_RANGE: u64 = 0x1_0000;
 
     /// Classifies a program counter into its region.
     ///
@@ -75,13 +75,8 @@ impl CodeRegion {
     }
 
     /// A PC inside this region at byte offset `off` (wrapped into range).
-    pub fn pc_at(self, off: u64) -> u64 {
+    pub(crate) fn pc_at(self, off: u64) -> u64 {
         self.pc_base() + (off % Self::PC_RANGE)
-    }
-
-    /// Whether the region is library or kernel code (not the app).
-    pub fn is_system(self) -> bool {
-        !matches!(self, CodeRegion::Application)
     }
 }
 
@@ -104,23 +99,19 @@ impl fmt::Display for CodeRegion {
 /// another accidentally; the `roms` pathology creates aliasing *on
 /// purpose* via cache-set geometry, not via address overlap.
 #[derive(Debug, Clone, Copy)]
-pub struct AddressSpace;
+pub(crate) struct AddressSpace;
 
 impl AddressSpace {
     /// Base of statically allocated arrays (streaming sources).
-    pub const DATA_BASE: u64 = 0x0000_0001_0000_0000;
+    pub(crate) const DATA_BASE: u64 = 0x0000_0001_0000_0000;
     /// Base of the heap (copy destinations, containers).
-    pub const HEAP_BASE: u64 = 0x0000_0002_0000_0000;
+    pub(crate) const HEAP_BASE: u64 = 0x0000_0002_0000_0000;
     /// Base of a second heap arena (copy sources).
-    pub const ARENA_BASE: u64 = 0x0000_0003_0000_0000;
+    pub(crate) const ARENA_BASE: u64 = 0x0000_0003_0000_0000;
     /// Base of pointer-chase node pools.
-    pub const POOL_BASE: u64 = 0x0000_0004_0000_0000;
-    /// Stack top (stacks grow down from here).
-    pub const STACK_TOP: u64 = 0x0000_7ffd_0000_0000;
+    pub(crate) const POOL_BASE: u64 = 0x0000_0004_0000_0000;
     /// Per-thread spacing so threads never share private regions.
-    pub const THREAD_STRIDE: u64 = 0x0000_0000_4000_0000;
-    /// Base of pages shared read-mostly between PARSEC threads.
-    pub const SHARED_BASE: u64 = 0x0000_0005_0000_0000;
+    pub(crate) const THREAD_STRIDE: u64 = 0x0000_0000_4000_0000;
 }
 
 #[cfg(test)]
@@ -155,20 +146,12 @@ mod tests {
     }
 
     #[test]
-    fn system_classification() {
-        assert!(!CodeRegion::Application.is_system());
-        assert!(CodeRegion::ClearPage.is_system());
-        assert!(CodeRegion::Memcpy.is_system());
-    }
-
-    #[test]
     fn data_regions_are_disjoint() {
         let bases = [
             AddressSpace::DATA_BASE,
             AddressSpace::HEAP_BASE,
             AddressSpace::ARENA_BASE,
             AddressSpace::POOL_BASE,
-            AddressSpace::SHARED_BASE,
         ];
         for w in bases.windows(2) {
             assert!(w[1] - w[0] >= 0x1_0000_0000);

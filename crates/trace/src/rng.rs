@@ -63,12 +63,12 @@ impl TraceRng {
     }
 
     /// A uniform `f64` in `[0, 1)` (53 mantissa bits of entropy).
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn gen_bool(&mut self, p: f64) -> bool {
+    pub(crate) fn gen_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
 

@@ -308,7 +308,7 @@ impl EpisodePlan {
     }
 
     /// Episodes planned so far.
-    pub fn planned(&self) -> u64 {
+    pub(crate) fn planned(&self) -> u64 {
         self.episodes
     }
 }

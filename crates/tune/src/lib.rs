@@ -45,6 +45,6 @@ pub mod report;
 pub mod space;
 
 pub use engine::{run_tune, Strategy, TuneOptions, TuneOutcome, TuneStats};
-pub use pareto::{pareto_frontier, Objectives};
+pub use pareto::Objectives;
 pub use report::TuneReport;
 pub use space::{TunePoint, TuneSpace};

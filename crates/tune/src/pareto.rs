@@ -43,7 +43,7 @@ impl Objectives {
 
     /// Whether `self` dominates `other`: no worse on every objective
     /// and strictly better on at least one.
-    pub fn dominates(&self, other: &Objectives) -> bool {
+    pub(crate) fn dominates(&self, other: &Objectives) -> bool {
         let no_worse = self.cycles <= other.cycles
             && self.energy_nj <= other.energy_nj
             && self.coh_msgs <= other.coh_msgs;
@@ -55,7 +55,7 @@ impl Objectives {
 }
 
 /// Indices of the non-dominated points, in input order.
-pub fn pareto_frontier(objectives: &[Objectives]) -> Vec<usize> {
+pub(crate) fn pareto_frontier(objectives: &[Objectives]) -> Vec<usize> {
     (0..objectives.len())
         .filter(|&i| {
             objectives

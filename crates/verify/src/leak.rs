@@ -86,7 +86,7 @@ pub struct LeakReport {
 /// Per-episode block ceiling: an episode of at most `depth_max` stores
 /// spans at most this many blocks, and the wrong-path detector never
 /// bursts outside an episode's pages.
-pub fn per_episode_block_bound(cfg: &SquashConfig) -> u64 {
+pub(crate) fn per_episode_block_bound(cfg: &SquashConfig) -> u64 {
     u64::from(cfg.depth_max).div_ceil(BLOCKS_PER_PAGE).max(1) * BLOCKS_PER_PAGE
 }
 
@@ -95,7 +95,7 @@ pub fn per_episode_block_bound(cfg: &SquashConfig) -> u64 {
 /// whose squash resolved inside the measured window, which is where the
 /// simulator attributes their waste (tags survive the warm-up stats
 /// reset precisely so that attribution lands with the squash).
-pub fn predict_leak(cfg: &SquashConfig, windows: &[CoreWindow]) -> LeakPrediction {
+pub(crate) fn predict_leak(cfg: &SquashConfig, windows: &[CoreWindow]) -> LeakPrediction {
     let mut p = LeakPrediction::default();
     for (core, w) in windows.iter().enumerate() {
         let mut plan = EpisodePlan::new(cfg, core);

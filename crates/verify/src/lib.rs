@@ -44,5 +44,5 @@ pub mod oracle;
 
 pub use differential::{check_app, DiffFailure, DiffOutcome};
 pub use fuzz::{minimize, run_one, run_seeds, FuzzConfig, FuzzFailure, FuzzStats};
-pub use leak::{check_run, predict_leak, LeakFailure, LeakPrediction, LeakReport};
-pub use oracle::{predict, CorePrediction, KindCounts, OraclePrediction};
+pub use leak::{check_run, LeakFailure, LeakPrediction, LeakReport};
+pub use oracle::{CorePrediction, KindCounts, OraclePrediction};

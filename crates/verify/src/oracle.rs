@@ -100,7 +100,7 @@ impl OraclePrediction {
 /// Panics if `windows` does not have one entry per application thread,
 /// or if a window claims a longer prefix than the trace can produce
 /// (profiles are unbounded, so the latter indicates a harness bug).
-pub fn predict(
+pub(crate) fn predict(
     app: &AppProfile,
     seed: u64,
     windows: &[CoreWindow],
