@@ -277,7 +277,8 @@ impl SpbDetector {
         Some(burst)
     }
 
-    /// Resets all dynamic state (e.g. on a context switch).
+    /// Resets all dynamic state (e.g. on a context switch; the policy
+    /// resets its wrong-path detector at every squash).
     pub fn reset(&mut self) {
         self.last_block = 0;
         self.sat = 0;

@@ -3,14 +3,19 @@
 //! an explicit burst threshold and partial-page bursts. All of them are
 //! knobs of the one [`SpbDetector`](crate::detector::SpbDetector) (see
 //! its "Extension knobs" section); this module pins their behaviour,
-//! and checks that with every knob at its default the detector is the
-//! paper's three-register rule.
+//! checks that with every knob at its default the detector is the
+//! paper's three-register rule, and that wrong-path stores run the
+//! same rule as committed ones.
 
 #[cfg(test)]
 mod tests {
     use crate::detector::{Burst, SpbDetector, BLOCKS_PER_PAGE, BLOCK_BYTES};
-    use crate::params::SpbParams;
+    use crate::params::{SpbParams, BURST_RANGE, CROSS_RANGE, FRAC_MILLI_RANGE, N_RANGE};
+    use crate::policy::SpbPolicy;
     use proptest::prelude::*;
+    use spb_cpu::StorePrefetchPolicy;
+    use spb_mem::{MemoryConfig, MemorySystem};
+    use spb_obs::{Collector, EventKind};
 
     fn cfg(n: u32, backward: bool, cross: u32) -> SpbParams {
         SpbParams {
@@ -112,6 +117,55 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The `(cycle, page, blocks)` of every burst an [`SpbPolicy`] over
+    /// `params` enqueues for `stores`, one store per cycle, fed as
+    /// committed stores or as one unsquashed wrong-path run.
+    fn policy_bursts(params: SpbParams, stores: &[u64], wrong_path: bool) -> Vec<(u64, u64, u32)> {
+        let mut mem = MemorySystem::new(MemoryConfig::default());
+        let collector = Collector::new();
+        mem.set_observer(collector.observer());
+        let mut spb = SpbPolicy::new(params);
+        for (now, &addr) in (0u64..).zip(stores) {
+            if wrong_path {
+                spb.on_wrong_path_store(&mut mem, 0, addr, 8, 0x400, now);
+            } else {
+                spb.on_store_commit(&mut mem, 0, addr, 8, 0x400, now);
+            }
+        }
+        collector
+            .take()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::BurstDetected { page, blocks } => Some((e.cycle, page, blocks)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// One rule on both paths: over the whole knob space (`burst =
+        /// 0` is the auto rule), a store stream fed to a policy as
+        /// committed stores and the same stream fed to another as
+        /// wrong-path stores enqueue the same bursts.
+        #[test]
+        fn wrong_path_stores_run_the_committed_rule(
+            n in N_RANGE.0..=N_RANGE.1,
+            dedupe in any::<bool>(),
+            burst in 0..=BURST_RANGE.1,
+            frac_milli in FRAC_MILLI_RANGE.0..=FRAC_MILLI_RANGE.1,
+            backward in any::<bool>(),
+            cross in CROSS_RANGE.0..=CROSS_RANGE.1,
+            segs in proptest::collection::vec((0u64..8, 1u64..160, any::<u64>()), 1..40),
+        ) {
+            let params = SpbParams { n, dedupe, burst, frac_milli, backward, cross };
+            let stores = store_stream(&segs);
+            let committed = policy_bursts(params, &stores, false);
+            prop_assert_eq!(policy_bursts(params, &stores, true), committed);
+        }
     }
 
     proptest! {

@@ -1,83 +1,9 @@
 //! SPB as a drop-in store-prefetch policy.
 
-use crate::detector::{Burst, SpbDetector, BLOCK_BYTES, SAT_MAX};
+use crate::detector::{SpbDetector, BLOCK_BYTES, SAT_MAX};
 use crate::params::SpbParams;
 use spb_cpu::StorePrefetchPolicy;
 use spb_mem::{MemorySystem, RfoOrigin};
-
-/// Wrong-path companion to the commit-fed SPB detector.
-///
-/// The paper's SPB observes *committed* stores, so squashed work never
-/// reaches it. The squash-storm scenarios ask the opposite question:
-/// what does SPB waste if its window closes over a wrong-path store run
-/// (a detector fed at execute, or deep ret2spec-style speculation where
-/// a whole burst executes before the misprediction resolves)? This
-/// mini-detector mirrors the main one's trigger rule — a contiguous
-/// same-page ±1-block run reaching the window `n` — but issues its page
-/// burst through [`MemorySystem::enqueue_burst_spec`], so every block it
-/// acquires is tagged and charged at squash time. It keeps no state
-/// across paths: [`WrongPathWindow::reset`] runs at every squash.
-#[derive(Debug, Clone, Copy)]
-struct WrongPathWindow {
-    n: u64,
-    last_block: u64,
-    run: u64,
-    descending: bool,
-    fired_page: u64,
-}
-
-impl WrongPathWindow {
-    fn new(n: u32) -> Self {
-        Self {
-            n: u64::from(n.max(1)),
-            last_block: u64::MAX - 1,
-            run: 0,
-            descending: false,
-            fired_page: u64::MAX,
-        }
-    }
-
-    /// Observes one wrong-path store; returns the burst when the window
-    /// closes over a contiguous run on a new page.
-    fn observe(&mut self, addr: u64) -> Option<Burst> {
-        let block = addr / 64;
-        let asc = block == self.last_block.wrapping_add(1);
-        let desc = block == self.last_block.wrapping_sub(1);
-        if asc || desc {
-            self.run += 1;
-            self.descending = desc;
-        } else {
-            self.run = 1;
-            self.descending = false;
-        }
-        self.last_block = block;
-        let page = block / 64;
-        if self.run >= self.n && page != self.fired_page {
-            self.fired_page = page;
-            let lo = page * 64;
-            let hi = lo + 64;
-            // Burst the untouched remainder of the page in run order,
-            // nearest block first.
-            let (start, end) = if self.descending {
-                (lo, block)
-            } else {
-                (block + 1, hi)
-            };
-            return (start < end).then_some(Burst {
-                start,
-                end,
-                descending: self.descending,
-            });
-        }
-        None
-    }
-
-    fn reset(&mut self) {
-        self.run = 0;
-        self.last_block = u64::MAX - 1;
-        self.fired_page = u64::MAX;
-    }
-}
 
 /// Store-Prefetch Bursts as a drop-in store-prefetch policy: at-commit
 /// RFOs for every store (the hardware baseline keeps running
@@ -96,6 +22,15 @@ impl WrongPathWindow {
 /// - [`SpbPolicy::feedback`] (`spb-feedback`): measured burst accuracy
 ///   picks how much of each burst to issue.
 ///
+/// Wrong-path stores (the squash-storm model) run a second detector
+/// built from the same [`SpbParams`], so every knob means the same on
+/// both paths. Its bursts go out through
+/// [`MemorySystem::enqueue_burst_spec`], so every block they acquire is
+/// tagged and charged at the squash, which resets the detector. Wrong-
+/// path stores never train committed-path state: `spb-dynamic` holds
+/// them to the params threshold, and the feedback ladder trims their
+/// bursts but adapts only on committed ones.
+///
 /// # Examples
 ///
 /// ```
@@ -113,7 +48,7 @@ impl WrongPathWindow {
 #[derive(Debug, Clone)]
 pub struct SpbPolicy {
     detector: SpbDetector,
-    wrong_path: WrongPathWindow,
+    wrong_path: SpbDetector,
     sizing: Sizing,
 }
 
@@ -160,12 +95,12 @@ impl SpbPolicy {
     fn sized(params: SpbParams, sizing: Sizing) -> Self {
         Self {
             detector: SpbDetector::new(params),
-            wrong_path: WrongPathWindow::new(params.n),
+            wrong_path: SpbDetector::new(params),
             sizing,
         }
     }
 
-    /// The underlying detector (for instrumentation).
+    /// The committed-path detector (for instrumentation).
     pub fn detector(&self) -> &SpbDetector {
         &self.detector
     }
@@ -226,7 +161,7 @@ impl StorePrefetchPolicy for SpbPolicy {
     ) {
         // The feedback ladder throttles speculative bursts exactly like
         // committed ones.
-        if let Some(burst) = self.wrong_path.observe(addr) {
+        if let Some(burst) = self.wrong_path.observe_store(addr) {
             mem.enqueue_burst_spec(core, burst.nearest(self.frac_milli()).blocks(), now);
         }
     }
@@ -551,25 +486,39 @@ mod tests {
         assert_eq!(mem.burst_queue_len(0), 0, "reset must split the run");
     }
 
-    /// A ret2spec-style descending run bursts the blocks below it,
-    /// issued downward from the run, and the feedback ladder keeps the
-    /// blocks nearest the run, as it does for every other burst.
+    /// With `backward=on` a ret2spec-style descending wrong-path run
+    /// bursts the blocks below the checking store, issued downward from
+    /// it, and `frac` keeps the blocks nearest the run, exactly as on
+    /// the committed path. With `backward=off` (the default, and the
+    /// only setting of the adaptive spellings) the run stays silent.
     #[test]
     fn descending_wrong_path_run_bursts_toward_page_start() {
+        let backward = SpbParams {
+            backward: true,
+            ..SpbParams::base(8, true)
+        };
+        let half = SpbParams {
+            frac_milli: 500,
+            ..backward
+        };
         let cases = [
-            (SpbPolicy::new(SpbParams::base(8, true)), 56),
-            (SpbPolicy::feedback(8), 28),
+            (SpbPolicy::new(backward), 55),
+            (SpbPolicy::new(half), 28),
+            (SpbPolicy::new(SpbParams::base(8, true)), 0),
+            (SpbPolicy::dynamic(8), 0),
+            (SpbPolicy::feedback(8), 0),
         ];
         for (mut spb, kept) in cases {
             let mut mem = MemorySystem::new(MemoryConfig::default());
             let collector = Collector::new();
             mem.set_observer(collector.observer());
-            // ret2spec-style run down from the last block of a page.
+            // Down a whole page from its last block: the ninth store
+            // checks the window and fires; dedupe silences the rest.
             let top = 0x100_0000 / 64 + 63;
-            for i in 0..8u64 {
+            for i in 0..64u64 {
                 spb.on_wrong_path_store(&mut mem, 0, (top - i) * 64, 8, 0xDEAD, i);
             }
-            let mut now = 8;
+            let mut now = 64;
             while mem.burst_queue_len(0) > 0 {
                 mem.tick(now);
                 now += 1;
@@ -582,9 +531,9 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            let current = top - 7;
+            let current = top - 8;
             let nearest_first: Vec<u64> = (current - kept..current).rev().collect();
-            assert_eq!(issued, nearest_first, "{}", spb.name());
+            assert_eq!(issued, nearest_first, "{} keeping {kept}", spb.name());
         }
     }
 }

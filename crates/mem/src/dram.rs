@@ -69,7 +69,6 @@ pub struct DramPort {
     next_free: Vec<u64>,
     open_row: Vec<Option<u64>>,
     accesses: u64,
-    row_hits: u64,
     writebacks: u64,
 }
 
@@ -97,7 +96,6 @@ impl DramPort {
             open_row: vec![None; config.channels],
             config,
             accesses: 0,
-            row_hits: 0,
             writebacks: 0,
         }
     }
@@ -130,7 +128,6 @@ impl DramPort {
 
     fn latency_for(&mut self, ch: usize, row: u64) -> u64 {
         if self.open_row[ch] == Some(row) {
-            self.row_hits += 1;
             self.config.row_hit_latency
         } else {
             self.open_row[ch] = Some(row);
@@ -163,7 +160,6 @@ impl DramPort {
     /// Resets counters (end of warm-up) but keeps channel/row state.
     pub(crate) fn reset_counters(&mut self) {
         self.accesses = 0;
-        self.row_hits = 0;
         self.writebacks = 0;
     }
 }
@@ -185,8 +181,7 @@ mod tests {
     #[test]
     fn first_access_is_a_row_miss() {
         let mut d = one_channel();
-        assert_eq!(d.access(5, 0), 105);
-        assert_eq!(d.row_hits, 0);
+        assert_eq!(d.access(5, 0), 105, "the full 100-cycle row miss");
     }
 
     #[test]
@@ -198,7 +193,6 @@ mod tests {
         assert_eq!(a, 100);
         assert_eq!(b, 68, "row hit from the second transfer slot");
         assert_eq!(c, 76);
-        assert_eq!(d.row_hits, 2);
     }
 
     #[test]
@@ -209,7 +203,6 @@ mod tests {
         assert_eq!(b, 108, "8 (queue) + 100 (row miss)");
         let c = d.access(0, 0); // row 0 again: conflict again
         assert_eq!(c, 116);
-        assert_eq!(d.row_hits, 0);
     }
 
     #[test]
@@ -264,7 +257,6 @@ mod tests {
         let _ = d.access(0, 0);
         d.reset_counters();
         assert_eq!(d.accesses(), 0);
-        assert_eq!(d.row_hits, 0);
         let b = d.access(0, 1);
         assert_eq!(b, 68, "row state survives the counter reset");
     }

@@ -75,8 +75,6 @@ pub struct MshrFile {
     /// removals and deadline extensions never bother recomputing it.
     earliest_ready: u64,
     allocations: u64,
-    merges: u64,
-    full_events: u64,
 }
 
 impl MshrFile {
@@ -98,8 +96,6 @@ impl MshrFile {
             free: (0..capacity as u16).rev().collect(),
             earliest_ready: u64::MAX,
             allocations: 0,
-            merges: 0,
-            full_events: 0,
         }
     }
 
@@ -234,16 +230,10 @@ impl MshrFile {
                 // Raising a deadline can only move the true minimum up,
                 // so the cached lower bound stays valid as-is.
                 self.ready[s] = self.ready[s].max(ready);
-                self.merges += 1;
                 true
             }
             None => false,
         }
-    }
-
-    /// Records a merged (secondary) request against an existing entry.
-    pub(crate) fn record_merge(&mut self) {
-        self.merges += 1;
     }
 
     /// Allocates an entry for `block` completing at `ready`.
@@ -267,7 +257,6 @@ impl MshrFile {
             "duplicate MSHR for block {block:#x}"
         );
         if self.occupied.len() >= self.capacity {
-            self.full_events += 1;
             let earliest = self
                 .occupied
                 .iter()
@@ -310,7 +299,6 @@ mod tests {
         m.allocate(2, 60, false, None, 0).unwrap();
         let err = m.allocate(3, 120, false, None, 10).unwrap_err();
         assert_eq!(err, 60);
-        assert_eq!(m.full_events, 1);
     }
 
     #[test]

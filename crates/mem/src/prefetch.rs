@@ -82,7 +82,6 @@ pub struct Prefetcher {
     issued_window: u64,
     useful_window: u64,
     level_idx: usize,
-    issued_total: u64,
 }
 
 /// FDP's aggressiveness ladder.
@@ -129,7 +128,6 @@ impl Prefetcher {
             issued_window: 0,
             useful_window: 0,
             level_idx: 1,
-            issued_total: 0,
         }
     }
 
@@ -146,9 +144,7 @@ impl Prefetcher {
             return;
         }
         if let Some(spatial) = &mut self.spatial {
-            let before = out.len();
             spatial.train(block, out);
-            self.issued_total += (out.len() - before) as u64;
             return;
         }
         let idx = (pc as usize ^ (pc >> 8) as usize) % self.table.len();
@@ -183,9 +179,7 @@ impl Prefetcher {
                     out.push(target as u64);
                 }
             }
-            let pushed = (out.len() - before) as u64;
-            self.issued_total += pushed;
-            self.issued_window += pushed;
+            self.issued_window += (out.len() - before) as u64;
             self.maybe_adapt();
         }
     }
@@ -302,14 +296,6 @@ mod tests {
         }
         assert_eq!(p.aggressiveness.degree, 1);
     }
-
-    #[test]
-    fn issued_total_accumulates() {
-        let mut p = Prefetcher::new(PrefetcherKind::Stride);
-        let out = train_stream(&mut p, 0x50, 0..10);
-        assert_eq!(p.issued_total, out.len() as u64);
-        assert!(p.issued_total > 0);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -335,8 +321,6 @@ pub(crate) struct SpatialPrefetcher {
     active: Vec<(u64, u64)>,
     /// Learned footprints: direct-mapped by page, (page, bitvec).
     pht: Vec<(u64, u64)>,
-    issued_total: u64,
-    replays: u64,
 }
 
 impl Default for SpatialPrefetcher {
@@ -352,8 +336,6 @@ impl SpatialPrefetcher {
         Self {
             active: Vec::with_capacity(32),
             pht: vec![(u64::MAX, 0); 1024],
-            issued_total: 0,
-            replays: 0,
         }
     }
 
@@ -375,14 +357,11 @@ impl SpatialPrefetcher {
         let (learned_page, learned_fp) = self.pht[slot];
         if learned_page == page && learned_fp != 0 {
             // Replay the learned footprint (minus the trigger block).
-            self.replays += 1;
-            let before = out.len();
             for off in 0..64u64 {
                 if off != offset && learned_fp & (1 << off) != 0 {
                     out.push(page * 64 + off);
                 }
             }
-            self.issued_total += (out.len() - before) as u64;
         }
         // Start tracking; recycle the oldest generation into the PHT.
         if self.active.len() == 32 {
@@ -424,7 +403,6 @@ mod spatial_tests {
         let mut got = out.clone();
         got.sort_unstable();
         assert_eq!(got, expect, "footprint minus the trigger block");
-        assert_eq!(p.replays, 1);
     }
 
     #[test]
@@ -435,8 +413,6 @@ mod spatial_tests {
             let out = touch_page(&mut p, page, &[0, 1, 2, 3]);
             assert!(out.is_empty(), "page {page} replayed without reuse");
         }
-        assert_eq!(p.replays, 0);
-        assert_eq!(p.issued_total, 0);
     }
 
     #[test]

@@ -1398,7 +1398,6 @@ impl MemorySystem {
             if let Some(entry) = self.cores[core].mshr.lookup(block) {
                 // The line was evicted while its fill was in flight;
                 // merge and reinstate it.
-                self.cores[core].mshr.record_merge();
                 if !self.directory.tracks(core as u8, block) {
                     // Both private copies were evicted mid-flight and the
                     // directory forgot us: re-register before
@@ -1590,7 +1589,6 @@ impl MemorySystem {
                 self.evicted_unused.warm(block);
                 // Merge into an in-flight request if one exists.
                 if let Some(ready) = self.cores[core].mshr.upgrade_to_exclusive(block) {
-                    self.cores[core].mshr.record_merge();
                     self.stats.store_retries += 1;
                     self.upgrade_merged_entry(core, block, now);
                     self.cores[core].demand_miss_until =
@@ -1683,7 +1681,6 @@ impl MemorySystem {
             }
             None => {
                 if let Some(ready) = self.cores[core].mshr.upgrade_to_exclusive(block) {
-                    self.cores[core].mshr.record_merge();
                     self.upgrade_merged_entry(core, block, now);
                     if self.cores[core].l1.peek(block).is_some() {
                         if let Some(mut l) = self.cores[core].l1.lookup(block) {

@@ -306,7 +306,7 @@ mod tests {
         const ENTRY: &str = r#"{
   "body": {
     "key": "0123456789abcdef",
-    "code_version": "spb-0.1.0-g1",
+    "code_version": "spb-0.1.0-g2",
     "app": "x264",
     "record": {
       "app": "x264",
@@ -320,7 +320,7 @@ mod tests {
       "coh_msgs": 99
     }
   },
-  "checksum": "fnv1a64:d945c287b94c0e62"
+  "checksum": "fnv1a64:be678982184f9681"
 }
 "#;
         let cache = tmp_cache("pinned");

@@ -74,4 +74,4 @@ pub use spec::{Budget, CellSpec, JobSpec};
 /// kernels, policy fixes, config defaults): old cache entries then
 /// miss — and are recomputed — instead of silently serving stale
 /// results from a different simulator.
-pub(crate) const CODE_VERSION: &str = concat!("spb-", env!("CARGO_PKG_VERSION"), "-g1");
+pub(crate) const CODE_VERSION: &str = concat!("spb-", env!("CARGO_PKG_VERSION"), "-g2");

@@ -21,7 +21,12 @@ use spb_trace::profile::{AppCatalog, AppProfile};
 use spb_verify::{check_app, minimize, run_one, run_seeds, FuzzConfig};
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a != "--full") {
+        eprintln!("usage: verify_smoke [--full]");
+        std::process::exit(2);
+    }
+    let full = !args.is_empty();
     let t0 = std::time::Instant::now();
 
     let apps: Vec<AppProfile> = if full {

@@ -9,9 +9,9 @@
 //! resolved inside the measured window yields, with no
 //! microarchitecture at all, the exact set of blocks a per-store
 //! speculative policy (at-execute) pulls into M state and abandons —
-//! and a hard upper bound (the page spans) on what any burst policy
-//! (the SPB family, whose wrong-path detector only ever bursts into
-//! the remainder of an episode page) can leak.
+//! and a hard upper bound on what any burst policy (the SPB family,
+//! whose wrong-path detector runs the committed path's rule from its
+//! [`SpbParams`]) can leak.
 //!
 //! [`check_run`] diffs a real [`RunResult`] against that model:
 //!
@@ -19,11 +19,12 @@
 //!   RFO either tagged a block (`spec_leaked_m_blocks`) or was still
 //!   queued at the squash and dropped (`spec_dropped`) — the two must
 //!   sum to the flat model's store count exactly;
-//! - **bound** (every policy): leaked + dropped blocks never exceed
-//!   the episodes' page spans, and the spans themselves never exceed
-//!   `squashes × ceil(depth_max / blocks-per-page) × blocks-per-page`
-//!   (the window-N × page-fraction × storm bound stated in DESIGN.md
-//!   §13 — pessimistically assuming the detector fires on every page);
+//! - **bound**: leaked + dropped blocks never exceed the episodes'
+//!   page spans (every policy but SPB points with `cross > 0` or
+//!   `dedupe=off`), themselves at most `squashes × ceil(depth_max /
+//!   blocks-per-page) × blocks-per-page`; nor, for the SPB family,
+//!   `⌊depth / (n + 1)⌋` firings per episode of `1 + cross` pages each
+//!   (the window-N × page-fraction × storm bound of DESIGN.md §13);
 //! - **attribution exactness**: episode blocks are cold and private,
 //!   so every tagged block cost exactly one RFO and zero coherence
 //!   messages, and (in fault-free runs) exactly one DRAM fill;
@@ -34,9 +35,10 @@
 //! counter as zero — that degenerate case is what makes squash-rate-0
 //! the executable spec of "the model is off".
 
+use spb_core::SpbParams;
 use spb_sim::{CoreWindow, PolicyKind, RunResult, SimConfig};
 use spb_trace::op::BLOCKS_PER_PAGE;
-use spb_trace::squash::EpisodePlan;
+use spb_trace::squash::{EpisodePlan, WrongPathRun};
 use spb_trace::SquashConfig;
 use std::collections::HashSet;
 use std::fmt;
@@ -84,8 +86,8 @@ pub struct LeakReport {
 }
 
 /// Per-episode block ceiling: an episode of at most `depth_max` stores
-/// spans at most this many blocks, and the wrong-path detector never
-/// bursts outside an episode's pages.
+/// spans at most this many blocks, and an SPB detector with `cross = 0`
+/// and `dedupe=on` never bursts outside an episode's pages.
 pub(crate) fn per_episode_block_bound(cfg: &SquashConfig) -> u64 {
     u64::from(cfg.depth_max).div_ceil(BLOCKS_PER_PAGE).max(1) * BLOCKS_PER_PAGE
 }
@@ -97,37 +99,47 @@ pub(crate) fn per_episode_block_bound(cfg: &SquashConfig) -> u64 {
 /// reset precisely so that attribution lands with the squash).
 pub(crate) fn predict_leak(cfg: &SquashConfig, windows: &[CoreWindow]) -> LeakPrediction {
     let mut p = LeakPrediction::default();
-    for (core, w) in windows.iter().enumerate() {
-        let mut plan = EpisodePlan::new(cfg, core);
-        for episode in 0..w.warmup_squashes + w.squashes {
-            let run = plan.next_episode();
-            if episode < w.warmup_squashes {
-                continue; // attributed into warm-up stats, then reset
-            }
-            p.episodes += 1;
-            p.stored_blocks += u64::from(run.depth);
-            p.span_blocks += u64::from(run.depth).div_ceil(BLOCKS_PER_PAGE).max(1) * BLOCKS_PER_PAGE;
-            p.blocks.extend(run.blocks());
-        }
+    for run in measured_runs(cfg, windows) {
+        p.episodes += 1;
+        p.stored_blocks += u64::from(run.depth);
+        p.span_blocks += u64::from(run.depth).div_ceil(BLOCKS_PER_PAGE).max(1) * BLOCKS_PER_PAGE;
+        p.blocks.extend(run.blocks());
     }
     p
+}
+
+/// The wrong-path runs of the episodes [`predict_leak`] accounts, core
+/// by core; earlier episodes are attributed into warm-up stats, then
+/// reset.
+fn measured_runs<'a>(
+    cfg: &'a SquashConfig,
+    windows: &'a [CoreWindow],
+) -> impl Iterator<Item = WrongPathRun> + 'a {
+    windows.iter().enumerate().flat_map(move |(core, w)| {
+        let mut plan = EpisodePlan::new(cfg, core);
+        (0..w.warmup_squashes + w.squashes)
+            .map(move |_| plan.next_episode())
+            .skip(w.warmup_squashes as usize)
+    })
 }
 
 /// How a policy participates in wrong-path speculation.
 enum SpecClass {
     /// Issues one speculative RFO per wrong-path store (at-execute).
     PerStore,
-    /// Bursts into episode pages via the wrong-path detector (SPB).
-    Burst,
+    /// Bursts via the wrong-path detector (the SPB family), which runs
+    /// the committed path's rule from these parameters.
+    Burst(SpbParams),
     /// Never issues speculative RFOs (none / at-commit / ideal).
     Passive,
 }
 
 fn classify(policy: &PolicyKind) -> SpecClass {
-    match policy {
+    match *policy {
         PolicyKind::AtExecute => SpecClass::PerStore,
-        PolicyKind::Spb { .. } | PolicyKind::SpbDynamic { .. } | PolicyKind::SpbFeedback { .. } => {
-            SpecClass::Burst
+        PolicyKind::Spb { params } => SpecClass::Burst(params),
+        PolicyKind::SpbDynamic { n } | PolicyKind::SpbFeedback { n } => {
+            SpecClass::Burst(SpbParams::base(n, true))
         }
         PolicyKind::None | PolicyKind::AtCommit | PolicyKind::IdealSb => SpecClass::Passive,
     }
@@ -221,9 +233,11 @@ pub fn check_run(cfg: &SimConfig, r: &RunResult) -> Result<LeakReport, Box<LeakF
         checks.push("one-fill-per-leaked-block");
     }
 
-    // The hard ceiling, for every policy: nothing speculative escapes
-    // the episodes' page spans.
-    if m.spec_leaked_m_blocks + m.spec_dropped > pred.span_blocks {
+    // The hard ceiling: nothing speculative escapes the episodes' page
+    // spans, unless SPB bursts may cross a page or repeat within one.
+    let class = classify(&cfg.policy);
+    let span_bounded = !matches!(class, SpecClass::Burst(p) if p.cross > 0 || !p.dedupe);
+    if span_bounded && m.spec_leaked_m_blocks + m.spec_dropped > pred.span_blocks {
         return fail(
             "page-span-bound",
             format!(
@@ -232,7 +246,7 @@ pub fn check_run(cfg: &SimConfig, r: &RunResult) -> Result<LeakReport, Box<LeakF
             ),
         );
     }
-    checks.push("page-span-bound");
+    checks.extend(span_bounded.then_some("page-span-bound"));
     let ceiling = pred.episodes * per_episode_block_bound(&cfg.squash);
     if pred.span_blocks > ceiling {
         return fail(
@@ -247,7 +261,7 @@ pub fn check_run(cfg: &SimConfig, r: &RunResult) -> Result<LeakReport, Box<LeakF
     }
     checks.push("per-episode-bound");
 
-    match classify(&cfg.policy) {
+    match class {
         SpecClass::PerStore => {
             // Conservation: every wrong-path store's RFO either tagged
             // its block or was dropped from the queue at the squash.
@@ -262,22 +276,24 @@ pub fn check_run(cfg: &SimConfig, r: &RunResult) -> Result<LeakReport, Box<LeakF
             }
             checks.push("per-store-conservation");
         }
-        SpecClass::Burst => {
-            // The detector needs a run of `n` stores before it bursts,
-            // so it can never leak more than the span minus nothing —
-            // the page-span bound above is the contract; here we add
-            // that a burst policy leaks at most what per-store would
-            // have spanned.
-            if m.spec_leaked_m_blocks > pred.span_blocks {
+        SpecClass::Burst(p) => {
+            // The detector restarts at every squash and checks once per
+            // `n + 1` stores; each firing covers at most `1 + cross` pages.
+            let firings: u64 = measured_runs(&cfg.squash, &r.per_core)
+                .map(|run| u64::from(run.depth) / (u64::from(p.n) + 1))
+                .sum();
+            let bound = firings * (1 + u64::from(p.cross)) * BLOCKS_PER_PAGE;
+            if m.spec_leaked_m_blocks + m.spec_dropped > bound {
                 return fail(
-                    "burst-span-bound",
+                    "burst-firing-bound",
                     format!(
-                        "burst policy leaked {} of a {}-block span",
-                        m.spec_leaked_m_blocks, pred.span_blocks
+                        "leaked {} + dropped {} exceeds the {bound} blocks the \
+                         wrong-path detector can fire over",
+                        m.spec_leaked_m_blocks, m.spec_dropped
                     ),
                 );
             }
-            checks.push("burst-span-bound");
+            checks.push("burst-firing-bound");
         }
         SpecClass::Passive => {
             if m.spec_rfos_issued != 0 || m.spec_leaked_m_blocks != 0 || m.spec_dropped != 0 {
@@ -326,18 +342,30 @@ mod tests {
     #[test]
     fn spb_policy_stays_inside_the_span_bound() {
         let app = AppProfile::by_name("x264").unwrap();
-        // Window 8 with depth up to 64: the wrong-path detector fires.
-        let cfg = squash_cfg(
-            PolicyKind::parse("spb:n=8").unwrap(),
-            "rate=0.1,depth=16..64,storm=2,seed=5",
-        );
-        let r = Simulation::with_config(&app, &cfg).run().unwrap();
-        assert!(
-            r.mem.spec_leaked_m_blocks > 0,
-            "the wrong-path detector bursts under deep storms"
-        );
-        let report = check_run(&cfg, &r).unwrap_or_else(|e| panic!("{e}"));
-        assert!(report.checks.contains(&"burst-span-bound"));
+        // Window 8 with depth up to 96: the wrong-path detector fires.
+        // Crossing pages and repeating within one leave the episodes'
+        // page spans; only the firing bound holds them.
+        for (policy, ret2spec, span_bounded) in [
+            ("spb:n=8", "off", true),
+            ("spb:n=8,cross=2", "off", false),
+            ("spb:n=8,dedupe=off", "off", false),
+            ("spb:n=8,backward=on", "on", true),
+        ] {
+            let storm = format!("rate=0.1,depth=16..96,storm=2,ret2spec={ret2spec},seed=5");
+            let cfg = squash_cfg(PolicyKind::parse(policy).unwrap(), &storm);
+            let r = Simulation::with_config(&app, &cfg).run().unwrap();
+            assert!(
+                r.mem.spec_leaked_m_blocks > 0,
+                "{policy}: the wrong-path detector bursts under deep storms"
+            );
+            let report = check_run(&cfg, &r).unwrap_or_else(|e| panic!("{policy}: {e}"));
+            assert!(report.checks.contains(&"burst-firing-bound"), "{policy}");
+            assert_eq!(
+                report.checks.contains(&"page-span-bound"),
+                span_bounded,
+                "{policy}"
+            );
+        }
     }
 
     #[test]
