@@ -3,8 +3,10 @@
 //! Every SPB spelling — the paper's `spb`, its extension knobs, the
 //! §IV-C `spb-dynamic` store-size variant and the accuracy-driven
 //! `spb-feedback` ladder — is pinned by FNV-1a digests of every
-//! simulated field of whole runs, recorded before the family was folded
-//! into one policy type. Synthetic stores are all 8 bytes wide, so
+//! simulated field of whole runs. The plain digests were recorded
+//! before the family was folded into one policy type; the storm
+//! digests when wrong-path stores moved onto the committed path's
+//! detector rule. Synthetic stores are all 8 bytes wide, so
 //! whole runs cannot tell `spb-dynamic` from plain SPB; the property
 //! at the end checks it against [`DynamicModel`] over mixed store sizes.
 
@@ -24,27 +26,27 @@ const STORM: &str = "rate=0.05,depth=16..96,storm=4,ret2spec=off,seed=7";
 /// SPEC apps and one 8-thread PARSEC app.
 #[rustfmt::skip]
 const CORPUS: [(&str, &str, &str, &str); 21] = [
-    ("bwaves", "spb", "f610c646e570793d", "5d2770547a955cb4"),
-    ("bwaves", "spb:n=24,dedupe=off", "bce9da4762b27221", "1c7f0603a8d51b04"),
-    ("bwaves", "spb:burst=3,frac=0.5,backward=on,cross=2", "debcc91b90dd051f", "c46104899bc5ec82"),
-    ("bwaves", "spb-dynamic", "6452413f28ed0991", "ce8608a1ec3a1500"),
-    ("bwaves", "spb-dynamic:n=16", "a56370e77c5356a5", "ef2a02e81e6eb991"),
-    ("bwaves", "spb-feedback", "54f66805b4722285", "6e84678eb8534fdd"),
-    ("bwaves", "spb-feedback:n=24", "5b2670cd8ed5e29e", "ff54bc99349e523e"),
-    ("roms", "spb", "4d630bfa1d6d7538", "239101d76616078d"),
-    ("roms", "spb:n=24,dedupe=off", "8505cf257f074cd4", "b735e9e5fc6e5bec"),
-    ("roms", "spb:burst=3,frac=0.5,backward=on,cross=2", "52c08dfcd6ce5e30", "8dec47f41eccaf95"),
-    ("roms", "spb-dynamic", "6ed4c6a08428647c", "658296f5ef980c99"),
-    ("roms", "spb-dynamic:n=16", "c0b55fcdaaea58d2", "715647edc109f512"),
-    ("roms", "spb-feedback", "8f8ad2fae8c7c41a", "16323db45a7c02c3"),
-    ("roms", "spb-feedback:n=24", "56770e5e4cc5e30b", "6cd936376168199a"),
-    ("bodytrack", "spb", "d8e012110edd45b1", "988d08c3334d0c02"),
-    ("bodytrack", "spb:n=24,dedupe=off", "e5e8a788201b8efd", "34ba51f660bebd4a"),
-    ("bodytrack", "spb:burst=3,frac=0.5,backward=on,cross=2", "ab3c5ef69cd1b0bd", "ff1c943bb411d3ae"),
-    ("bodytrack", "spb-dynamic", "fdcc02e80959ccd5", "1bacc712ae6c25d6"),
-    ("bodytrack", "spb-dynamic:n=16", "0f699400ef72c6db", "1c5e56a3b8f4dfcd"),
-    ("bodytrack", "spb-feedback", "0b3f7202e95a0b0f", "534a47754d9c42d2"),
-    ("bodytrack", "spb-feedback:n=24", "471a8389ec4f6c6c", "2434490ad22fbdee"),
+    ("bwaves", "spb", "f610c646e570793d", "7e629aeb9127d0d7"),
+    ("bwaves", "spb:n=24,dedupe=off", "bce9da4762b27221", "994737b2615f6d32"),
+    ("bwaves", "spb:burst=3,frac=0.5,backward=on,cross=2", "debcc91b90dd051f", "3728b3b15018ae66"),
+    ("bwaves", "spb-dynamic", "6452413f28ed0991", "d0bbda13cf16a883"),
+    ("bwaves", "spb-dynamic:n=16", "a56370e77c5356a5", "8b7ef948740823a4"),
+    ("bwaves", "spb-feedback", "54f66805b4722285", "ea971d567a29981f"),
+    ("bwaves", "spb-feedback:n=24", "5b2670cd8ed5e29e", "16882f45e7e6108c"),
+    ("roms", "spb", "4d630bfa1d6d7538", "f40d398ae1bc058c"),
+    ("roms", "spb:n=24,dedupe=off", "8505cf257f074cd4", "757f3dbcbadb651e"),
+    ("roms", "spb:burst=3,frac=0.5,backward=on,cross=2", "52c08dfcd6ce5e30", "db7edb5186e73a9d"),
+    ("roms", "spb-dynamic", "6ed4c6a08428647c", "3a7652353879a700"),
+    ("roms", "spb-dynamic:n=16", "c0b55fcdaaea58d2", "81fbdc17a80a361e"),
+    ("roms", "spb-feedback", "8f8ad2fae8c7c41a", "82de3864f68f433c"),
+    ("roms", "spb-feedback:n=24", "56770e5e4cc5e30b", "e4293fb164c05149"),
+    ("bodytrack", "spb", "d8e012110edd45b1", "ef91886904a55ff6"),
+    ("bodytrack", "spb:n=24,dedupe=off", "e5e8a788201b8efd", "00ff0b93b80a4674"),
+    ("bodytrack", "spb:burst=3,frac=0.5,backward=on,cross=2", "ab3c5ef69cd1b0bd", "76d76d27cbef9804"),
+    ("bodytrack", "spb-dynamic", "fdcc02e80959ccd5", "c54fef8443c6ce8a"),
+    ("bodytrack", "spb-dynamic:n=16", "0f699400ef72c6db", "a56fbb3c76dd0375"),
+    ("bodytrack", "spb-feedback", "0b3f7202e95a0b0f", "66c915d30bdf51e3"),
+    ("bodytrack", "spb-feedback:n=24", "471a8389ec4f6c6c", "9864796ba8b6b759"),
 ];
 
 /// FNV-1a over every simulated field of a run at SB 14 and a small
