@@ -41,7 +41,8 @@ fn kernels(c: &mut Criterion) {
                 b.iter(|| {
                     let r = Simulation::with_config(&app, &cfg).run_or_panic();
                     assert_eq!(
-                        r.cycles, reference,
+                        r.cycles,
+                        reference,
                         "{name}: {} kernel diverged from the reference run",
                         kernel.label()
                     );

@@ -68,7 +68,10 @@ fn main() {
         eprintln!("bench_snapshot: writing {out}: {e}");
         std::process::exit(1);
     });
-    println!("wrote {out} ({} benches, kernel {kernel})", snap.records.len());
+    println!(
+        "wrote {out} ({} benches, kernel {kernel})",
+        snap.records.len()
+    );
 }
 
 /// Loads, validates, and diffs two snapshots. In advisory mode
@@ -114,10 +117,11 @@ fn compare_snapshots(base_path: &str, new_path: &str, blocking: bool) {
             eprintln!("bench gate: FAIL {name}: missing from new snapshot");
         }
         if report.passed() {
-            println!("bench gate: PASS (no calibrated min-sample regression beyond {GATE_TOLERANCE}x)");
+            println!(
+                "bench gate: PASS (no calibrated min-sample regression beyond {GATE_TOLERANCE}x)"
+            );
         } else {
-            let failed =
-                report.missing.len() + report.benches.iter().filter(|b| b.failed).count();
+            let failed = report.missing.len() + report.benches.iter().filter(|b| b.failed).count();
             for f in base.gate_failures(&new) {
                 eprintln!("bench gate: FAIL: {f}");
             }

@@ -192,10 +192,7 @@ impl BenchSnapshot {
         if records.is_empty() {
             return Err("snapshot has no benchmark records".into());
         }
-        Ok(BenchSnapshot {
-            kernel,
-            records,
-        })
+        Ok(BenchSnapshot { kernel, records })
     }
 
     /// Geometric-mean speedup of `new` over `self`, across benchmarks
@@ -460,10 +457,10 @@ mod tests {
     #[test]
     fn parse_rejects_wrong_schema_and_empty_snapshots() {
         assert!(BenchSnapshot::parse("{\"schema\":\"v0\"}").is_err());
-        assert!(
-            BenchSnapshot::parse("{\"schema\":\"spb-bench-v1\",\"kernel\":\"tick\",\"benches\":[]}")
-                .is_err()
-        );
+        assert!(BenchSnapshot::parse(
+            "{\"schema\":\"spb-bench-v1\",\"kernel\":\"tick\",\"benches\":[]}"
+        )
+        .is_err());
         assert!(BenchSnapshot::parse("not json").is_err());
     }
 

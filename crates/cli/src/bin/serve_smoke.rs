@@ -254,7 +254,10 @@ fn scenario(dir: &Path, golden_records: &[Json]) -> Result<(), String> {
         ));
     }
     if stat(&reply, "failed") != 0 {
-        return Err(format!("final grid lost cells: {} failed", stat(&reply, "failed")));
+        return Err(format!(
+            "final grid lost cells: {} failed",
+            stat(&reply, "failed")
+        ));
     }
     let records = reply
         .get("report")
@@ -264,11 +267,17 @@ fn scenario(dir: &Path, golden_records: &[Json]) -> Result<(), String> {
         .to_vec();
     let (got, want) = (grid_numbers(&records), grid_numbers(golden_records));
     if got.len() != want.len() {
-        return Err(format!("final grid holds {} records, golden {}", got.len(), want.len()));
+        return Err(format!(
+            "final grid holds {} records, golden {}",
+            got.len(),
+            want.len()
+        ));
     }
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         if g != w {
-            return Err(format!("record {i} differs from golden: got {g:?}, want {w:?}"));
+            return Err(format!(
+                "record {i} differs from golden: got {g:?}, want {w:?}"
+            ));
         }
     }
     println!("serve_smoke: all {GRID_CELLS} records bit-identical to the golden grid");

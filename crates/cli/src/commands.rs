@@ -76,7 +76,10 @@ fn resolve_tune_apps(spec: &str) -> Result<Vec<spb_trace::profile::AppProfile>, 
 fn tune_cmd(o: &TuneCmd) -> Result<(), CliError> {
     let apps = resolve_tune_apps(&o.apps)?;
     if apps.is_empty() {
-        return Err(CliError(format!("--apps {:?} matches no applications", o.apps)));
+        return Err(CliError(format!(
+            "--apps {:?} matches no applications",
+            o.apps
+        )));
     }
     let budget = spb_serve::Budget::parse(&o.budget).map_err(CliError)?;
     let mut base_cfg = budget.sim_config();
@@ -125,7 +128,10 @@ fn tune_cmd(o: &TuneCmd) -> Result<(), CliError> {
     print!("{}", report.to_text());
     // Cache traffic goes to the terminal only — the saved report must
     // stay byte-identical between a cold and a fully cached run.
-    println!("cache: {} hit(s), {} computed", stats.cache_hits, stats.computed);
+    println!(
+        "cache: {} hit(s), {} computed",
+        stats.cache_hits, stats.computed
+    );
     match report.save(std::path::Path::new(&o.out)) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write tune report: {e}"),

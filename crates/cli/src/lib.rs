@@ -1111,8 +1111,8 @@ mod tests {
         }
         // Cell flags narrow to a cross product, validated client-side.
         match parse([
-            "client", "sweep", "--app", "x264,gcc", "--policy", "spb", "--sb", "14,56",
-            "--retry", "3", "--name", "mini", "--out", "r.json",
+            "client", "sweep", "--app", "x264,gcc", "--policy", "spb", "--sb", "14,56", "--retry",
+            "3", "--name", "mini", "--out", "r.json",
         ])
         .unwrap()
         {
@@ -1149,10 +1149,33 @@ mod tests {
             other => panic!("wrong parse: {other:?}"),
         }
         match parse([
-            "tune", "--strategy", "halving", "--seed", "7", "--points", "200", "--apps",
-            "sb-bound", "--sb", "14,56", "--budget", "paper", "--warmup", "5000", "--uops",
-            "20000", "--cache", "/tmp/c", "--out", "/tmp/r", "--name", "t", "--jobs", "2",
-            "--retry", "4",
+            "tune",
+            "--strategy",
+            "halving",
+            "--seed",
+            "7",
+            "--points",
+            "200",
+            "--apps",
+            "sb-bound",
+            "--sb",
+            "14,56",
+            "--budget",
+            "paper",
+            "--warmup",
+            "5000",
+            "--uops",
+            "20000",
+            "--cache",
+            "/tmp/c",
+            "--out",
+            "/tmp/r",
+            "--name",
+            "t",
+            "--jobs",
+            "2",
+            "--retry",
+            "4",
         ])
         .unwrap()
         {
@@ -1189,7 +1212,15 @@ mod tests {
     #[test]
     fn parses_parameterized_policies_end_to_end() {
         // The new grammar flows through the ordinary --policy flag.
-        match parse(["run", "--app", "x264", "--policy", "spb:n=32,dedupe=off,burst=3"]).unwrap() {
+        match parse([
+            "run",
+            "--app",
+            "x264",
+            "--policy",
+            "spb:n=32,dedupe=off,burst=3",
+        ])
+        .unwrap()
+        {
             Command::Run { cfg, .. } => {
                 assert_eq!(cfg.policy.label(), "spb:n=32,dedupe=off,burst=3");
             }
@@ -1197,7 +1228,13 @@ mod tests {
         }
         // Errors teach the grammar: every valid key and range is named.
         let err = parse(["run", "--app", "x264", "--policy", "spb:warp=9"]).unwrap_err();
-        for key in ["n=1..1024", "dedupe=on|off", "burst=auto|1..15", "frac=", "cross=0..8"] {
+        for key in [
+            "n=1..1024",
+            "dedupe=on|off",
+            "burst=auto|1..15",
+            "frac=",
+            "cross=0..8",
+        ] {
             assert!(err.to_string().contains(key), "{err}");
         }
     }

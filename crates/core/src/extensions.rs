@@ -301,9 +301,7 @@ mod tests {
             frac_milli: 500,
             ..cfg(8, false, 0)
         });
-        let first_burst = |mut d: SpbDetector| {
-            (0..512u64).find_map(|i| d.observe_store(i * 8))
-        };
+        let first_burst = |mut d: SpbDetector| (0..512u64).find_map(|i| d.observe_store(i * 8));
         let f = first_burst(full).unwrap();
         let h = first_burst(half).unwrap();
         assert_eq!(f.start, h.start, "nearest blocks kept");
@@ -318,7 +316,11 @@ mod tests {
             ..cfg(8, true, 1)
         });
         for i in 0..4096u64 {
-            let addr = if i % 512 < 256 { i * 8 } else { (1 << 30) - i * 8 };
+            let addr = if i % 512 < 256 {
+                i * 8
+            } else {
+                (1 << 30) - i * 8
+            };
             assert_eq!(a.observe_store(addr), b.observe_store(addr), "store {i}");
         }
     }

@@ -90,7 +90,12 @@ impl SpbParams {
 
     /// Validates every field against its documented range.
     pub fn validate(&self) -> Result<(), String> {
-        check_range("n", u64::from(self.n), u64::from(N_RANGE.0), u64::from(N_RANGE.1))?;
+        check_range(
+            "n",
+            u64::from(self.n),
+            u64::from(N_RANGE.0),
+            u64::from(N_RANGE.1),
+        )?;
         if self.burst != 0 {
             check_range(
                 "burst",
@@ -122,28 +127,44 @@ impl SpbParams {
         for item in args.split(',') {
             let item = item.trim();
             if item.is_empty() {
-                return Err(format!("empty parameter in {args:?} (valid keys: {KEYS_HELP})"));
+                return Err(format!(
+                    "empty parameter in {args:?} (valid keys: {KEYS_HELP})"
+                ));
             }
-            let (key, value) = item
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {item:?} (valid keys: {KEYS_HELP})"))?;
+            let (key, value) = item.split_once('=').ok_or_else(|| {
+                format!("expected key=value, got {item:?} (valid keys: {KEYS_HELP})")
+            })?;
             match key {
-                "n" => p.n = parse_int("n", value, u64::from(N_RANGE.0), u64::from(N_RANGE.1))? as u32,
+                "n" => {
+                    p.n = parse_int("n", value, u64::from(N_RANGE.0), u64::from(N_RANGE.1))? as u32
+                }
                 "dedupe" => p.dedupe = parse_switch("dedupe", value)?,
                 "burst" => {
                     p.burst = if value == "auto" {
                         0
                     } else {
-                        parse_int("burst", value, u64::from(BURST_RANGE.0), u64::from(BURST_RANGE.1))? as u8
+                        parse_int(
+                            "burst",
+                            value,
+                            u64::from(BURST_RANGE.0),
+                            u64::from(BURST_RANGE.1),
+                        )? as u8
                     }
                 }
                 "frac" => p.frac_milli = parse_frac(value)?,
                 "backward" => p.backward = parse_switch("backward", value)?,
                 "cross" => {
-                    p.cross = parse_int("cross", value, u64::from(CROSS_RANGE.0), u64::from(CROSS_RANGE.1))? as u32
+                    p.cross = parse_int(
+                        "cross",
+                        value,
+                        u64::from(CROSS_RANGE.0),
+                        u64::from(CROSS_RANGE.1),
+                    )? as u32
                 }
                 other => {
-                    return Err(format!("unknown spb key {other:?} (valid keys: {KEYS_HELP})"));
+                    return Err(format!(
+                        "unknown spb key {other:?} (valid keys: {KEYS_HELP})"
+                    ));
                 }
             }
         }
@@ -184,7 +205,9 @@ impl SpbParams {
 
 fn check_range(key: &str, v: u64, lo: u64, hi: u64) -> Result<(), String> {
     if v < lo || v > hi {
-        return Err(format!("{key}={v} out of range {lo}..{hi} (valid keys: {KEYS_HELP})"));
+        return Err(format!(
+            "{key}={v} out of range {lo}..{hi} (valid keys: {KEYS_HELP})"
+        ));
     }
     Ok(())
 }
@@ -201,7 +224,9 @@ fn parse_switch(key: &str, value: &str) -> Result<bool, String> {
     match value {
         "on" | "true" => Ok(true),
         "off" | "false" => Ok(false),
-        other => Err(format!("{key}={other:?} must be on or off (valid keys: {KEYS_HELP})")),
+        other => Err(format!(
+            "{key}={other:?} must be on or off (valid keys: {KEYS_HELP})"
+        )),
     }
 }
 
@@ -265,12 +290,21 @@ mod tests {
             p.label_suffix().as_deref(),
             Some("n=32,dedupe=off,burst=3,frac=0.5")
         );
-        assert_eq!(SpbParams::parse_args(&p.label_suffix().unwrap()).unwrap(), p);
+        assert_eq!(
+            SpbParams::parse_args(&p.label_suffix().unwrap()).unwrap(),
+            p
+        );
     }
 
     #[test]
     fn frac_spellings_round_trip() {
-        for (text, milli) in [("1", 1000), ("0.5", 500), ("0.25", 250), ("0.125", 125), ("0.001", 1)] {
+        for (text, milli) in [
+            ("1", 1000),
+            ("0.5", 500),
+            ("0.25", 250),
+            ("0.125", 125),
+            ("0.001", 1),
+        ] {
             assert_eq!(parse_frac(text).unwrap(), milli, "{text}");
             assert_eq!(parse_frac(&frac_label(milli)).unwrap(), milli, "{milli}");
         }
@@ -282,16 +316,31 @@ mod tests {
 
     #[test]
     fn errors_name_every_key_and_range() {
-        for bad in ["n=0", "n=2000", "dedupe=maybe", "burst=16", "frac=2", "cross=9", "zig=1", "n"] {
+        for bad in [
+            "n=0",
+            "n=2000",
+            "dedupe=maybe",
+            "burst=16",
+            "frac=2",
+            "cross=9",
+            "zig=1",
+            "n",
+        ] {
             let e = SpbParams::parse_args(bad).unwrap_err();
-            assert!(e.contains(KEYS_HELP), "error for {bad:?} must teach the grammar: {e}");
+            assert!(
+                e.contains(KEYS_HELP),
+                "error for {bad:?} must teach the grammar: {e}"
+            );
         }
     }
 
     #[test]
     fn burst_auto_spelling_means_zero() {
         assert_eq!(SpbParams::parse_args("burst=auto").unwrap().burst, 0);
-        assert_eq!(SpbParams::parse_args("burst=auto").unwrap(), SpbParams::default());
+        assert_eq!(
+            SpbParams::parse_args("burst=auto").unwrap(),
+            SpbParams::default()
+        );
     }
 
     #[test]
@@ -300,12 +349,15 @@ mod tests {
         assert!(!SpbParams::parse_args("frac=0.5").unwrap().is_base_only());
         assert!(!SpbParams::parse_args("backward=on").unwrap().is_base_only());
         assert!(!SpbParams::parse_args("cross=1").unwrap().is_base_only());
-        assert!(SpbParams::parse_args("n=8,dedupe=off").unwrap().is_base_only());
+        assert!(SpbParams::parse_args("n=8,dedupe=off")
+            .unwrap()
+            .is_base_only());
     }
 
     #[test]
     fn detector_carries_every_knob() {
-        let p = SpbParams::parse_args("n=16,dedupe=off,burst=5,frac=0.25,backward=on,cross=2").unwrap();
+        let p =
+            SpbParams::parse_args("n=16,dedupe=off,burst=5,frac=0.25,backward=on,cross=2").unwrap();
         let d = crate::detector::SpbDetector::new(p);
         assert_eq!(d.threshold(), 5);
         // 58 + 4 + 5-bit store counter + direction bit + threshold and

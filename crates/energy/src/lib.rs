@@ -147,7 +147,12 @@ impl EnergyModel {
     /// Figure 7 breakdown rather than folded into it (the events are
     /// already inside the run's aggregate cache/DRAM counts — this
     /// isolates the share the squash attribution proved wasted).
-    pub fn speculative_waste_nj(&self, wasted_rfos: u64, wasted_coh_msgs: u64, wasted_dram: u64) -> f64 {
+    pub fn speculative_waste_nj(
+        &self,
+        wasted_rfos: u64,
+        wasted_coh_msgs: u64,
+        wasted_dram: u64,
+    ) -> f64 {
         wasted_rfos as f64 * (self.l1_tag_nj + self.l2_access_nj + self.l3_access_nj)
             + wasted_coh_msgs as f64 * self.l2_access_nj
             + wasted_dram as f64 * self.dram_access_nj

@@ -190,7 +190,10 @@ impl MshrFile {
     /// letting the entry live would later merge a store into a line the
     /// directory no longer grants — a stale writable copy.
     pub(crate) fn invalidate_entry(&mut self, block: u64) -> Option<MshrEntry> {
-        let i = self.occupied.iter().position(|&s| self.block[s as usize] == block)?;
+        let i = self
+            .occupied
+            .iter()
+            .position(|&s| self.block[s as usize] == block)?;
         let slot = self.occupied.swap_remove(i);
         self.free.push(slot);
         Some(self.entry(slot))

@@ -1705,7 +1705,9 @@ impl MemorySystem {
                     if denied || mshr.len() >= mshr.capacity() {
                         self.stats.prefetch_requests[origin.index()] -= 1; // re-counted on reissue
                         let spec = self.spec_ctx;
-                        self.cores[core].burst_queue.push_back((block, origin, spec));
+                        self.cores[core]
+                            .burst_queue
+                            .push_back((block, origin, spec));
                         self.coh(now, core as u8, block, CoherenceKind::PrefetchQueued);
                         return RfoResponse::Queued;
                     }

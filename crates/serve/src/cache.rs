@@ -44,9 +44,7 @@ impl CacheKey {
     /// `Debug` rendering of the *whole* [`SimConfig`] — any field that
     /// could change the simulated numbers changes the key.
     pub fn for_cell(app: &str, cfg: &SimConfig) -> Self {
-        Self(fnv1a64(
-            format!("{CODE_VERSION}|{app}|{cfg:?}").as_bytes(),
-        ))
+        Self(fnv1a64(format!("{CODE_VERSION}|{app}|{cfg:?}").as_bytes()))
     }
 
     /// The entry's file name under the cache directory.
@@ -188,7 +186,10 @@ impl ResultCache {
                 hex16(key.0)
             ));
         }
-        let version = body.get("code_version").and_then(Json::as_str).unwrap_or("");
+        let version = body
+            .get("code_version")
+            .and_then(Json::as_str)
+            .unwrap_or("");
         if version != CODE_VERSION {
             return Err(format!(
                 "stale code version {version:?} (current {CODE_VERSION:?})"
@@ -290,7 +291,9 @@ mod tests {
     #[test]
     fn store_then_lookup_round_trips() {
         let cache = tmp_cache("roundtrip");
-        let cfg = SimConfig::quick().with_sb(14).with_policy(PolicyKind::spb_default());
+        let cfg = SimConfig::quick()
+            .with_sb(14)
+            .with_policy(PolicyKind::spb_default());
         let key = CacheKey::for_cell("x264", &cfg);
         assert_eq!(cache.lookup(key), Lookup::Miss);
         cache.store(key, "x264", &record()).unwrap();
@@ -405,7 +408,8 @@ mod tests {
                 .write(true)
                 .open(cache.dir().join(key.file_name()))
                 .unwrap();
-            f.set_modified(base + Duration::from_secs(i as u64)).unwrap();
+            f.set_modified(base + Duration::from_secs(i as u64))
+                .unwrap();
         }
         assert_eq!(entry_count(&cache), 4);
         // A lookup refreshes "a"'s recency, so it must survive the

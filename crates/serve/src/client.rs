@@ -18,8 +18,7 @@ use std::net::TcpStream;
 /// Transport errors, malformed replies, and server-side rejections
 /// (`{"ok": false, …}`) all come back as `Err` with the reason.
 pub fn request(addr: &str, line: &Json) -> Result<Json, String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut text = line.to_string();
     debug_assert!(!text.contains('\n'), "requests are one line");
     text.push('\n');

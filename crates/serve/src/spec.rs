@@ -9,9 +9,9 @@
 
 pub use spb_sim::config::Budget;
 use spb_sim::config::{PolicyKind, SimConfig};
-use spb_trace::SquashConfig;
 use spb_stats::json::Json;
 use spb_trace::profile::AppProfile;
+use spb_trace::SquashConfig;
 
 /// One requested sweep cell: which app, policy, and configured SB size.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -349,7 +349,10 @@ mod tests {
         let back = JobSpec::from_json(&Json::parse(&job.to_json().to_string()).unwrap()).unwrap();
         assert_eq!(back, job);
         let (_, resolved) = back.resolve().unwrap();
-        assert_eq!(resolved[0].1.policy.label(), "spb:n=32,dedupe=off,burst=3,frac=0.5");
+        assert_eq!(
+            resolved[0].1.policy.label(),
+            "spb:n=32,dedupe=off,burst=3,frac=0.5"
+        );
         assert_eq!(resolved[1].1.policy.label(), "spb-feedback:n=24");
 
         // Configs differing only in the burst threshold must hash to

@@ -20,14 +20,18 @@ fn spawn_server(cfg: ServeConfig) -> String {
 }
 
 fn tiny_job(name: &str) -> JobSpec {
-    let cells = [("x264", "spb", 14), ("lbm", "at-commit", 28), ("gcc", "ideal", 56)]
-        .iter()
-        .map(|&(app, policy, sb)| CellSpec {
-            app: app.into(),
-            policy: policy.into(),
-            sb,
-        })
-        .collect();
+    let cells = [
+        ("x264", "spb", 14),
+        ("lbm", "at-commit", 28),
+        ("gcc", "ideal", 56),
+    ]
+    .iter()
+    .map(|&(app, policy, sb)| CellSpec {
+        app: app.into(),
+        policy: policy.into(),
+        sb,
+    })
+    .collect();
     let mut job = JobSpec::new(name, Budget::Quick, cells);
     job.warmup_uops = Some(2_000);
     job.measure_uops = Some(10_000);

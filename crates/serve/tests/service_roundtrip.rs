@@ -29,14 +29,18 @@ fn spawn_server(cfg: ServeConfig) -> String {
 /// A tiny-budget job over a few distinct cells: fast even in debug
 /// builds, deterministic like everything else.
 fn tiny_job(name: &str) -> JobSpec {
-    let cells = [("x264", "spb", 14), ("x264", "at-commit", 28), ("lbm", "ideal", 56)]
-        .iter()
-        .map(|&(app, policy, sb)| CellSpec {
-            app: app.into(),
-            policy: policy.into(),
-            sb,
-        })
-        .collect();
+    let cells = [
+        ("x264", "spb", 14),
+        ("x264", "at-commit", 28),
+        ("lbm", "ideal", 56),
+    ]
+    .iter()
+    .map(|&(app, policy, sb)| CellSpec {
+        app: app.into(),
+        policy: policy.into(),
+        sb,
+    })
+    .collect();
     let mut job = JobSpec::new(name, Budget::Quick, cells);
     job.warmup_uops = Some(2_000);
     job.measure_uops = Some(10_000);
@@ -97,8 +101,14 @@ fn submit_computes_then_resubmission_hits_the_cache() {
         .and_then(|c| c.get("counters"))
         .cloned()
         .expect("health carries serve counters");
-    assert_eq!(counters.get("jobs_completed").and_then(Json::as_u64), Some(2));
-    assert_eq!(counters.get("cells_computed").and_then(Json::as_u64), Some(3));
+    assert_eq!(
+        counters.get("jobs_completed").and_then(Json::as_u64),
+        Some(2)
+    );
+    assert_eq!(
+        counters.get("cells_computed").and_then(Json::as_u64),
+        Some(3)
+    );
     assert_eq!(counters.get("cache_hits").and_then(Json::as_u64), Some(3));
 
     client::shutdown(&addr).expect("shutdown");

@@ -120,15 +120,9 @@ impl fmt::Debug for PolicyKind {
                 .field("n", &params.n)
                 .field("dedupe", &params.dedupe)
                 .finish(),
-            PolicyKind::Spb { params } => {
-                f.debug_struct("Spb").field("params", params).finish()
-            }
-            PolicyKind::SpbDynamic { n } => {
-                f.debug_struct("SpbDynamic").field("n", n).finish()
-            }
-            PolicyKind::SpbFeedback { n } => {
-                f.debug_struct("SpbFeedback").field("n", n).finish()
-            }
+            PolicyKind::Spb { params } => f.debug_struct("Spb").field("params", params).finish(),
+            PolicyKind::SpbDynamic { n } => f.debug_struct("SpbDynamic").field("n", n).finish(),
+            PolicyKind::SpbFeedback { n } => f.debug_struct("SpbFeedback").field("n", n).finish(),
             PolicyKind::IdealSb => f.write_str("IdealSb"),
         }
     }
@@ -238,9 +232,7 @@ impl PolicyKind {
 /// Parses the `n=N` parameter list of the single-knob SPB variants.
 fn parse_window_only(head: &str, args: Option<&str>) -> Result<u32, String> {
     let Some(args) = args else { return Ok(48) };
-    let err = || {
-        format!("policy {head:?} takes only n=1..1024, got {args:?} (e.g. {head}:n=24)")
-    };
+    let err = || format!("policy {head:?} takes only n=1..1024, got {args:?} (e.g. {head}:n=24)");
     let value = args.strip_prefix("n=").ok_or_else(err)?;
     let n: u32 = value.parse().map_err(|_| err())?;
     if n < N_RANGE.0 || n > N_RANGE.1 {
@@ -562,7 +554,10 @@ mod tests {
         let e = PolicyKind::parse("ideal:n=4").unwrap_err();
         assert!(e.contains("takes no parameters"), "{e}");
         let e = PolicyKind::parse("magic").unwrap_err();
-        assert!(e.contains("spb-feedback"), "unknown-policy error lists every form: {e}");
+        assert!(
+            e.contains("spb-feedback"),
+            "unknown-policy error lists every form: {e}"
+        );
     }
 
     /// The squash field participates in the cache-key `Debug`

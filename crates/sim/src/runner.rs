@@ -479,7 +479,13 @@ mod tests {
     use spb_trace::profile::AppProfile;
 
     /// The 8-thread PARSEC apps of the benchmark's `parsec_mt` workload.
-    const PARSEC_MT: [&str; 5] = ["bodytrack", "dedup", "ferret", "fluidanimate", "streamcluster"];
+    const PARSEC_MT: [&str; 5] = [
+        "bodytrack",
+        "dedup",
+        "ferret",
+        "fluidanimate",
+        "streamcluster",
+    ];
 
     /// The first of cycles, µops, Top-Down, core and memory counters,
     /// per-core windows and both histograms on which two runs disagree.
@@ -785,8 +791,8 @@ mod tests {
         for name in PARSEC_MT {
             let app = AppProfile::by_name(name).unwrap();
             for kernel in [KernelMode::Tick, KernelMode::Wheel] {
-                let r = Simulation::with_config(&app, &cfg.clone().with_kernel(kernel))
-                    .run_or_panic();
+                let r =
+                    Simulation::with_config(&app, &cfg.clone().with_kernel(kernel)).run_or_panic();
                 let k = r.kernel;
                 let cores = r.per_core.len() as u64;
                 assert_eq!(
@@ -818,7 +824,9 @@ mod tests {
     fn squash_rate_zero_is_bit_identical_to_no_squash_model() {
         use spb_trace::SquashConfig;
         let app = AppProfile::by_name("x264").unwrap();
-        let base = SimConfig::quick().with_sb(14).with_policy(PolicyKind::spb_default());
+        let base = SimConfig::quick()
+            .with_sb(14)
+            .with_policy(PolicyKind::spb_default());
         let zero = base
             .clone()
             .with_squash(SquashConfig::parse("rate=0,depth=8..32,storm=4,seed=9").unwrap());
@@ -863,9 +871,15 @@ mod tests {
         assert_eq!(per_core_sq, r.cpu.squash_episodes);
         assert_eq!(r.mem.spec_squashes, r.cpu.squash_episodes);
         assert!(r.cpu.wrong_path_stores_injected > 0);
-        assert!(r.mem.spec_wasted_rfos > 0, "at-execute wastes RFOs under storms");
+        assert!(
+            r.mem.spec_wasted_rfos > 0,
+            "at-execute wastes RFOs under storms"
+        );
         let squash = r.metrics.get("squash").expect("squash metrics registered");
-        assert_eq!(squash.get_counter("wasted_rfos"), Some(r.mem.spec_wasted_rfos));
+        assert_eq!(
+            squash.get_counter("wasted_rfos"),
+            Some(r.mem.spec_wasted_rfos)
+        );
     }
 
     /// The watchdog must fire at the same cycle under every kernel —

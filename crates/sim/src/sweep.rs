@@ -297,10 +297,10 @@ pub(crate) fn run_cell(
         attempts: 1,
     };
     let outcome = match deadline_ms {
-        None => std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Simulation::with_config(app, cfg).run()
-        }))
-        .map_err(panic_message),
+        None => {
+            std::panic::catch_unwind(AssertUnwindSafe(|| Simulation::with_config(app, cfg).run()))
+                .map_err(panic_message)
+        }
         Some(ms) => {
             // The simulator has no cancellation points, so a deadline
             // needs an owned, detachable worker: if it overruns we
@@ -755,7 +755,10 @@ impl SweepReport {
     /// The report's content checksum: `fnv1a64:` plus 16 hex digits of
     /// the digest of [`SweepReport::to_json_string`].
     pub fn content_checksum(&self) -> String {
-        format!("fnv1a64:{}", hex16(fnv1a64(self.to_json_string().as_bytes())))
+        format!(
+            "fnv1a64:{}",
+            hex16(fnv1a64(self.to_json_string().as_bytes()))
+        )
     }
 
     /// Renders the report with a trailing `"checksum"` field that
@@ -1222,10 +1225,7 @@ mod tests {
     #[test]
     fn backoff_is_deterministic_bounded_and_grows() {
         let sup = Supervision::with_retries(8);
-        let fp = cell_fingerprint(
-            &AppProfile::by_name("x264").unwrap(),
-            &SimConfig::quick(),
-        );
+        let fp = cell_fingerprint(&AppProfile::by_name("x264").unwrap(), &SimConfig::quick());
         assert_eq!(sup.backoff_ms(fp, 1), 0, "first attempt never waits");
         let b2 = sup.backoff_ms(fp, 2);
         let b3 = sup.backoff_ms(fp, 3);

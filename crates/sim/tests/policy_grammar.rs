@@ -74,7 +74,14 @@ proptest! {
 
 #[test]
 fn fixed_policies_round_trip() {
-    for spelling in ["none", "at-execute", "at-commit", "spb", "spb-dynamic", "ideal"] {
+    for spelling in [
+        "none",
+        "at-execute",
+        "at-commit",
+        "spb",
+        "spb-dynamic",
+        "ideal",
+    ] {
         let p = PolicyKind::parse(spelling).unwrap();
         assert_eq!(p.label(), spelling, "classic spelling is canonical");
         assert_eq!(PolicyKind::parse(&p.label()).unwrap(), p);

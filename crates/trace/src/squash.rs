@@ -200,8 +200,8 @@ impl SquashConfig {
                 }
                 other => {
                     return Err(format!(
-                        "unknown squash key {other:?}; valid keys: rate, depth, storm, ret2spec, seed"
-                    ))
+                    "unknown squash key {other:?}; valid keys: rate, depth, storm, ret2spec, seed"
+                ))
                 }
             }
         }
@@ -283,8 +283,7 @@ impl EpisodePlan {
     /// earlier episode (of any core) touches.
     pub fn next_episode(&mut self) -> WrongPathRun {
         let span = u64::from(self.cfg.depth_max - self.cfg.depth_min) + 1;
-        let depth = self.cfg.depth_min
-            + (hash2(self.salt ^ 0xD3_17, self.episodes) % span) as u32;
+        let depth = self.cfg.depth_min + (hash2(self.salt ^ 0xD3_17, self.episodes) % span) as u32;
         self.episodes += 1;
         let pages = u64::from(depth).div_ceil(BLOCKS_PER_PAGE).max(1);
         let first_page = self.pages_used;

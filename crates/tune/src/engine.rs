@@ -246,10 +246,7 @@ fn evaluate(
     let mut misses: Vec<(usize, &AppProfile, SimConfig, CacheKey)> = Vec::new();
     for point in points {
         for app in apps {
-            let cell_cfg = cfg
-                .clone()
-                .with_sb(point.sb)
-                .with_policy(point.policy);
+            let cell_cfg = cfg.clone().with_sb(point.sb).with_policy(point.policy);
             let key = CacheKey::for_cell(app.name(), &cell_cfg);
             let slot = slots.len();
             match cache.lookup(key) {

@@ -81,8 +81,14 @@ mod tests {
     #[test]
     fn dominance_requires_strict_improvement_somewhere() {
         assert!(o(10, 10.0, 10).dominates(&o(11, 10.0, 10)));
-        assert!(!o(10, 10.0, 10).dominates(&o(10, 10.0, 10)), "equal points tie");
-        assert!(!o(9, 11.0, 10).dominates(&o(10, 10.0, 10)), "tradeoffs don't dominate");
+        assert!(
+            !o(10, 10.0, 10).dominates(&o(10, 10.0, 10)),
+            "equal points tie"
+        );
+        assert!(
+            !o(9, 11.0, 10).dominates(&o(10, 10.0, 10)),
+            "tradeoffs don't dominate"
+        );
     }
 
     #[test]

@@ -83,10 +83,7 @@ impl TuneReport {
             ("warmup_uops", Json::from(self.warmup_uops)),
             ("measure_uops", Json::from(self.measure_uops)),
             ("workload_seed", Json::from(self.workload_seed)),
-            (
-                "apps",
-                Json::arr(self.apps.iter().map(Json::str)),
-            ),
+            ("apps", Json::arr(self.apps.iter().map(Json::str))),
         ];
         if let Some((candidates, survivors)) = self.outcome.screen {
             pairs.push((
@@ -127,7 +124,10 @@ impl TuneReport {
 
     /// `fnv1a64:<hex>` over the compact body.
     pub fn content_checksum(&self) -> String {
-        format!("fnv1a64:{}", hex16(fnv1a64(self.to_json_string().as_bytes())))
+        format!(
+            "fnv1a64:{}",
+            hex16(fnv1a64(self.to_json_string().as_bytes()))
+        )
     }
 
     /// Pretty JSON with a trailing `"checksum"` field — what

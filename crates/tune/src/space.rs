@@ -146,7 +146,11 @@ mod tests {
     #[test]
     fn default_space_has_documented_size() {
         let s = TuneSpace::default();
-        assert_eq!(s.len(), 612, "6n × 2dedupe × 4burst × 4frac × 3sb + 2×6n×3sb");
+        assert_eq!(
+            s.len(),
+            612,
+            "6n × 2dedupe × 4burst × 4frac × 3sb + 2×6n×3sb"
+        );
         assert_eq!(s.enumerate().len(), s.len());
     }
 

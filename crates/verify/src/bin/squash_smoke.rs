@@ -78,7 +78,11 @@ fn main() {
                         Ok(r) => r,
                         Err(e) => {
                             failures += 1;
-                            eprintln!("FAILED {} {label} rate={rate} {}: {e}", app.name(), kernel.label());
+                            eprintln!(
+                                "FAILED {} {label} rate={rate} {}: {e}",
+                                app.name(),
+                                kernel.label()
+                            );
                             continue;
                         }
                     };
@@ -147,7 +151,10 @@ fn main() {
                 .find(|g| g.app == fresh.app && g.policy == fresh.policy && g.sb == fresh.sb)
             else {
                 failures += 1;
-                eprintln!("FAILED golden: {} {} sb={} missing", fresh.app, fresh.policy, fresh.sb);
+                eprintln!(
+                    "FAILED golden: {} {} sb={} missing",
+                    fresh.app, fresh.policy, fresh.sb
+                );
                 continue;
             };
             let mut g = g.clone();
@@ -194,7 +201,10 @@ fn main() {
     };
     match run_one(&control) {
         Err(f) if f.violation.contains("speculative-leak") => {
-            println!("negative control: forget-to-untag mutation caught at step {}", f.step);
+            println!(
+                "negative control: forget-to-untag mutation caught at step {}",
+                f.step
+            );
         }
         Err(f) => {
             failures += 1;

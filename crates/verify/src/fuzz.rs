@@ -372,7 +372,8 @@ pub fn run_one(config: &FuzzConfig) -> Result<FuzzStats, Box<FuzzFailure>> {
                 let len = 1 + rng.below(6);
                 for i in 0..len {
                     let origin = RfoOrigin::ALL[rng.below(3) as usize];
-                    let _ = mem.store_prefetch_spec(core, (base + i) * 64, 0xDEAD_0000, now, origin);
+                    let _ =
+                        mem.store_prefetch_spec(core, (base + i) * 64, 0xDEAD_0000, now, origin);
                 }
                 stats.spec_prefetches += len;
             }
@@ -554,7 +555,10 @@ mod tests {
             ..FuzzConfig::default()
         };
         let stats = run_seeds(&base, 256).expect("squash steps must not break coherence");
-        assert!(stats.spec_prefetches > 0, "spec runs actually fired: {stats:?}");
+        assert!(
+            stats.spec_prefetches > 0,
+            "spec runs actually fired: {stats:?}"
+        );
         assert!(stats.squashes > 0, "squashes actually resolved: {stats:?}");
         assert!(stats.wakeups > 0, "wakeup audit was exercised: {stats:?}");
     }

@@ -151,9 +151,8 @@ fn classify(policy: &PolicyKind) -> SpecClass {
 ///
 /// Returns the first failed property with the compared numbers.
 pub fn check_run(cfg: &SimConfig, r: &RunResult) -> Result<LeakReport, Box<LeakFailure>> {
-    let fail = |property: &'static str, detail: String| {
-        Err(Box::new(LeakFailure { property, detail }))
-    };
+    let fail =
+        |property: &'static str, detail: String| Err(Box::new(LeakFailure { property, detail }));
     let m = &r.mem;
     let mut checks = Vec::new();
 
@@ -428,7 +427,11 @@ mod tests {
         ];
         let p = predict_leak(&cfg, &windows);
         assert_eq!(p.episodes, 7);
-        assert_eq!(p.blocks.len() as u64, p.stored_blocks, "fresh spans never collide");
+        assert_eq!(
+            p.blocks.len() as u64,
+            p.stored_blocks,
+            "fresh spans never collide"
+        );
         assert!(p.span_blocks >= p.stored_blocks);
         assert!(p.span_blocks <= p.episodes * per_episode_block_bound(&cfg));
     }
