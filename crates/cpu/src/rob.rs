@@ -1,22 +1,28 @@
-//! Struct-of-arrays rings for the two FIFO structures on the commit
+//! Fixed-capacity rings for the two FIFO structures on the commit
 //! path — the reorder buffer and the post-commit store buffer — plus
 //! the issue queue's occupancy set.
 //!
 //! The rings are bounded by configuration (dispatch gates on ROB
 //! occupancy; a store cannot commit into the SB without holding one of
-//! the `sb_entries` slots it acquired at dispatch), so each ring is a set
-//! of fixed-capacity parallel lanes indexed by `(head + i) mod cap`. The
+//! the `sb_entries` slots it acquired at dispatch), so each ring is
+//! fixed-capacity storage indexed by `(head + i) mod cap`. The
 //! capacities are configuration values (224 ROB entries, 14–56 SB
 //! entries), rarely powers of two, so the index wraps by
 //! compare-and-subtract ([`wrap`]) rather than a hardware divide.
-//! The hot loops touch one lane each — commit and the skip-ahead probe
-//! poll only `complete_at`, coalescing polls only the tail address —
-//! instead of striding over whole entries.
+//!
+//! The ROB keeps whole [`RobEntry`] values in one array. Every entry is
+//! written once at dispatch and read once at commit, both in full, and
+//! a 32-byte entry is half a host cache line, so the "hot loops touch
+//! one lane each" case for struct-of-arrays does not hold here: five
+//! lanes plus packed kind bits made each push five scattered stores and
+//! each pop a re-assembly. Against those lanes the whole-entry ring ran
+//! the SB-bound SPEC cells (perfbench `spec_sb`) at 1.10× the µops per
+//! second, 8 of 8 `scripts/ab.sh` pairs. The SB keeps its lanes:
+//! coalescing polls only the tail address and the Figure 3 charge only
+//! the head PC.
 
-/// One in-flight µop as the rest of the core sees it. Exchange type:
-/// [`RobRing`] stores the fields in separate lanes and assembles a copy
-/// on [`RobRing::pop_front`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One in-flight µop as the commit stage sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct RobEntry {
     pub complete_at: u64,
     pub addr: u64,
@@ -39,35 +45,21 @@ fn wrap(i: usize, cap: usize) -> usize {
     }
 }
 
-const STORE: u8 = 1;
-const LOAD: u8 = 2;
-const BRANCH: u8 = 4;
-
-/// The reorder buffer: a fixed-capacity FIFO over SoA lanes.
+/// The reorder buffer: a fixed-capacity FIFO of whole entries.
 #[derive(Debug)]
 pub(crate) struct RobRing {
-    cap: usize,
     head: usize,
     len: usize,
-    complete_at: Vec<u64>,
-    addr: Vec<u64>,
-    pc: Vec<u64>,
-    size: Vec<u8>,
-    kind: Vec<u8>,
+    entries: Box<[RobEntry]>,
 }
 
 impl RobRing {
     pub fn new(cap: usize) -> Self {
         assert!(cap > 0, "ROB needs at least one entry");
         Self {
-            cap,
             head: 0,
             len: 0,
-            complete_at: vec![0; cap],
-            addr: vec![0; cap],
-            pc: vec![0; cap],
-            size: vec![0; cap],
-            kind: vec![0; cap],
+            entries: vec![RobEntry::default(); cap].into_boxed_slice(),
         }
     }
 
@@ -83,39 +75,26 @@ impl RobRing {
     /// commit gate and the idle probe read.
     #[inline]
     pub(crate) fn head_complete_at(&self) -> Option<u64> {
-        (self.len > 0).then(|| self.complete_at[self.head])
+        (self.len > 0).then(|| self.entries[self.head].complete_at)
     }
 
+    #[inline]
     pub fn push_back(&mut self, e: RobEntry) {
-        assert!(self.len < self.cap, "ROB overflow: dispatch gate broken");
-        let i = wrap(self.head + self.len, self.cap);
-        self.complete_at[i] = e.complete_at;
-        self.addr[i] = e.addr;
-        self.pc[i] = e.pc;
-        self.size[i] = e.size;
-        self.kind[i] = ((e.is_store as u8) * STORE)
-            | ((e.is_load as u8) * LOAD)
-            | ((e.is_branch as u8) * BRANCH);
+        let cap = self.entries.len();
+        assert!(self.len < cap, "ROB overflow: dispatch gate broken");
+        self.entries[wrap(self.head + self.len, cap)] = e;
         self.len += 1;
     }
 
+    #[inline]
     pub fn pop_front(&mut self) -> Option<RobEntry> {
         if self.len == 0 {
             return None;
         }
-        let i = self.head;
-        self.head = wrap(self.head + 1, self.cap);
+        let e = self.entries[self.head];
+        self.head = wrap(self.head + 1, self.entries.len());
         self.len -= 1;
-        let kind = self.kind[i];
-        Some(RobEntry {
-            complete_at: self.complete_at[i],
-            addr: self.addr[i],
-            pc: self.pc[i],
-            size: self.size[i],
-            is_store: kind & STORE != 0,
-            is_load: kind & LOAD != 0,
-            is_branch: kind & BRANCH != 0,
-        })
+        Some(e)
     }
 }
 
@@ -256,6 +235,10 @@ impl IssueQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const STORE: u8 = 1;
+    const LOAD: u8 = 2;
+    const BRANCH: u8 = 4;
 
     fn entry(complete_at: u64, kind: u8) -> RobEntry {
         RobEntry {

@@ -22,7 +22,7 @@ run cargo build --release --offline -p spb-bench
 # Every committed snapshot must exist — a silently dropped file would
 # turn the regression comparison into a no-op.
 for snap in BENCH_BASELINE.json BENCH_EVENTKERNEL.json BENCH_PR8.json BENCH_PR9.json \
-            BENCH_PR10.json BENCH_PR17.json; do
+            BENCH_PR10.json BENCH_PR17.json BENCH_PR23.json; do
   if [[ ! -s "$snap" ]]; then
     echo "bench_smoke: FAIL — expected committed snapshot $snap is missing or empty." >&2
     echo "  Regenerate it with: ./target/release/bench_snapshot --kernel event --out $snap" >&2
@@ -37,6 +37,7 @@ run ./target/release/bench_snapshot --compare BENCH_BASELINE.json BENCH_PR8.json
 run ./target/release/bench_snapshot --compare BENCH_PR8.json BENCH_PR9.json
 run ./target/release/bench_snapshot --compare BENCH_PR9.json BENCH_PR10.json
 run ./target/release/bench_snapshot --compare BENCH_PR10.json BENCH_PR17.json
+run ./target/release/bench_snapshot --compare BENCH_PR17.json BENCH_PR23.json
 
 if [[ "${1:-}" == "--validate" ]]; then
   echo "bench_smoke: OK (validate only)"

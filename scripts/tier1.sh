@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: everything CI gates on, runnable offline.
 #
-#   scripts/tier1.sh          full check (build, tests, clippy, rustdoc),
+#   scripts/tier1.sh          full check (build, tests, rustfmt, clippy, rustdoc),
 #                             then the informational surface report
 #   scripts/tier1.sh --fast   skip the release build
 #
@@ -22,6 +22,9 @@ if [[ "$FAST" == 0 ]]; then
   run cargo build --release --offline
 fi
 run cargo test -q --workspace --offline
+# Formatting is part of the check, so a line count never drops by
+# denser formatting.
+run cargo fmt --all --check
 run cargo clippy --all-targets --offline -- -D warnings
 # Broken intra-doc links (e.g. to a deleted type) fail the check.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
