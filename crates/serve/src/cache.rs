@@ -15,7 +15,14 @@
 //!   file and renamed into place, so a crash mid-store leaves either no
 //!   entry or a complete one — never a torn file.
 //! - **Per-entry checksums**: each entry embeds an FNV-1a digest of its
-//!   canonical body; [`ResultCache::lookup`] re-derives it on read.
+//!   canonical body; [`ResultCache::lookup`] re-derives it from the
+//!   file on every read. An entry with exactly the layout
+//!   [`ResultCache::store`] writes is hashed straight off its text (the
+//!   body slice, less the two indent spaces its nesting adds to each
+//!   line); any other layout, or a hash that differs from the stated
+//!   one, falls back to hashing a fresh canonical render of the parsed
+//!   body. Either way the file on disk is read and checked: nothing
+//!   validated is kept in memory, so bit rot never goes unseen.
 //! - **Corruption quarantine**: an unreadable, unparsable, mismatched
 //!   or wrong-key entry is renamed to `<name>.quarantined` (kept for
 //!   post-mortem) and reported as [`Lookup::Corrupt`] so the caller
@@ -30,9 +37,16 @@
 use crate::CODE_VERSION;
 use spb_sim::config::SimConfig;
 use spb_sim::sweep::{write_atomically, SweepRecord};
-use spb_stats::hash::{fnv1a64, hex16};
+use spb_stats::hash::{fnv1a64, hex16, Fnv1a64};
 use spb_stats::json::Json;
 use std::path::{Path, PathBuf};
+
+/// The text `store` writes around an entry's body and checksum:
+/// `{ENTRY_HEAD}<body>{ENTRY_CHECKSUM}<16 hex digits>{ENTRY_TAIL}`, the
+/// body pretty-printed one level deep.
+const ENTRY_HEAD: &str = "{\n  \"body\": ";
+const ENTRY_CHECKSUM: &str = ",\n  \"checksum\": \"fnv1a64:";
+const ENTRY_TAIL: &str = "\"\n}\n";
 
 /// The content-addressed key of one cell result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,6 +82,17 @@ pub enum Lookup {
     /// An entry existed but failed validation; it has been quarantined
     /// and the caller must recompute. The string says why.
     Corrupt(String),
+}
+
+/// The work lookups did, for the service's counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ReadWork {
+    /// Entry files read from disk (hits and corrupt entries alike).
+    pub(crate) entries_read: u64,
+    /// Checksums re-derived by rendering the parsed body, because the
+    /// entry's text was not in `store`'s layout or did not hash to its
+    /// stated checksum.
+    pub(crate) checksums_rendered: u64,
 }
 
 /// A directory of checksummed, atomically-written cell results.
@@ -142,16 +167,42 @@ impl ResultCache {
         Ok(())
     }
 
+    /// The FNV-1a digest of the body of an entry in exactly the layout
+    /// [`store`](Self::store) writes, hashed straight off `text`: the
+    /// body slice with the two indent spaces after each newline left
+    /// out, then the trailing newline `body_checksum` hashes. `None`
+    /// when `text` has any other layout.
+    fn stored_body_hash(text: &str) -> Option<u64> {
+        let rest = text.strip_prefix(ENTRY_HEAD)?.strip_suffix(ENTRY_TAIL)?;
+        let body = rest.get(..rest.len().checked_sub(16)?)?;
+        let body = body.strip_suffix(ENTRY_CHECKSUM)?;
+        let mut lines = body.split('\n');
+        let mut h = Fnv1a64::default();
+        h.write(lines.next()?.as_bytes());
+        for line in lines {
+            h.write(b"\n");
+            h.write(line.strip_prefix("  ")?.as_bytes());
+        }
+        h.write(b"\n");
+        Some(h.finish())
+    }
+
     /// Validates and returns the entry under `key`, quarantining it on
     /// any corruption.
     pub fn lookup(&self, key: CacheKey) -> Lookup {
+        self.lookup_counted(key, &mut ReadWork::default())
+    }
+
+    /// [`lookup`](Self::lookup), adding what it did to `work`.
+    pub(crate) fn lookup_counted(&self, key: CacheKey, work: &mut ReadWork) -> Lookup {
         let path = self.entry_path(key);
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Lookup::Miss,
             Err(e) => return self.quarantine(&path, format!("unreadable entry: {e}")),
         };
-        match Self::validate(key, &text) {
+        work.entries_read += 1;
+        match Self::validate(key, &text, work) {
             Ok(record) => {
                 // Bump recency so the LRU evictor keeps hot entries.
                 // Best-effort: a stale mtime only skews eviction order.
@@ -166,18 +217,25 @@ impl ResultCache {
         }
     }
 
-    fn validate(key: CacheKey, text: &str) -> Result<SweepRecord, String> {
+    fn validate(key: CacheKey, text: &str, work: &mut ReadWork) -> Result<SweepRecord, String> {
         let v = Json::parse(text).map_err(|e| e.to_string())?;
         let body = v.get("body").ok_or("missing body")?;
         let stated = v
             .get("checksum")
             .and_then(Json::as_str)
             .ok_or("missing checksum")?;
-        let computed = Self::body_checksum(body);
-        if stated != computed {
-            return Err(format!(
-                "checksum mismatch: entry says {stated}, content hashes to {computed}"
-            ));
+        // The text hash can only equal the stated checksum of a stored
+        // entry if the text is that entry, short of an FNV collision;
+        // any other text is judged on a render of its parsed body.
+        let from_text = Self::stored_body_hash(text).map(|h| format!("fnv1a64:{}", hex16(h)));
+        if from_text.as_deref() != Some(stated) {
+            work.checksums_rendered += 1;
+            let computed = Self::body_checksum(body);
+            if stated != computed {
+                return Err(format!(
+                    "checksum mismatch: entry says {stated}, content hashes to {computed}"
+                ));
+            }
         }
         let entry_key = body.get("key").and_then(Json::as_str).unwrap_or("");
         if entry_key != hex16(key.0) {
@@ -336,6 +394,71 @@ mod tests {
         let text = std::fs::read_to_string(cache.dir().join(key.file_name())).unwrap();
         assert_eq!(text, ENTRY);
         assert_eq!(cache.lookup(key), Lookup::Hit(record));
+        std::fs::remove_dir_all(cache.dir()).unwrap();
+    }
+
+    /// Looks `key` up, returning the outcome and what it took.
+    fn counted(cache: &ResultCache, key: CacheKey) -> (Lookup, ReadWork) {
+        let mut work = ReadWork::default();
+        (cache.lookup_counted(key, &mut work), work)
+    }
+
+    #[test]
+    fn stored_entries_are_checked_off_their_text() {
+        let cache = tmp_cache("fastpath");
+        let key = CacheKey::for_cell("x264", &SimConfig::quick());
+        cache.store(key, "x264", &record()).unwrap();
+        let text = std::fs::read_to_string(cache.dir().join(key.file_name())).unwrap();
+        let body = Json::parse(&text).unwrap().get("body").cloned().unwrap();
+        assert_eq!(
+            ResultCache::stored_body_hash(&text),
+            Some(fnv1a64(format!("{body:#}\n").as_bytes())),
+            "the text hash is the render hash"
+        );
+        let work = ReadWork {
+            entries_read: 1,
+            checksums_rendered: 0,
+        };
+        assert_eq!(counted(&cache, key), (Lookup::Hit(record()), work));
+        assert_eq!(
+            counted(&cache, CacheKey(1)),
+            (Lookup::Miss, ReadWork::default())
+        );
+        std::fs::remove_dir_all(cache.dir()).unwrap();
+    }
+
+    #[test]
+    fn reindented_entries_are_hits_through_the_render_fallback() {
+        let cache = tmp_cache("reindent");
+        let key = CacheKey::for_cell("x264", &SimConfig::quick());
+        cache.store(key, "x264", &record()).unwrap();
+        let path = cache.dir().join(key.file_name());
+        let stored = std::fs::read_to_string(&path).unwrap();
+        let doubled: String = stored
+            .lines()
+            .map(|line| {
+                let indent = line.len() - line.trim_start().len();
+                format!("{}{line}\n", " ".repeat(indent))
+            })
+            .collect();
+        let compact = format!("{}\n", Json::parse(&stored).unwrap());
+        // Store's layout around the body, but one value spaced out: the
+        // text hash differs from the stated checksum, the render agrees.
+        let spaced = stored.replacen("\"sb\": 14", "\"sb\":  14", 1);
+        for text in [doubled, compact, spaced] {
+            assert_ne!(text, stored);
+            std::fs::write(&path, &text).unwrap();
+            let work = ReadWork {
+                entries_read: 1,
+                checksums_rendered: 1,
+            };
+            assert_eq!(
+                counted(&cache, key),
+                (Lookup::Hit(record()), work),
+                "{text}"
+            );
+        }
+        assert_eq!(quarantined_count(&cache), 0);
         std::fs::remove_dir_all(cache.dir()).unwrap();
     }
 

@@ -8,7 +8,10 @@
 //!
 //! - every cell goes through the [`crate::cache::ResultCache`] first —
 //!   hits skip simulation entirely and are bit-identical to a fresh
-//!   deterministic run;
+//!   deterministic run. A cell's key is derived once per base config
+//!   and then memoized, so a repeat job (in any cell order) formats its
+//!   base config once instead of one `SimConfig` per cell; every hit
+//!   still reads and checks its entry file;
 //! - misses run under [`spb_sim::sweep::run_cells_supervised`]:
 //!   panics/deadlines/injected chaos retry with seeded backoff,
 //!   invariant violations fail fast into the report's `failed` array;
@@ -19,9 +22,9 @@
 //!   explicit `overloaded` rejection immediately — the server never
 //!   accepts work it cannot promise to journal and run.
 
-use crate::cache::{CacheKey, Lookup, ResultCache};
+use crate::cache::{CacheKey, Lookup, ReadWork, ResultCache};
 use crate::journal::Journal;
-use crate::spec::JobSpec;
+use crate::spec::{CellSpec, JobSpec, ResolvedCells};
 use spb_obs::SharedCounters;
 use spb_sim::config::SimConfig;
 use spb_sim::sweep::{
@@ -29,7 +32,7 @@ use spb_sim::sweep::{
 };
 use spb_stats::json::Json;
 use spb_trace::profile::AppProfile;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -81,6 +84,78 @@ impl ServeConfig {
 /// cannot grow server memory without bound.
 pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
+/// The most cell keys the server memoizes; past it the memo starts
+/// over. The 230-cell quick grid fits many times over.
+const KEY_MEMO_ENTRIES: usize = 4096;
+
+/// Cache keys of cells seen in earlier jobs. [`CacheKey::for_cell`]
+/// formats the whole `SimConfig` on every call, but a cell's key is a
+/// pure function of its job's base config and its [`CellSpec`], so it
+/// is derived once per pair. The memo is per cell, not per job, so a
+/// repeat job in another cell order still hits.
+#[derive(Debug, Default)]
+struct KeyMemo {
+    /// `Debug` text of the base config the memoized keys belong to; a
+    /// job with any other base clears the memo. Every field
+    /// [`JobSpec::base_config`] sets takes part through it.
+    base: String,
+    keys: HashMap<CellSpec, CacheKey>,
+}
+
+/// A job's cell keys, in request order.
+struct JobKeys {
+    keys: Vec<CacheKey>,
+    /// The resolved job, if deriving a key needed it.
+    resolved: Option<ResolvedCells>,
+    /// Keys derived rather than found in the memo.
+    derived: u64,
+}
+
+impl KeyMemo {
+    /// The key of every cell of `job`. The job is resolved only when a
+    /// cell's key is not memoized; a cell that is memoized resolved
+    /// before, so a bad cell is still an error here, before any
+    /// lookup.
+    fn keys(&mut self, job: &JobSpec) -> Result<JobKeys, String> {
+        let base = format!("{:?}", job.base_config()?);
+        if base != self.base {
+            self.keys.clear();
+            self.base = base;
+        }
+        let mut keys: Vec<Option<CacheKey>> = job
+            .cells
+            .iter()
+            .map(|cell| self.keys.get(cell).copied())
+            .collect();
+        if keys.iter().all(Option::is_some) {
+            return Ok(JobKeys {
+                keys: keys.into_iter().flatten().collect(),
+                resolved: None,
+                derived: 0,
+            });
+        }
+        let resolved = job.resolve()?;
+        let (profiles, cells) = &resolved;
+        let mut derived = 0;
+        for ((slot, cell), (pi, cfg)) in keys.iter_mut().zip(&job.cells).zip(cells) {
+            if slot.is_none() {
+                let key = CacheKey::for_cell(profiles[*pi].name(), cfg);
+                if self.keys.len() >= KEY_MEMO_ENTRIES {
+                    self.keys.clear();
+                }
+                self.keys.insert(cell.clone(), key);
+                *slot = Some(key);
+                derived += 1;
+            }
+        }
+        Ok(JobKeys {
+            keys: keys.into_iter().flatten().collect(),
+            resolved: Some(resolved),
+            derived,
+        })
+    }
+}
+
 /// One queued job; recovered jobs have no reply channel.
 struct QueuedJob {
     id: String,
@@ -94,6 +169,8 @@ pub struct Server {
     cfg: ServeConfig,
     listener: TcpListener,
     cache: ResultCache,
+    /// Touched only by the job runner.
+    key_memo: Mutex<KeyMemo>,
     journal: Mutex<Journal>,
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_cv: Condvar,
@@ -126,6 +203,9 @@ impl Server {
             "cells_computed",
             "cache_hits",
             "cache_corrupt",
+            "cache_keys_derived",
+            "cache_entries_read",
+            "cache_checksums_rendered",
             "cell_retries",
             "cells_failed",
             "journal_corrupt_lines",
@@ -146,6 +226,7 @@ impl Server {
             cfg,
             listener,
             cache,
+            key_memo: Mutex::default(),
             journal: Mutex::new(journal),
             queue: Mutex::new(queue),
             queue_cv: Condvar::new(),
@@ -374,19 +455,22 @@ impl Server {
     /// Executes one job: cache pass, supervised computation of the
     /// misses, cache stores, report assembly in request order.
     fn run_job(&self, job: &JobSpec) -> String {
-        let (profiles, resolved) = match job.resolve() {
-            Ok(r) => r,
+        let memoized = self.key_memo.lock().expect("key memo poisoned").keys(job);
+        let JobKeys {
+            keys,
+            resolved,
+            derived,
+        } = match memoized {
+            Ok(k) => k,
             Err(e) => return Self::error(format!("bad job: {e}")),
         };
-        let keys: Vec<CacheKey> = resolved
-            .iter()
-            .map(|(pi, cfg)| CacheKey::for_cell(profiles[*pi].name(), cfg))
-            .collect();
-        let mut records: Vec<Option<SweepRecord>> = vec![None; resolved.len()];
+        self.stats.add("cache_keys_derived", derived);
+        let mut records: Vec<Option<SweepRecord>> = vec![None; keys.len()];
         let mut misses: Vec<usize> = Vec::new();
         let (mut hits, mut corrupt) = (0u64, 0u64);
+        let mut work = ReadWork::default();
         for (i, &key) in keys.iter().enumerate() {
-            match self.cache.lookup(key) {
+            match self.cache.lookup_counted(key, &mut work) {
                 Lookup::Hit(record) => {
                     hits += 1;
                     records[i] = Some(record);
@@ -400,6 +484,20 @@ impl Server {
         }
         self.stats.add("cache_hits", hits);
         self.stats.add("cache_corrupt", corrupt);
+        self.stats.add("cache_entries_read", work.entries_read);
+        self.stats
+            .add("cache_checksums_rendered", work.checksums_rendered);
+
+        // Misses need the profiles and configs, which a job whose keys
+        // were all memoized has not resolved yet.
+        let (profiles, resolved) = match resolved {
+            Some(r) => r,
+            None if misses.is_empty() => ResolvedCells::default(),
+            None => match job.resolve() {
+                Ok(r) => r,
+                Err(e) => return Self::error(format!("bad job: {e}")),
+            },
+        };
 
         let supervision = Supervision {
             max_attempts: job.retry.max(self.cfg.retry).max(1),
@@ -484,5 +582,97 @@ impl Server {
             ("stats", job_stats),
         ])
         .to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::Budget;
+    use spb_stats::hash::mix64;
+
+    /// `job`'s cells in a seeded order.
+    fn shuffled(mut job: JobSpec, seed: u64) -> JobSpec {
+        let mut order: Vec<(u64, CellSpec)> = job
+            .cells
+            .drain(..)
+            .enumerate()
+            .map(|(i, cell)| (mix64(seed ^ i as u64), cell))
+            .collect();
+        order.sort_by_key(|&(rank, _)| rank);
+        job.cells = order.into_iter().map(|(_, cell)| cell).collect();
+        job
+    }
+
+    /// The keys `CacheKey::for_cell` derives for `job`, in order.
+    fn derived_keys(job: &JobSpec) -> Vec<CacheKey> {
+        let (profiles, resolved) = job.resolve().unwrap();
+        resolved
+            .iter()
+            .map(|(pi, cfg)| CacheKey::for_cell(profiles[*pi].name(), cfg))
+            .collect()
+    }
+
+    #[test]
+    fn memo_keys_equal_derived_keys_across_jobs_and_orders() {
+        let grid = JobSpec::quick_grid;
+        let with = |edit: fn(&mut JobSpec)| {
+            let mut job = grid();
+            edit(&mut job);
+            job
+        };
+        // One server life: each base twice (the repeat in another cell
+        // order), bases changing in every field `base_config` sets, and
+        // the first base once more at the end.
+        let bases = [
+            grid(),
+            with(|j| j.budget = Budget::Paper),
+            with(|j| j.warmup_uops = Some(2_000)),
+            with(|j| j.measure_uops = Some(10_000)),
+            with(|j| j.seed = Some(43)),
+            with(|j| j.squash = Some("rate=0.1,depth=8..32,seed=5".into())),
+            grid(),
+        ];
+        let mut memo = KeyMemo::default();
+        for (b, job) in bases.iter().enumerate() {
+            for (pass, seed) in [(0, b as u64), (1, 100 + b as u64)] {
+                let job = shuffled(job.clone(), seed);
+                let out = memo.keys(&job).unwrap();
+                assert_eq!(out.keys, derived_keys(&job), "base {b}, pass {pass}");
+                assert_eq!(out.keys.len(), 230);
+                // A new base derives every key; its repeat derives none
+                // and leaves the job unresolved.
+                let cold = pass == 0;
+                assert_eq!(out.derived, if cold { 230 } else { 0 }, "base {b}");
+                assert_eq!(out.resolved.is_some(), cold, "base {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn memo_reports_bad_cells_and_stays_bounded() {
+        let mut memo = KeyMemo::default();
+        let mut job = JobSpec::quick_grid();
+        memo.keys(&job).unwrap();
+        // Every other cell is memoized; the new, bad one still fails.
+        job.cells.push(CellSpec {
+            app: "not-a-benchmark".into(),
+            policy: "spb".into(),
+            sb: 14,
+        });
+        let err = memo.keys(&job).err().expect("bad cell");
+        assert!(err.contains("not-a-benchmark"), "{err}");
+
+        let cells = (1..=KEY_MEMO_ENTRIES + 10)
+            .map(|sb| CellSpec {
+                app: "x264".into(),
+                policy: "at-commit".into(),
+                sb,
+            })
+            .collect();
+        let wide = JobSpec::new("wide", Budget::Quick, cells);
+        let out = memo.keys(&wide).unwrap();
+        assert_eq!(out.keys, derived_keys(&wide));
+        assert!(memo.keys.len() <= KEY_MEMO_ENTRIES, "{}", memo.keys.len());
     }
 }

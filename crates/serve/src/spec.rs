@@ -14,7 +14,7 @@ use spb_trace::profile::AppProfile;
 use spb_trace::SquashConfig;
 
 /// One requested sweep cell: which app, policy, and configured SB size.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CellSpec {
     /// Application name ([`AppProfile::by_name`]).
     pub app: String,
@@ -253,10 +253,10 @@ impl JobSpec {
         })
     }
 
-    /// Resolves the cell list against the built-in app profiles:
-    /// returns the distinct profiles plus, per cell in order, `(profile
-    /// index, full SimConfig)`. Errors name the offending cell.
-    pub fn resolve(&self) -> Result<ResolvedCells, String> {
+    /// The config every cell starts from: the budget's, with the job's
+    /// overrides applied. A cell's config is this plus its SB size and
+    /// policy.
+    pub(crate) fn base_config(&self) -> Result<SimConfig, String> {
         let mut base = self.budget.sim_config();
         if let Some(w) = self.warmup_uops {
             base.warmup_uops = w;
@@ -270,6 +270,14 @@ impl JobSpec {
         if let Some(sq) = &self.squash {
             base.squash = SquashConfig::parse(sq).map_err(|e| format!("squash: {e}"))?;
         }
+        Ok(base)
+    }
+
+    /// Resolves the cell list against the built-in app profiles:
+    /// returns the distinct profiles plus, per cell in order, `(profile
+    /// index, full SimConfig)`. Errors name the offending cell.
+    pub fn resolve(&self) -> Result<ResolvedCells, String> {
+        let base = self.base_config()?;
         let mut profiles: Vec<AppProfile> = Vec::new();
         let mut resolved = Vec::with_capacity(self.cells.len());
         for cell in &self.cells {

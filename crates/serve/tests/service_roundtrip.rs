@@ -64,6 +64,17 @@ fn records(reply: &Json) -> Vec<Json> {
         .to_vec()
 }
 
+/// The serve counters of a health reply.
+fn counters(addr: &str) -> Json {
+    client::health(addr)
+        .expect("health")
+        .get("metrics")
+        .and_then(|m| m.get("serve"))
+        .and_then(|c| c.get("counters"))
+        .cloned()
+        .expect("health carries serve counters")
+}
+
 #[test]
 fn submit_computes_then_resubmission_hits_the_cache() {
     let dir = state_dir("roundtrip");
@@ -94,13 +105,7 @@ fn submit_computes_then_resubmission_hits_the_cache() {
     }
 
     // Health reflects the life of the service so far.
-    let health = client::health(&addr).expect("health");
-    let counters = health
-        .get("metrics")
-        .and_then(|m| m.get("serve"))
-        .and_then(|c| c.get("counters"))
-        .cloned()
-        .expect("health carries serve counters");
+    let counters = counters(&addr);
     assert_eq!(
         counters.get("jobs_completed").and_then(Json::as_u64),
         Some(2)
@@ -110,6 +115,58 @@ fn submit_computes_then_resubmission_hits_the_cache() {
         Some(3)
     );
     assert_eq!(counters.get("cache_hits").and_then(Json::as_u64), Some(3));
+
+    client::shutdown(&addr).expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The serve-path work counters: keys derived, entry files read and
+/// checksums re-derived by rendering.
+fn serve_work(addr: &str) -> [u64; 3] {
+    let c = counters(addr);
+    [
+        "cache_keys_derived",
+        "cache_entries_read",
+        "cache_checksums_rendered",
+    ]
+    .map(|name| {
+        c.get(name)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("health lacks {name}: {c}"))
+    })
+}
+
+#[test]
+fn a_warm_repeat_job_derives_no_keys_and_renders_no_checksums() {
+    let dir = state_dir("work");
+    let addr = spawn_server(ServeConfig::at(&dir));
+    assert_eq!(serve_work(&addr), [0, 0, 0]);
+
+    // Cold: every key is derived; the cache is empty, so no entry is
+    // read.
+    let job = tiny_job("work");
+    let n = job.cells.len() as u64;
+    assert_eq!(
+        stat(&client::submit(&addr, &job).expect("cold job"), "computed"),
+        n
+    );
+    assert_eq!(serve_work(&addr), [n, 0, 0]);
+
+    // Warm, cells in another order: no key derived, every entry read
+    // from disk and checked off its text.
+    let mut warm = job.clone();
+    warm.cells.reverse();
+    warm.cells.rotate_left(1);
+    assert_ne!(warm.cells, job.cells);
+    let reply = client::submit(&addr, &warm).expect("warm job");
+    assert_eq!(stat(&reply, "cache_hits"), n);
+    assert_eq!(serve_work(&addr), [n, n, 0]);
+
+    // Another base config derives its keys afresh.
+    let mut reseeded = job;
+    reseeded.seed = Some(43);
+    client::submit(&addr, &reseeded).expect("reseeded job");
+    assert_eq!(serve_work(&addr), [2 * n, n, 0]);
 
     client::shutdown(&addr).expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
@@ -141,13 +198,7 @@ fn journaled_jobs_recover_across_a_restart() {
     // Poll health until the recovered job has been computed.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     loop {
-        let health = client::health(&addr).expect("health");
-        let counters = health
-            .get("metrics")
-            .and_then(|m| m.get("serve"))
-            .and_then(|c| c.get("counters"))
-            .cloned()
-            .expect("serve counters");
+        let counters = counters(&addr);
         assert_eq!(
             counters.get("jobs_recovered").and_then(Json::as_u64),
             Some(1),
@@ -240,13 +291,7 @@ fn overload_is_an_explicit_rejection_never_a_hang() {
     );
 
     // The shed is visible in health, and the server still answers.
-    let health = client::health(&addr).expect("health after shed");
-    let shed = health
-        .get("metrics")
-        .and_then(|m| m.get("serve"))
-        .and_then(|c| c.get("counters"))
-        .and_then(|c| c.get("jobs_shed"))
-        .and_then(Json::as_u64);
+    let shed = counters(&addr).get("jobs_shed").and_then(Json::as_u64);
     assert_eq!(shed, Some(1));
 
     client::shutdown(&addr).expect("shutdown");

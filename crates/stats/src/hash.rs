@@ -38,12 +38,36 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Stable across platforms and releases: the constants are pinned, so
 /// digests embedded in on-disk artifacts stay comparable.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+    let mut h = Fnv1a64::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming 64-bit FNV-1a: writing a byte string in pieces, in order,
+/// gives the same digest as [`fnv1a64`] over the whole string.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Self(FNV_OFFSET)
     }
-    h
+}
+
+impl Fnv1a64 {
+    /// Hashes `bytes` after everything written so far.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The digest of everything written.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// The splitmix64 finalizer: a bijective mixer that turns structured
@@ -71,6 +95,17 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn streamed_fnv_equals_the_one_shot_digest() {
+        let text = b"{\n  \"cycles\": 123456\n}\n";
+        for split in 0..=text.len() {
+            let mut h = Fnv1a64::default();
+            h.write(&text[..split]);
+            h.write(&text[split..]);
+            assert_eq!(h.finish(), fnv1a64(text), "split at {split}");
+        }
     }
 
     #[test]
