@@ -38,7 +38,16 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
             chart,
             resume,
             retry,
-        } => sweep(&app, &sbs, &policies, &cfg, chart, resume, retry),
+        } => sweep(
+            &app,
+            &sbs,
+            &policies,
+            &cfg,
+            chart,
+            resume,
+            retry,
+            std::path::Path::new("results"),
+        ),
         Command::Trace { app, cfg, out } => trace_cmd(&app, &cfg, &out),
         Command::Experiment { name, quick } => experiment(&name, quick),
         Command::Verify(v) => verify(v),
@@ -261,6 +270,41 @@ fn verify(cmd: VerifyCmd) -> Result<(), CliError> {
     }
 }
 
+/// A digest of the sweep's base config: every field except the policy
+/// and SB size the sweep varies. Kept to 63 bits, since report counters
+/// are JSON integers.
+fn base_digest(opts: &RunOpts) -> u64 {
+    let base = opts
+        .to_sim_config()
+        .with_sb(0)
+        .with_policy(spb_sim::PolicyKind::AtCommit);
+    spb_stats::hash::fnv1a64(format!("{base:?}").as_bytes()) >> 1
+}
+
+/// Parses a prior sweep report for `--resume`, refusing one computed
+/// under other settings than `digest` (or saved without a digest).
+fn resumable(text: &str, digest: u64) -> Result<SweepReport, String> {
+    let report = SweepReport::parse(text)?;
+    let stated = report
+        .metrics
+        .as_ref()
+        .and_then(|m| m.get("sweep"))
+        .and_then(|c| c.get("counters"))
+        .and_then(|c| c.get("config_digest"))
+        .and_then(Json::as_u64);
+    match stated {
+        Some(d) if d == digest => Ok(report),
+        Some(d) => Err(format!(
+            "its cells were computed under other settings \
+             (config digest {d}, this sweep {digest}); re-run without --resume"
+        )),
+        None => Err("it records no config digest, so its settings are unknown; \
+                     re-run without --resume"
+            .into()),
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
 fn sweep(
     app: &str,
     sbs: &[usize],
@@ -269,17 +313,19 @@ fn sweep(
     with_chart: bool,
     resume: bool,
     retry: u32,
+    dir: &std::path::Path,
 ) -> Result<(), CliError> {
     let profile = find_app(app)?;
     let name = format!("sweep-{app}");
+    let digest = base_digest(opts);
 
     // With --resume, reload the prior (possibly partial) report; its
     // completed cells are reused verbatim and only the rest re-run.
     let prior = if resume {
-        let path = std::path::Path::new("results").join(format!("{name}.json"));
+        let path = dir.join(format!("{name}.json"));
         match std::fs::read_to_string(&path) {
             Ok(text) => Some(
-                SweepReport::parse(&text)
+                resumable(&text, digest)
                     .map_err(|e| CliError(format!("cannot resume from {}: {e}", path.display())))?,
             ),
             Err(e) => {
@@ -408,6 +454,7 @@ fn sweep(
         .counter("cells", grid.len() as u64)
         .counter("fresh", fresh_runs.len() as u64)
         .counter("failures", failed.len() as u64)
+        .counter("config_digest", digest)
         .gauge("wall_ms", total_wall)
         .gauge("jobs", opts.sweep_options().jobs as f64);
     let report = SweepReport {
@@ -416,7 +463,7 @@ fn sweep(
         failed: failed.clone(),
         metrics: Some(reg.to_json()),
     };
-    save_report(&report);
+    save_report(&report, dir);
     if !failed.is_empty() {
         return Err(CliError(format!(
             "{} of {} cell(s) failed (the rest are saved; re-run with --resume to retry):\n  {}",
@@ -432,10 +479,10 @@ fn sweep(
     Ok(())
 }
 
-/// Writes a sweep report under `results/`, warning (not failing) if the
+/// Writes a sweep report under `dir`, warning (not failing) if the
 /// directory is unwritable.
-fn save_report(report: &SweepReport) {
-    match report.save(std::path::Path::new("results")) {
+fn save_report(report: &SweepReport, dir: &std::path::Path) {
+    match report.save(dir) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write sweep report: {e}"),
     }
@@ -545,10 +592,13 @@ fn suite_cmd(suite: &str, opts: &RunOpts) -> Result<(), CliError> {
         results.geomean_all(|r| r.ipc()),
         results.geomean_sb_bound(|r| r.ipc())
     );
-    save_report(&SweepReport::new(
-        format!("suite-{suite}-{}-sb{}", opts.policy.label(), opts.sb),
-        &results.runs,
-    ));
+    save_report(
+        &SweepReport::new(
+            format!("suite-{suite}-{}-sb{}", opts.policy.label(), opts.sb),
+            &results.runs,
+        ),
+        std::path::Path::new("results"),
+    );
     Ok(())
 }
 
@@ -648,7 +698,9 @@ fn experiment(name: &str, quick: bool) -> Result<(), CliError> {
         )));
     };
     eprintln!("{}: {}", def.title, def.claim);
-    exp::print_tables(&(def.run)(budget));
+    let mut ev = exp::Evaluation::new(budget, spb_sim::sweep::SweepOptions::from_env());
+    exp::print_tables(&(def.run)(&mut ev));
+    eprintln!("{}", ev.work_line());
     Ok(())
 }
 
@@ -685,6 +737,56 @@ mod tests {
         )
         .unwrap();
         std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn sweep_resume_refuses_a_report_computed_under_other_settings() {
+        let dir = std::env::temp_dir().join(format!("spbsim-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = |uops: &str, resume: bool| {
+            let mut args = vec![
+                "sweep",
+                "--app",
+                "povray",
+                "--sb",
+                "14",
+                "--policy",
+                "at-commit",
+                "--warmup",
+                "1000",
+                "--uops",
+                uops,
+            ];
+            if resume {
+                args.push("--resume");
+            }
+            match parse(args).unwrap() {
+                Command::Sweep {
+                    app,
+                    sbs,
+                    policies,
+                    cfg,
+                    chart,
+                    resume,
+                    retry,
+                } => sweep(&app, &sbs, &policies, &cfg, chart, resume, retry, &dir),
+                other => panic!("parsed as {other:?}"),
+            }
+        };
+        run("4000", false).unwrap();
+        // Same settings: the saved cell is reused.
+        run("4000", true).unwrap();
+        let err = run("8000", true).unwrap_err().to_string();
+        assert!(err.contains("other settings"), "{err}");
+
+        // A report saved without a digest cannot vouch for its settings.
+        let path = dir.join("sweep-povray.json");
+        let mut old = SweepReport::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        old.metrics = None;
+        old.save(&dir).unwrap();
+        let err = run("4000", true).unwrap_err().to_string();
+        assert!(err.contains("no config digest"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //! Columns: performance normalized to the ideal SB, and L1 tag checks
 //! normalized to the shipped SPB configuration.
 
-use crate::Budget;
-use spb_sim::config::{PolicyKind, SimConfig};
-use spb_sim::suite::SuiteResult;
+use crate::Evaluation;
+use spb_sim::config::PolicyKind;
 use spb_stats::summary::geomean;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
@@ -42,49 +41,46 @@ const VARIANTS: [(&str, &str); 7] = [
     ("feedback bursts", "spb-feedback"),
 ];
 
-fn suite_cycles_and_tags(apps: &[AppProfile], cfg: &SimConfig) -> Vec<(u64, u64)> {
-    SuiteResult::run(apps, cfg)
-        .runs
-        .iter()
-        .map(|r| (r.cycles, r.mem.l1_tag_checks))
-        .collect()
-}
-
-/// Runs the experiment at `budget`.
-pub fn run(budget: Budget) -> Vec<Table> {
+/// Runs the ablations over the SB-bound subset at SB14.
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
     let apps = AppProfile::spec2017_sb_bound();
-    let base_cfg = budget.sim_config().with_sb(14);
-    let ideal = SuiteResult::run(&apps, &base_cfg.clone().with_policy(PolicyKind::IdealSb));
-    let ideal_cycles: Vec<u64> = ideal.runs.iter().map(|r| r.cycles).collect();
+    let base_cfg = ev.base().with_sb(14);
+    let mut configs = vec![base_cfg.clone().with_policy(PolicyKind::IdealSb)];
+    for (_, spec) in VARIANTS {
+        configs.push(
+            base_cfg
+                .clone()
+                .with_policy(PolicyKind::parse(spec).expect(spec)),
+        );
+    }
+    let suites = ev.suites(&apps, &configs);
+    let (ideal, variants) = suites.split_first().expect("the ideal suite");
+    let shipped = &variants[0];
 
     let mut t = Table::new(
         "Ablations — SPB design choices (SB-bound suite, SB14)",
         &["perf vs ideal", "tag checks vs shipped"],
     );
-    let mut shipped_tags: Option<Vec<u64>> = None;
-    for (label, spec) in VARIANTS {
-        let policy = PolicyKind::parse(spec).expect(spec);
-        let results = suite_cycles_and_tags(&apps, &base_cfg.clone().with_policy(policy));
-        let perf: Vec<f64> = results
+    for (i, ((label, _), suite)) in VARIANTS.iter().zip(variants).enumerate() {
+        let perf: Vec<f64> = suite
+            .runs
             .iter()
-            .zip(&ideal_cycles)
-            .map(|((cycles, _), &ic)| ic as f64 / *cycles as f64)
+            .zip(&ideal.runs)
+            .map(|(r, i)| i.cycles as f64 / r.cycles as f64)
             .collect();
-        let tags: Vec<u64> = results.iter().map(|(_, t)| *t).collect();
-        let tag_ratio = match &shipped_tags {
-            None => {
-                shipped_tags = Some(tags);
-                1.0
-            }
-            Some(base) => geomean(
-                &tags
+        let tag_ratio = if i == 0 {
+            1.0
+        } else {
+            geomean(
+                &suite
+                    .runs
                     .iter()
-                    .zip(base)
-                    .map(|(&a, &b)| a as f64 / b.max(1) as f64)
+                    .zip(&shipped.runs)
+                    .map(|(a, b)| a.mem.l1_tag_checks as f64 / b.mem.l1_tag_checks.max(1) as f64)
                     .collect::<Vec<_>>(),
-            ),
+            )
         };
-        t.push_row(label, &[geomean(&perf), tag_ratio]);
+        t.push_row(*label, &[geomean(&perf), tag_ratio]);
     }
     vec![t]
 }

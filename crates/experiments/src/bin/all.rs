@@ -1,8 +1,8 @@
 //! Regenerates the entire evaluation: every table and figure from the
 //! [`spb_experiments::registry`], in paper order, then the
-//! machine-readable grid sweep report under `results/`. Figures that
-//! are pure projections of the main SPEC grid reuse one shared sweep
-//! instead of re-simulating it. Pass --quick for a smoke run; SPB_JOBS
+//! machine-readable grid sweep report under `results/`. One
+//! [`spb_experiments::Evaluation`] backs every figure, so each distinct
+//! cell is simulated once. Pass --quick for a smoke run; SPB_JOBS
 //! controls the worker pool.
 use spb_experiments as exp;
 use spb_sim::sweep::SweepOptions;
@@ -11,30 +11,24 @@ use std::time::Instant;
 fn main() {
     let budget = exp::Budget::from_args();
     let opts = SweepOptions::from_env();
+    let jobs = opts.jobs;
     let total_start = Instant::now();
+    let mut ev = exp::Evaluation::new(budget, opts.progress(true));
 
-    // The SPEC grid backs every `from_grid` figure; compute it once.
-    eprintln!("[all] computing the shared SPEC grid… ({} jobs)", opts.jobs);
+    // Most figures are views of the SPEC grid; compute it first.
+    eprintln!("[all] computing the shared SPEC grid… ({jobs} jobs)");
     let grid_start = Instant::now();
-    let grid = exp::grid::Grid::compute_with(
-        spb_trace::profile::AppProfile::spec2017(),
-        budget,
-        &opts.progress(true),
-    );
+    let grid = ev.grid(spb_trace::profile::AppProfile::spec2017());
     eprintln!(
         "[all] grid done in {:.1}s",
         grid_start.elapsed().as_secs_f64()
     );
 
     for def in exp::registry::REGISTRY {
-        eprintln!("[all] running {}… ({} jobs)", def.title, opts.jobs);
+        eprintln!("[all] running {}… ({jobs} jobs)", def.title);
         let start = Instant::now();
         println!("############ {} ############", def.title);
-        let tables = match def.from_grid {
-            Some(project) => project(&grid),
-            None => (def.run)(budget),
-        };
-        exp::print_tables(&tables);
+        exp::print_tables(&(def.run)(&mut ev));
         eprintln!(
             "[all] {} done in {:.1}s",
             def.title,
@@ -51,9 +45,9 @@ fn main() {
             std::process::exit(1);
         }
     }
+    eprintln!("[all] {}", ev.work_line());
     eprintln!(
-        "[all] total wall time {:.1}s with {} jobs",
-        total_start.elapsed().as_secs_f64(),
-        opts.jobs
+        "[all] total wall time {:.1}s with {jobs} jobs",
+        total_start.elapsed().as_secs_f64()
     );
 }

@@ -15,8 +15,7 @@ fn main() {
     let opts = SweepOptions::from_env().progress(true);
     let label = budget.label();
     let start = Instant::now();
-    let grid =
-        exp::grid::Grid::compute_with(spb_trace::profile::AppProfile::spec2017(), budget, &opts);
+    let grid = exp::Evaluation::new(budget, opts).grid(spb_trace::profile::AppProfile::spec2017());
     let wall = start.elapsed().as_secs_f64();
     let report = grid.to_report(format!("sweep-grid-{label}"));
     match report.save(std::path::Path::new("results")) {

@@ -5,14 +5,15 @@
 //! shrinks from 56 to 14 entries (the per-thread share under SMT-4).
 //! "All" averages the whole suite; "SB-Bound" only the >2% subset.
 
-use crate::grid::{Grid, SB_SIZES};
-use crate::Budget;
+use crate::grid::SB_SIZES;
+use crate::Evaluation;
 use spb_stats::summary::mean;
 use spb_stats::Table;
+use spb_trace::profile::AppProfile;
 
-/// Builds the Figure 1 table from an existing grid (at-commit is policy
-/// index 1).
-pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
+/// Figure 1 from the SPEC grid (at-commit is policy index 1).
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
+    let grid = &ev.grid(AppProfile::spec2017());
     let mut t = Table::new(
         "Fig. 1 — % of cycles stalled on a full SB (at-commit)",
         &["All", "SB-Bound"],
@@ -35,9 +36,4 @@ pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
     }
     t.set_precision(1);
     vec![t]
-}
-
-/// Runs the experiment at `budget`.
-pub fn run(budget: Budget) -> Vec<Table> {
-    tables_from_grid(&Grid::spec(budget))
 }

@@ -6,22 +6,11 @@
 //! for most applications; `deepsjeng` and `roms` stall on their own
 //! hand-written copy loops.
 
-use crate::grid::Grid;
-use crate::Budget;
-use spb_sim::suite::SuiteResult;
+use crate::Evaluation;
 use spb_sim::RunResult;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
 use spb_trace::CodeRegion;
-
-fn empty_table() -> Table {
-    let columns: Vec<String> = CodeRegion::ALL.iter().map(|r| r.to_string()).collect();
-    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-    Table::new(
-        "Fig. 3 — SB-stall cycles by code region of the blocking store (at-commit, SB56)",
-        &col_refs,
-    )
-}
 
 fn region_fractions(r: &RunResult) -> Vec<f64> {
     let total: u64 = r.cpu.sb_stall_by_region.iter().sum();
@@ -38,24 +27,16 @@ fn region_fractions(r: &RunResult) -> Vec<f64> {
         .collect()
 }
 
-/// Re-renders the figure from the shared grid's at-commit/SB56 view,
-/// keeping only the SB-bound applications.
-pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
-    let mut t = empty_table();
-    let suite = grid.at(1, 2); // at-commit, SB56
-    for (a, app) in grid.apps.iter().enumerate() {
-        if app.is_sb_bound() {
-            t.push_row(app.name(), &region_fractions(&suite.runs[a]));
-        }
-    }
-    vec![t]
-}
-
-/// Runs the experiment at `budget` (at-commit, 56-entry SB).
-pub fn run(budget: Budget) -> Vec<Table> {
+/// Runs Figure 3 over the SB-bound apps (at-commit, 56-entry SB).
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
     let apps = AppProfile::spec2017_sb_bound();
-    let suite = SuiteResult::run(&apps, &budget.sim_config());
-    let mut t = empty_table();
+    let suite = ev.suite(&apps, &ev.base());
+    let columns: Vec<String> = CodeRegion::ALL.iter().map(|r| r.to_string()).collect();
+    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
+    let mut t = Table::new(
+        "Fig. 3 — SB-stall cycles by code region of the blocking store (at-commit, SB56)",
+        &col_refs,
+    );
     for (app, r) in apps.iter().zip(&suite.runs) {
         t.push_row(app.name(), &region_fractions(r));
     }

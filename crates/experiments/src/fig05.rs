@@ -8,12 +8,14 @@
 //! | SB28    | 0.936     | 0.989 (SB-bound 0.987) |
 //! | SB14    | 0.859 (SB-bound 0.701) | 0.954 (SB-bound 0.926) |
 
-use crate::grid::{policies, Grid, SB_SIZES};
-use crate::Budget;
+use crate::grid::{policies, SB_SIZES};
+use crate::Evaluation;
 use spb_stats::Table;
+use spb_trace::profile::AppProfile;
 
-/// Builds the Figure 5 tables from an existing grid.
-pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
+/// Figure 5 from the SPEC grid.
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
+    let grid = &ev.grid(AppProfile::spec2017());
     let mut all = Table::new(
         "Fig. 5 — performance normalized to Ideal (geomean, ALL)",
         &["at-execute", "at-commit", "spb"],
@@ -33,10 +35,4 @@ pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
         sb_bound.push_row(format!("SB{sb}"), &row_sb);
     }
     vec![all, sb_bound]
-}
-
-/// Runs the experiment at `budget`.
-pub fn run(budget: Budget) -> Vec<Table> {
-    let grid = Grid::spec(budget);
-    tables_from_grid(&grid)
 }

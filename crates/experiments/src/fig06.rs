@@ -1,13 +1,14 @@
 //! Figure 6: per-application performance of the SB-bound applications,
 //! normalized to the ideal SB, for each SB size.
 
-use crate::grid::{policies, Grid, SB_SIZES};
-use crate::Budget;
+use crate::grid::{policies, SB_SIZES};
+use crate::Evaluation;
 use spb_stats::Table;
+use spb_trace::profile::AppProfile;
 
-/// Builds the three per-SB-size tables from a grid run over the
-/// SB-bound subset.
-pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
+/// One table per SB size, from the grid over the SB-bound subset.
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
+    let grid = &ev.grid(AppProfile::spec2017_sb_bound());
     let labels: Vec<String> = policies().iter().map(|p| p.label()).collect();
     let cols: Vec<&str> = labels.iter().map(String::as_str).collect();
     SB_SIZES
@@ -28,9 +29,4 @@ pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
             t
         })
         .collect()
-}
-
-/// Runs the experiment at `budget`.
-pub fn run(budget: Budget) -> Vec<Table> {
-    tables_from_grid(&Grid::spec_sb_bound(budget))
 }

@@ -6,32 +6,28 @@
 //! Paper headline: SPB's net total-energy savings are 6.7% / 3.4% / 1.5%
 //! for SB14 / SB28 / SB56 (16.8% / 9% / 4.3% for SB-bound only).
 
-use crate::grid::{Grid, SB_SIZES};
-use crate::Budget;
+use crate::grid::{geomean_ratio, SB_SIZES};
+use crate::Evaluation;
+use spb_energy::EnergyBreakdown;
 use spb_sim::suite::SuiteResult;
-use spb_stats::summary::geomean;
 use spb_stats::Table;
+use spb_trace::profile::AppProfile;
 
-fn norm_energy<F: Fn(&spb_energy::EnergyBreakdown) -> f64>(
+fn norm_energy(
     suite: &SuiteResult,
     baseline: &SuiteResult,
     sb_bound_only: bool,
-    metric: F,
+    metric: fn(&EnergyBreakdown) -> f64,
 ) -> f64 {
-    let vals: Vec<f64> = suite
-        .runs
-        .iter()
-        .zip(&baseline.runs)
-        .zip(&suite.sb_bound)
-        .filter(|(_, b)| !sb_bound_only || **b)
-        .map(|((r, base), _)| metric(&r.energy) / metric(&base.energy))
-        .collect();
-    geomean(&vals)
+    geomean_ratio(suite, baseline, sb_bound_only, |r, base| {
+        Some(metric(&r.energy) / metric(&base.energy))
+    })
 }
 
-/// Builds the Figure 7 tables from the main grid (at-execute = policy 0,
-/// at-commit = 1, SPB = 2).
-pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
+/// Figure 7 from the SPEC grid (at-execute = policy 0, at-commit = 1,
+/// SPB = 2).
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
+    let grid = &ev.grid(AppProfile::spec2017());
     let mut out = Vec::new();
     for (title, sb_bound_only) in [
         (
@@ -73,9 +69,4 @@ pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
         out.push(t);
     }
     out
-}
-
-/// Runs the experiment at `budget`.
-pub fn run(budget: Budget) -> Vec<Table> {
-    tables_from_grid(&Grid::spec(budget))
 }

@@ -8,11 +8,12 @@
 //! how it can approach — and for SB-bound apps at SB56 beat — the
 //! ideal's net stall reduction.
 
-use crate::grid::{Grid, SB_SIZES};
-use crate::Budget;
+use crate::grid::SB_SIZES;
+use crate::Evaluation;
 use spb_sim::suite::SuiteResult;
 use spb_stats::summary::mean;
 use spb_stats::{StallCause, Table};
+use spb_trace::profile::AppProfile;
 
 /// Mean (over apps) of the given stall component normalized to the
 /// baseline's *total* issue stalls — so components of one row sum to the
@@ -45,8 +46,9 @@ fn component(
     mean(&vals)
 }
 
-/// Builds the Figure 10 tables from the main grid.
-pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
+/// Figure 10 from the SPEC grid.
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
+    let grid = &ev.grid(AppProfile::spec2017());
     let mut out = Vec::new();
     for (scope, bound_only) in [("ALL", false), ("SB-BOUND", true)] {
         for (s, &sb) in SB_SIZES.iter().enumerate() {
@@ -69,9 +71,4 @@ pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
         }
     }
     out
-}
-
-/// Runs the experiment at `budget`.
-pub fn run(budget: Budget) -> Vec<Table> {
-    tables_from_grid(&Grid::spec(budget))
 }

@@ -8,12 +8,10 @@
 //! at the end of the store's life; SPB bursts run a page ahead and reach
 //! 45–50% success on SB-bound applications.
 
-use crate::grid::Grid;
-use crate::Budget;
+use crate::Evaluation;
 use spb_mem::RfoOrigin;
 use spb_sim::config::PolicyKind;
 use spb_sim::runner::RunResult;
-use spb_sim::suite::SuiteResult;
 use spb_stats::summary::mean;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
@@ -40,8 +38,12 @@ fn fractions(r: &RunResult, origins: &[RfoOrigin]) -> [f64; 4] {
     ]
 }
 
-/// Builds the table from matched per-app at-commit and SPB runs (SB56).
-fn tables_from_runs(apps: &[AppProfile], ac: &[RunResult], spb: &[RunResult]) -> Vec<Table> {
+/// Runs Figure 11 over SPEC at SB56 (at-commit and SPB).
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
+    let apps = AppProfile::spec2017();
+    let ac = ev.base();
+    let spb = ac.clone().with_policy(PolicyKind::spb_default());
+    let suites = ev.suites(&apps, &[ac, spb]);
     let mut t = Table::new(
         "Fig. 11 — store-prefetch outcome fractions at L1D (SB56; ac = at-commit, spb = SPB policy)",
         &[
@@ -52,10 +54,13 @@ fn tables_from_runs(apps: &[AppProfile], ac: &[RunResult], spb: &[RunResult]) ->
     let mut all_rows: Vec<[f64; 8]> = Vec::new();
     let mut bound_rows: Vec<[f64; 8]> = Vec::new();
     for (a, app) in apps.iter().enumerate() {
-        let f_ac = fractions(&ac[a], &[RfoOrigin::AtCommit]);
+        let f_ac = fractions(&suites[0].runs[a], &[RfoOrigin::AtCommit]);
         // The SPB policy's prefetching is its bursts plus the underlying
         // per-store at-commit requests.
-        let f_spb = fractions(&spb[a], &[RfoOrigin::SpbBurst, RfoOrigin::AtCommit]);
+        let f_spb = fractions(
+            &suites[1].runs[a],
+            &[RfoOrigin::SpbBurst, RfoOrigin::AtCommit],
+        );
         let row = [
             f_ac[0], f_ac[1], f_ac[2], f_ac[3], f_spb[0], f_spb[1], f_spb[2], f_spb[3],
         ];
@@ -72,19 +77,4 @@ fn tables_from_runs(apps: &[AppProfile], ac: &[RunResult], spb: &[RunResult]) ->
     t.push_row("SB-BOUND", &bound);
     t.push_row("ALL", &all);
     vec![t]
-}
-
-/// Re-renders the figure from the shared grid's SB56 column (at-commit
-/// and SPB views).
-pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
-    tables_from_runs(&grid.apps, &grid.at(1, 2).runs, &grid.at(2, 2).runs)
-}
-
-/// Runs the experiment at `budget` (SB56, the default configuration).
-pub fn run(budget: Budget) -> Vec<Table> {
-    let cfg = budget.sim_config();
-    let apps = AppProfile::spec2017();
-    let ac = SuiteResult::run(&apps, &cfg);
-    let spb = SuiteResult::run(&apps, &cfg.with_policy(PolicyKind::spb_default()));
-    tables_from_runs(&apps, &ac.runs, &spb.runs)
 }

@@ -6,11 +6,9 @@
 //! adds modest traffic (a few percent overall; 8–19% REQ for SB-bound
 //! apps) because it is only enabled on detected bursts.
 
-use crate::grid::Grid;
-use crate::Budget;
+use crate::Evaluation;
 use spb_mem::RfoOrigin;
 use spb_sim::config::PolicyKind;
-use spb_sim::suite::SuiteResult;
 use spb_sim::RunResult;
 use spb_stats::summary::geomean;
 use spb_stats::Table;
@@ -33,12 +31,12 @@ fn store_prefetch_traffic(r: &RunResult) -> (u64, u64) {
     (req, miss)
 }
 
-/// Builds the table from matched per-app at-commit and SPB runs (SB56).
-fn tables_from_runs(
-    apps: &[AppProfile],
-    ac_runs: &[RunResult],
-    spb_runs: &[RunResult],
-) -> Vec<Table> {
+/// Runs Figure 12 over SPEC at SB56 (at-commit and SPB).
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
+    let apps = AppProfile::spec2017();
+    let ac = ev.base();
+    let spb = ac.clone().with_policy(PolicyKind::spb_default());
+    let suites = ev.suites(&apps, &[ac, spb]);
     let mut t = Table::new(
         "Fig. 12 — SPB prefetch traffic normalized to at-commit (SB56)",
         &["REQ", "MISS"],
@@ -48,8 +46,8 @@ fn tables_from_runs(
     let mut bound_req = Vec::new();
     let mut bound_miss = Vec::new();
     for (a, app) in apps.iter().enumerate() {
-        let (req_ac, miss_ac) = store_prefetch_traffic(&ac_runs[a]);
-        let (req_spb, miss_spb) = store_prefetch_traffic(&spb_runs[a]);
+        let (req_ac, miss_ac) = store_prefetch_traffic(&suites[0].runs[a]);
+        let (req_spb, miss_spb) = store_prefetch_traffic(&suites[1].runs[a]);
         if req_ac < 100 {
             // Effectively store-free application: a traffic *ratio* is
             // meaningless noise, skip it (matches the paper's plotting
@@ -73,19 +71,4 @@ fn tables_from_runs(
     t.push_row("SB-BOUND", &[geomean(&bound_req), geomean(&bound_miss)]);
     t.push_row("ALL", &[geomean(&all_req), geomean(&all_miss)]);
     vec![t]
-}
-
-/// Re-renders the figure from the shared grid's SB56 column (at-commit
-/// and SPB views).
-pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
-    tables_from_runs(&grid.apps, &grid.at(1, 2).runs, &grid.at(2, 2).runs)
-}
-
-/// Runs the experiment at `budget` (SB56).
-pub fn run(budget: Budget) -> Vec<Table> {
-    let cfg = budget.sim_config();
-    let apps = AppProfile::spec2017();
-    let ac = SuiteResult::run(&apps, &cfg);
-    let spb = SuiteResult::run(&apps, &cfg.with_policy(PolicyKind::spb_default()));
-    tables_from_runs(&apps, &ac.runs, &spb.runs)
 }

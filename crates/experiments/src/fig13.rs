@@ -6,45 +6,25 @@
 //! overall (8.6–18.9% for SB-bound apps), partially offset by fewer
 //! wrong-path L1 accesses.
 
-use crate::grid::{Grid, SB_SIZES};
-use crate::Budget;
-use spb_sim::suite::SuiteResult;
-use spb_stats::summary::geomean;
+use crate::grid::{geomean_ratio, SB_SIZES};
+use crate::Evaluation;
 use spb_stats::Table;
+use spb_trace::profile::AppProfile;
 
-fn norm_tag_checks(suite: &SuiteResult, baseline: &SuiteResult, sb_bound_only: bool) -> f64 {
-    let vals: Vec<f64> = suite
-        .runs
-        .iter()
-        .zip(&baseline.runs)
-        .zip(&suite.sb_bound)
-        .filter(|(_, b)| !sb_bound_only || **b)
-        .map(|((r, base), _)| r.mem.l1_tag_checks as f64 / base.mem.l1_tag_checks.max(1) as f64)
-        .collect();
-    geomean(&vals)
-}
-
-/// Builds the table from the main grid.
-pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
+/// Figure 13 from the SPEC grid.
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
+    let grid = &ev.grid(AppProfile::spec2017());
     let mut t = Table::new(
         "Fig. 13 — L1D tag checks of SPB normalized to at-commit",
         &["ALL", "SB-BOUND"],
     );
     for (s, &sb) in SB_SIZES.iter().enumerate() {
-        let base = grid.at(1, s);
-        let spb = grid.at(2, s);
-        t.push_row(
-            format!("SB{sb}"),
-            &[
-                norm_tag_checks(spb, base, false),
-                norm_tag_checks(spb, base, true),
-            ],
-        );
+        let norm = |sb_bound_only| {
+            geomean_ratio(grid.at(2, s), grid.at(1, s), sb_bound_only, |r, base| {
+                Some(r.mem.l1_tag_checks as f64 / base.mem.l1_tag_checks.max(1) as f64)
+            })
+        };
+        t.push_row(format!("SB{sb}"), &[norm(false), norm(true)]);
     }
     vec![t]
-}
-
-/// Runs the experiment at `budget`.
-pub fn run(budget: Budget) -> Vec<Table> {
-    tables_from_grid(&Grid::spec(budget))
 }

@@ -6,38 +6,11 @@
 //! evict live blocks (conflict misses) that its re-referenced loads then
 //! miss on — the §VI-A pathology.
 
-use crate::grid::{Grid, SB_SIZES};
-use crate::Budget;
-use spb_stats::Table;
+use crate::Evaluation;
+use spb_stats::{Table, TopDown};
 
-/// Builds the three per-SB-size tables from a grid over the SB-bound
-/// subset.
-pub fn tables_from_grid(grid: &Grid) -> Vec<Table> {
-    SB_SIZES
-        .iter()
-        .enumerate()
-        .map(|(s, &sb)| {
-            let mut t = Table::new(
-                format!(
-                    "Fig. 15 — per-app execution stalls w/ L1D miss pending vs at-commit (SB{sb})"
-                ),
-                &["at-execute", "spb", "ideal"],
-            );
-            let base = grid.at(1, s);
-            for (a, app) in grid.apps.iter().enumerate() {
-                let b = base.runs[a].topdown.l1d_miss_pending_stalls().max(1) as f64;
-                let row: Vec<f64> = [grid.at(0, s), grid.at(2, s), &grid.ideal]
-                    .iter()
-                    .map(|suite| suite.runs[a].topdown.l1d_miss_pending_stalls() as f64 / b)
-                    .collect();
-                t.push_row(app.name(), &row);
-            }
-            t
-        })
-        .collect()
-}
-
-/// Runs the experiment at `budget`.
-pub fn run(budget: Budget) -> Vec<Table> {
-    tables_from_grid(&Grid::spec_sb_bound(budget))
+/// One table per SB size, from the grid over the SB-bound subset.
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
+    let title = "Fig. 15 — per-app execution stalls w/ L1D miss pending vs at-commit";
+    crate::fig09::per_app_tables(ev, title, TopDown::l1d_miss_pending_stalls)
 }

@@ -5,7 +5,9 @@
 //! columns mirror the publication, so shape can be compared directly.
 //! Every module is an entry of the [`registry`], run by name with
 //! `spbsim experiment fig05`, and the `all` binary regenerates the
-//! whole evaluation and writes `EXPERIMENTS.md`-ready output.
+//! whole evaluation and writes `EXPERIMENTS.md`-ready output. A figure
+//! asks an [`Evaluation`] for the suites it reads, and the evaluation
+//! simulates each distinct cell once.
 //!
 //! Budgets: [`Budget::Paper`] runs the default µop budget used for the
 //! recorded results; [`Budget::Quick`] is for smoke tests and CI. Pass
@@ -14,35 +16,37 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablations;
-pub mod coalescing;
+mod evaluation;
 pub mod grid;
 pub mod registry;
-pub mod smt_validation;
-pub mod spatial;
-pub mod squash;
-pub mod variance;
 
-pub mod fig01;
-pub mod fig03;
-pub mod fig05;
-pub mod fig06;
-pub mod fig07;
-pub mod fig08;
-pub mod fig09;
-pub mod fig10;
-pub mod fig11;
-pub mod fig12;
-pub mod fig13;
-pub mod fig14;
-pub mod fig15;
-pub mod fig16;
-pub mod fig17;
-pub mod fig18;
-pub mod sb20;
-pub mod sens_n;
-pub mod tab1;
+mod ablations;
+mod coalescing;
+mod fig01;
+mod fig03;
+mod fig05;
+mod fig06;
+mod fig07;
+mod fig08;
+mod fig09;
+mod fig10;
+mod fig11;
+mod fig12;
+mod fig13;
+mod fig14;
+mod fig15;
+mod fig16;
+mod fig17;
+mod fig18;
+mod sb20;
+mod sens_n;
+mod smt_validation;
+mod spatial;
+mod squash;
+mod tab1;
+mod variance;
 
+pub use evaluation::Evaluation;
 pub use spb_sim::config::Budget;
 
 /// Prints a list of tables with blank lines between them (the common

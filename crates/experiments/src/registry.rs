@@ -1,21 +1,18 @@
 //! One registry for every table and figure the workspace regenerates.
 //!
 //! Each paper artifact is a [`FigureDef`]: a canonical id, the section
-//! title the `all` binary prints, a one-line claim, and two entry
-//! points — [`FigureDef::run`] regenerates it from scratch, while
-//! [`FigureDef::from_grid`] (when the figure is a pure projection of
-//! the main SPEC sweep) re-renders it from an already-computed
-//! [`Grid`] without re-simulating anything. The CLI's `experiment`
-//! command and the `all` binary both iterate [`REGISTRY`] instead of
-//! keeping their own hand-maintained match arms, so adding a figure is
-//! one module plus one registry row.
+//! title the `all` binary prints, a one-line claim, and one entry
+//! point, [`FigureDef::run`], that asks an [`Evaluation`] for the
+//! suites it reads. The CLI's `experiment` command and the `all` binary
+//! both iterate [`REGISTRY`] instead of keeping their own
+//! hand-maintained match arms, so adding a figure is one module plus
+//! one registry row.
 
-use crate::grid::Grid;
-use crate::Budget;
+use crate::Evaluation;
 use spb_stats::Table;
 
 /// A regenerable table or figure from the paper's evaluation.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 pub struct FigureDef {
     /// Canonical id used by `spbsim experiment <id>`.
     pub id: &'static str,
@@ -23,30 +20,23 @@ pub struct FigureDef {
     pub title: &'static str,
     /// One-line statement of what the artifact shows.
     pub claim: &'static str,
-    /// Alternative ids also accepted on the CLI.
+    /// Alternative ids also accepted on the CLI, besides the derived
+    /// `figN` for `figNN`.
     pub aliases: &'static [&'static str],
-    /// Re-renders the figure from an existing SPEC grid when it is a
-    /// pure projection of that sweep (no extra simulation).
-    pub from_grid: Option<fn(&Grid) -> Vec<Table>>,
-    /// Regenerates the figure from scratch at the given budget.
-    pub run: fn(Budget) -> Vec<Table>,
-}
-
-impl std::fmt::Debug for FigureDef {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FigureDef")
-            .field("id", &self.id)
-            .field("title", &self.title)
-            .field("aliases", &self.aliases)
-            .field("from_grid", &self.from_grid.is_some())
-            .finish()
-    }
+    /// Renders the figure from the suites it asks `Evaluation` for.
+    pub run: fn(&mut Evaluation) -> Vec<Table>,
 }
 
 impl FigureDef {
-    /// Whether `name` selects this figure (canonical id or alias).
+    /// Whether `name` selects this figure: its id, an alias, or `figN`
+    /// for the id `fig0N`.
     pub fn matches(&self, name: &str) -> bool {
-        self.id == name || self.aliases.contains(&name)
+        self.id == name
+            || self.aliases.contains(&name)
+            || self
+                .id
+                .strip_prefix("fig0")
+                .is_some_and(|n| name.strip_prefix("fig") == Some(n))
     }
 }
 
@@ -57,63 +47,55 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Table I",
         claim: "the simulated configuration matches the paper's Table I",
         aliases: &["table1"],
-        from_grid: None,
         run: crate::tab1::run,
     },
     FigureDef {
         id: "fig01",
         title: "Figure 1",
         claim: "ratio of stall cycles due to a full SB (motivation)",
-        aliases: &["fig1"],
-        from_grid: Some(crate::fig01::tables_from_grid),
+        aliases: &[],
         run: crate::fig01::run,
     },
     FigureDef {
         id: "fig03",
         title: "Figure 3",
         claim: "where the stores causing SB-induced stalls live",
-        aliases: &["fig3"],
-        from_grid: Some(crate::fig03::tables_from_grid),
+        aliases: &[],
         run: crate::fig03::run,
     },
     FigureDef {
         id: "fig05",
         title: "Figure 5",
         claim: "SPB at SB14 performs within ~5% of the ideal SB",
-        aliases: &["fig5"],
-        from_grid: Some(crate::fig05::tables_from_grid),
+        aliases: &[],
         run: crate::fig05::run,
     },
     FigureDef {
         id: "fig06",
         title: "Figure 6",
         claim: "per-app performance of SB-bound apps vs the ideal SB",
-        aliases: &["fig6"],
-        from_grid: Some(crate::fig06::tables_from_grid),
+        aliases: &[],
         run: crate::fig06::run,
     },
     FigureDef {
         id: "fig07",
         title: "Figure 7",
         claim: "energy normalized to at-commit (lower is better)",
-        aliases: &["fig7"],
-        from_grid: Some(crate::fig07::tables_from_grid),
+        aliases: &[],
         run: crate::fig07::run,
     },
     FigureDef {
         id: "fig08",
         title: "Figure 8",
         claim: "SB-induced stall cycles normalized to at-commit",
-        aliases: &["fig8"],
-        from_grid: Some(crate::fig08::tables_from_grid),
+        aliases: &[],
         run: crate::fig08::run,
     },
     FigureDef {
         id: "fig09",
         title: "Figure 9",
         claim: "per-app SB stalls of SB-bound apps vs at-commit",
-        aliases: &["fig9"],
-        from_grid: Some(crate::fig09::tables_from_grid),
+        aliases: &[],
         run: crate::fig09::run,
     },
     FigureDef {
@@ -121,7 +103,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Figure 10",
         claim: "issue-stall cycles split into SB- and other-caused",
         aliases: &[],
-        from_grid: Some(crate::fig10::tables_from_grid),
         run: crate::fig10::run,
     },
     FigureDef {
@@ -129,7 +110,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Figure 11",
         claim: "breakdown of store-prefetch outcomes at the L1D",
         aliases: &[],
-        from_grid: Some(crate::fig11::tables_from_grid),
         run: crate::fig11::run,
     },
     FigureDef {
@@ -137,7 +117,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Figure 12",
         claim: "prefetch traffic of SPB normalized to at-commit",
         aliases: &[],
-        from_grid: Some(crate::fig12::tables_from_grid),
         run: crate::fig12::run,
     },
     FigureDef {
@@ -145,7 +124,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Figure 13",
         claim: "L1D tag-access overhead of SPB normalized to at-commit",
         aliases: &[],
-        from_grid: Some(crate::fig13::tables_from_grid),
         run: crate::fig13::run,
     },
     FigureDef {
@@ -153,7 +131,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Figure 14",
         claim: "execution stalls with an L1D miss pending",
         aliases: &[],
-        from_grid: Some(crate::fig14::tables_from_grid),
         run: crate::fig14::run,
     },
     FigureDef {
@@ -161,7 +138,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Figure 15",
         claim: "per-app L1D-miss-pending stalls of SB-bound apps",
         aliases: &[],
-        from_grid: Some(crate::fig15::tables_from_grid),
         run: crate::fig15::run,
     },
     FigureDef {
@@ -169,7 +145,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Figure 16",
         claim: "SPB on top of aggressive cache prefetchers",
         aliases: &[],
-        from_grid: None,
         run: crate::fig16::run,
     },
     FigureDef {
@@ -177,7 +152,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Figure 17",
         claim: "SPB across the five Table II core aggressiveness points",
         aliases: &[],
-        from_grid: None,
         run: crate::fig17::run,
     },
     FigureDef {
@@ -185,7 +159,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Figure 18",
         claim: "PARSEC with 8 threads keeps the single-thread gains",
         aliases: &[],
-        from_grid: None,
         run: crate::fig18::run,
     },
     FigureDef {
@@ -193,7 +166,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Sensitivity to N",
         claim: "sensitivity to detector window N, dynamic-S, and dedupe",
         aliases: &["sensn"],
-        from_grid: None,
         run: crate::sens_n::run,
     },
     FigureDef {
@@ -201,7 +173,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "SB-shrink claim",
         claim: "a 20-entry SB with SPB matches a much larger plain SB",
         aliases: &[],
-        from_grid: None,
         run: crate::sb20::run,
     },
     FigureDef {
@@ -209,7 +180,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Ablations",
         claim: "each detector design choice earns its keep",
         aliases: &[],
-        from_grid: None,
         run: crate::ablations::run,
     },
     FigureDef {
@@ -217,7 +187,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "SMT validation",
         claim: "the paper's SMT approximation tracks real 2-core runs",
         aliases: &["smt"],
-        from_grid: None,
         run: crate::smt_validation::run,
     },
     FigureDef {
@@ -225,7 +194,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Spatial prefetching (SectionVII-A)",
         claim: "spatial page-footprint prefetchers cannot replace SPB",
         aliases: &[],
-        from_grid: None,
         run: crate::spatial::run,
     },
     FigureDef {
@@ -233,7 +201,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Store coalescing (SectionVII-B)",
         claim: "SPB versus non-speculative store coalescing",
         aliases: &[],
-        from_grid: None,
         run: crate::coalescing::run,
     },
     FigureDef {
@@ -241,7 +208,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Seed robustness",
         claim: "conclusions are stable across workload seeds",
         aliases: &["seeds"],
-        from_grid: None,
         run: crate::variance::run,
     },
     FigureDef {
@@ -249,7 +215,6 @@ pub const REGISTRY: &[FigureDef] = &[
         title: "Squash storms",
         claim: "wasted RFOs and leaked M state under wrong-path bursts stay bounded",
         aliases: &["storms"],
-        from_grid: None,
         run: crate::squash::run,
     },
 ];
@@ -305,24 +270,5 @@ mod tests {
             assert!(titles.insert(d.title), "duplicate title {}", d.title);
             assert!(claims.insert(d.claim), "duplicate claim for {}", d.id);
         }
-    }
-
-    #[test]
-    fn every_grid_projection_is_registered_for_a_grid_figure() {
-        // The figures known to be pure projections of the main SPEC
-        // grid must expose `from_grid`, so `all` never re-simulates
-        // them. (Registry says 13 of 24 artifacts reuse the grid.)
-        let with_grid: Vec<&str> = REGISTRY
-            .iter()
-            .filter(|d| d.from_grid.is_some())
-            .map(|d| d.id)
-            .collect();
-        for id in [
-            "fig01", "fig03", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11",
-            "fig12", "fig13", "fig14", "fig15",
-        ] {
-            assert!(with_grid.contains(&id), "{id} should project from the grid");
-        }
-        assert_eq!(with_grid.len(), 13);
     }
 }

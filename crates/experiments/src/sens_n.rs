@@ -5,22 +5,20 @@
 //! dynamic variant that adapts the threshold to store sizes performs
 //! worse due to adaptation hysteresis and lost opportunity.
 
-use crate::Budget;
+use crate::Evaluation;
 use spb_sim::config::PolicyKind;
-use spb_sim::suite::SuiteResult;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
 
-/// Runs the experiment at `budget` over the SB-bound subset.
-pub fn run(budget: Budget) -> Vec<Table> {
+/// Runs the sensitivity study over the SB-bound subset.
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
     let apps = AppProfile::spec2017_sb_bound();
-    let base = budget.sim_config();
+    let base = ev.base();
     let sbs = [14usize, 28, 56];
     let mut t = Table::new(
         "§IV-C — SPB sensitivity to N (SB-bound geomean, normalized to Ideal)",
         &["SB14", "SB28", "SB56"],
     );
-    let ideal = SuiteResult::run(&apps, &base.clone().with_policy(PolicyKind::IdealSb));
     // The N sweep, then the dynamic-S variant and disabling burst dedupe.
     let windows = [8u32, 16, 24, 32, 48, 64].map(|n| (format!("N={n}"), PolicyKind::spb(n, true)));
     let ablations = [
@@ -30,15 +28,19 @@ pub fn run(budget: Budget) -> Vec<Table> {
         ),
         ("no-dedupe (N=48)".to_string(), PolicyKind::spb(48, false)),
     ];
-    for (label, policy) in windows.into_iter().chain(ablations) {
-        let row: Vec<f64> = sbs
+    let rows: Vec<(String, PolicyKind)> = windows.into_iter().chain(ablations).collect();
+    let mut configs = vec![base.clone().with_policy(PolicyKind::IdealSb)];
+    for (_, policy) in &rows {
+        configs.extend(sbs.map(|sb| base.clone().with_sb(sb).with_policy(*policy)));
+    }
+    let suites = ev.suites(&apps, &configs);
+    let (ideal, suites) = suites.split_first().expect("the ideal suite");
+    for ((label, _), row) in rows.iter().zip(suites.chunks(sbs.len())) {
+        let norm: Vec<f64> = row
             .iter()
-            .map(|&sb| {
-                let cfg = base.clone().with_sb(sb).with_policy(policy);
-                SuiteResult::run(&apps, &cfg).geomean_speedup_sb_bound(&ideal)
-            })
+            .map(|s| s.geomean_speedup_sb_bound(ideal))
             .collect();
-        t.push_row(label, &row);
+        t.push_row(label, &norm);
     }
     vec![t]
 }

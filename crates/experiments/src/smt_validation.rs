@@ -12,7 +12,7 @@
 //! tell the same story: similar SB-stall ratios, similar relative SPB
 //! gains.
 
-use crate::Budget;
+use crate::Evaluation;
 use spb_cpu::smt::{SmtCore, ThreadContext};
 use spb_cpu::CoreConfig;
 use spb_mem::{MemoryConfig, MemorySystem};
@@ -64,15 +64,18 @@ fn run_smt2(app: &AppProfile, policy: PolicyKind, uops_per_thread: u64) -> (u64,
     (now - start, core.topdown().sb_stall_ratio())
 }
 
-fn run_approx(app: &AppProfile, policy: PolicyKind, budget: Budget) -> (u64, f64) {
-    let cfg = budget.sim_config().with_sb(28).with_policy(policy);
-    let r = spb_sim::Simulation::with_config(app, &cfg).run_or_panic();
-    (r.cycles, r.sb_stall_ratio())
-}
-
-/// Runs the experiment at `budget`.
-pub fn run(budget: Budget) -> Vec<Table> {
-    let uops = budget.sim_config().measure_uops / 2;
+/// Runs the validation over the SB-bound subset.
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
+    let apps = AppProfile::spec2017_sb_bound();
+    let approx = ev.base().with_sb(28);
+    let approx = ev.suites(
+        &apps,
+        &[
+            approx.clone().with_policy(PolicyKind::AtCommit),
+            approx.with_policy(PolicyKind::spb_default()),
+        ],
+    );
+    let uops = ev.base().measure_uops / 2;
     let mut t = Table::new(
         "SMT validation — real SMT-2 vs the paper's single-thread SB28 approximation",
         &[
@@ -82,18 +85,17 @@ pub fn run(budget: Budget) -> Vec<Table> {
             "approx spb speedup",
         ],
     );
-    for app in AppProfile::spec2017_sb_bound() {
-        let (smt_ac, smt_stall) = run_smt2(&app, PolicyKind::AtCommit, uops);
-        let (smt_spb, _) = run_smt2(&app, PolicyKind::spb_default(), uops);
-        let (approx_ac, approx_stall) = run_approx(&app, PolicyKind::AtCommit, budget);
-        let (approx_spb, _) = run_approx(&app, PolicyKind::spb_default(), budget);
+    for (a, app) in apps.iter().enumerate() {
+        let (smt_ac, smt_stall) = run_smt2(app, PolicyKind::AtCommit, uops);
+        let (smt_spb, _) = run_smt2(app, PolicyKind::spb_default(), uops);
+        let (approx_ac, approx_spb) = (&approx[0].runs[a], &approx[1].runs[a]);
         t.push_row(
             app.name(),
             &[
                 smt_stall * 100.0,
-                approx_stall * 100.0,
+                approx_ac.sb_stall_ratio() * 100.0,
                 smt_ac as f64 / smt_spb as f64,
-                approx_ac as f64 / approx_spb as f64,
+                approx_ac.cycles as f64 / approx_spb.cycles as f64,
             ],
         );
     }

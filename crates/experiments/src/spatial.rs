@@ -11,35 +11,45 @@
 //! column (store bursts touch each page once — nothing to replay),
 //! while SPB helps under both.
 
-use crate::Budget;
+use crate::Evaluation;
 use spb_mem::prefetch::PrefetcherKind;
 use spb_sim::config::PolicyKind;
-use spb_sim::suite::SuiteResult;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
 
-/// Runs the experiment at `budget`.
-pub fn run(budget: Budget) -> Vec<Table> {
+/// Runs the comparison over the SB-bound subset at SB14.
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
     let apps = AppProfile::spec2017_sb_bound();
+    let prefetchers = [
+        ("stride", PrefetcherKind::Stride),
+        ("spatial", PrefetcherKind::Spatial),
+        ("none", PrefetcherKind::None),
+    ];
+    // One ideal baseline (stride) so columns are directly comparable,
+    // then at-commit and SPB under each prefetcher.
+    let mut ideal = ev.base().with_sb(14).with_policy(PolicyKind::IdealSb);
+    ideal.mem.prefetcher = PrefetcherKind::Stride;
+    let mut configs = vec![ideal];
+    for (_, pk) in prefetchers {
+        let mut cfg = ev.base().with_sb(14);
+        cfg.mem.prefetcher = pk;
+        configs.push(cfg.clone());
+        configs.push(cfg.with_policy(PolicyKind::spb_default()));
+    }
+    let suites = ev.suites(&apps, &configs);
+    let (ideal, suites) = suites.split_first().expect("the ideal suite");
     let mut t = Table::new(
         "§VII-A — spatial prefetching vs SPB (SB-bound geomean, SB14, vs Ideal+stride)",
         &["at-commit", "spb"],
     );
-    // One ideal baseline (stride) so columns are directly comparable.
-    let mut base_cfg = budget.sim_config().with_sb(14);
-    base_cfg.mem.prefetcher = PrefetcherKind::Stride;
-    let ideal = SuiteResult::run(&apps, &base_cfg.clone().with_policy(PolicyKind::IdealSb));
-    let norm = |suite: &SuiteResult| suite.geomean_speedup_all(&ideal);
-    for (label, pk) in [
-        ("stride", PrefetcherKind::Stride),
-        ("spatial", PrefetcherKind::Spatial),
-        ("none", PrefetcherKind::None),
-    ] {
-        let mut cfg = budget.sim_config().with_sb(14);
-        cfg.mem.prefetcher = pk;
-        let ac = SuiteResult::run(&apps, &cfg.clone());
-        let spb = SuiteResult::run(&apps, &cfg.clone().with_policy(PolicyKind::spb_default()));
-        t.push_row(label, &[norm(&ac), norm(&spb)]);
+    for ((label, _), pair) in prefetchers.iter().zip(suites.chunks(2)) {
+        t.push_row(
+            *label,
+            &[
+                pair[0].geomean_speedup_all(ideal),
+                pair[1].geomean_speedup_all(ideal),
+            ],
+        );
     }
     vec![t]
 }

@@ -17,10 +17,9 @@
 //! the storms themselves (redirect penalties plus wasted fetch slots)
 //! against the rate-0 baseline of the same policy.
 
-use crate::Budget;
+use crate::Evaluation;
 use spb_energy::EnergyModel;
-use spb_sim::config::{PolicyKind, SimConfig};
-use spb_sim::suite::SuiteResult;
+use spb_sim::config::PolicyKind;
 use spb_stats::summary::geomean;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
@@ -28,10 +27,10 @@ use spb_trace::SquashConfig;
 
 /// The squash intensities the sweep visits (`rate=0` is the disabled
 /// model — its rows are the executable zero baseline).
-pub const RATES: [f64; 4] = [0.0, 0.05, 0.1, 0.2];
+pub(crate) const RATES: [f64; 4] = [0.0, 0.05, 0.1, 0.2];
 
 /// The policies whose waste curves the tables compare, in column order.
-pub fn policies() -> [(&'static str, PolicyKind); 3] {
+pub(crate) fn policies() -> [(&'static str, PolicyKind); 3] {
     [
         ("at-execute", PolicyKind::AtExecute),
         ("spb", PolicyKind::spb_default()),
@@ -44,8 +43,14 @@ fn storm(rate: f64) -> SquashConfig {
     SquashConfig::parse(&format!("rate={rate},depth=8..32,storm=4,seed=11")).unwrap()
 }
 
-/// Builds the waste-curve tables for `apps` on top of `base`.
-pub(crate) fn tables_for(apps: &[AppProfile], base: &SimConfig) -> Vec<Table> {
+/// Runs the sweep over the SB-bound SPEC subset.
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
+    tables_for(ev, &AppProfile::spec2017_sb_bound())
+}
+
+/// Builds the waste-curve tables for `apps` on top of the evaluation's
+/// base configuration.
+fn tables_for(ev: &mut Evaluation, apps: &[AppProfile]) -> Vec<Table> {
     let cols: Vec<&str> = policies().iter().map(|(l, _)| *l).collect();
     let mut rfos = Table::new(
         "Squash storms — wasted RFOs per 1k committed µops (SB14)",
@@ -65,18 +70,25 @@ pub(crate) fn tables_for(apps: &[AppProfile], base: &SimConfig) -> Vec<Table> {
     );
     let model = EnergyModel::default();
 
-    let mut baselines: Vec<Option<SuiteResult>> = vec![None; policies().len()];
+    let mut configs = Vec::new();
     for rate in RATES {
+        for (_, policy) in policies() {
+            configs.push(
+                ev.base()
+                    .with_sb(14)
+                    .with_policy(policy)
+                    .with_squash(storm(rate)),
+            );
+        }
+    }
+    let suites = ev.suites(apps, &configs);
+    // The rate-0 row is each policy's baseline.
+    let baselines = &suites[..policies().len()];
+    for (rate, row) in RATES.iter().zip(suites.chunks(policies().len())) {
         let label = format!("rate={rate}");
         let (mut r_rfos, mut r_leak, mut r_nj, mut r_slow) =
             (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for (p, (_, policy)) in policies().into_iter().enumerate() {
-            let cfg = base
-                .clone()
-                .with_sb(14)
-                .with_policy(policy)
-                .with_squash(storm(rate));
-            let suite = SuiteResult::run(apps, &cfg);
+        for (suite, baseline) in row.iter().zip(baselines) {
             let uops: u64 = suite.runs.iter().map(|r| r.uops).sum();
             let per_k = |count: u64| count as f64 * 1_000.0 / uops as f64;
             let wasted_rfos: u64 = suite.runs.iter().map(|r| r.mem.spec_wasted_rfos).sum();
@@ -95,7 +107,6 @@ pub(crate) fn tables_for(apps: &[AppProfile], base: &SimConfig) -> Vec<Table> {
             r_rfos.push(per_k(wasted_rfos));
             r_leak.push(per_k(leaked_m));
             r_nj.push(nj * 1_000.0 / uops as f64);
-            let baseline = baselines[p].get_or_insert_with(|| suite.clone());
             r_slow.push(geomean(
                 &suite
                     .runs
@@ -113,14 +124,11 @@ pub(crate) fn tables_for(apps: &[AppProfile], base: &SimConfig) -> Vec<Table> {
     vec![rfos, leaked, energy, slowdown]
 }
 
-/// Runs the experiment at `budget` over the SB-bound SPEC subset.
-pub fn run(budget: Budget) -> Vec<Table> {
-    tables_for(&AppProfile::spec2017_sb_bound(), &budget.sim_config())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spb_sim::config::SimConfig;
+    use spb_sim::sweep::SweepOptions;
 
     #[test]
     fn waste_curves_have_the_expected_shape() {
@@ -129,7 +137,8 @@ mod tests {
         let mut base = SimConfig::quick();
         base.warmup_uops = 4_000;
         base.measure_uops = 40_000;
-        let tables = tables_for(&apps, &base);
+        let mut ev = Evaluation::with_configs(base.clone(), base, SweepOptions::from_env());
+        let tables = tables_for(&mut ev, &apps);
         assert_eq!(tables.len(), 4);
         let rfos = &tables[0];
         // Rate 0 is the executable zero baseline for every policy…

@@ -3,12 +3,12 @@
 //! Prints the structural parameters the simulator actually uses so a
 //! reader can diff them against the paper's Table I.
 
-use crate::Budget;
+use crate::Evaluation;
 use spb_stats::Table;
 
-/// Emits the configuration dump (budget is unused; the configuration is
-/// static).
-pub fn run(_budget: Budget) -> Vec<Table> {
+/// Emits the configuration dump (nothing is simulated; the
+/// configuration is static).
+pub(crate) fn run(_: &mut Evaluation) -> Vec<Table> {
     let core = spb_cpu::CoreConfig::skylake();
     let mem = spb_mem::MemoryConfig::default();
     let mut t = Table::new("Table I — simulated configuration", &["value"]);
@@ -38,10 +38,14 @@ pub fn run(_budget: Budget) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Budget;
+    use spb_sim::sweep::SweepOptions;
 
     #[test]
     fn table1_matches_paper_parameters() {
-        let t = &run(Budget::Quick)[0];
+        let mut ev = Evaluation::new(Budget::Quick, SweepOptions::serial());
+        let t = &run(&mut ev)[0];
+        assert_eq!(ev.requested(), 0);
         assert_eq!(t.get("ROB entries", "value"), Some(224.0));
         assert_eq!(t.get("store queue / SB entries", "value"), Some(56.0));
         assert_eq!(t.get("L1D size (KiB)", "value"), Some(32.0));

@@ -6,29 +6,36 @@
 //! normalized to ideal) under several workload seeds and reports the
 //! spread.
 
-use crate::Budget;
+use crate::Evaluation;
 use spb_sim::config::PolicyKind;
-use spb_sim::suite::SuiteResult;
 use spb_stats::Table;
 use spb_trace::profile::AppProfile;
 
-/// Runs the experiment at `budget`.
-pub fn run(budget: Budget) -> Vec<Table> {
+/// Runs the headline cell under every seed, over the SB-bound subset.
+pub(crate) fn run(ev: &mut Evaluation) -> Vec<Table> {
     let apps = AppProfile::spec2017_sb_bound();
+    let seeds = [42u64, 7, 1234, 987654321];
+    let mut configs = Vec::new();
+    for seed in seeds {
+        let mut cfg = ev.base().with_sb(14);
+        cfg.seed = seed;
+        configs.push(cfg.clone().with_policy(PolicyKind::IdealSb));
+        configs.push(cfg.clone());
+        configs.push(cfg.with_policy(PolicyKind::spb_default()));
+    }
+    let suites = ev.suites(&apps, &configs);
     let mut t = Table::new(
         "Seed robustness — SB-bound geomean vs Ideal at SB14",
         &["at-commit", "spb", "spb gain %"],
     );
     let mut gains = Vec::new();
-    for seed in [42u64, 7, 1234, 987654321] {
-        let mut cfg = budget.sim_config().with_sb(14);
-        cfg.seed = seed;
-        let ideal = SuiteResult::run(&apps, &cfg.clone().with_policy(PolicyKind::IdealSb));
-        let ac = SuiteResult::run(&apps, &cfg.clone());
-        let spb = SuiteResult::run(&apps, &cfg.clone().with_policy(PolicyKind::spb_default()));
+    for (seed, row) in seeds.iter().zip(suites.chunks(3)) {
+        let [ideal, ac, spb] = row else {
+            unreachable!("three suites per seed")
+        };
         let (a, b) = (
-            ac.geomean_speedup_all(&ideal),
-            spb.geomean_speedup_all(&ideal),
+            ac.geomean_speedup_all(ideal),
+            spb.geomean_speedup_all(ideal),
         );
         let gain = (b / a - 1.0) * 100.0;
         gains.push(gain);

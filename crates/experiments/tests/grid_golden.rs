@@ -11,9 +11,8 @@
 //! test`; the `#[ignore]`d test replays all 230 (run it with
 //! `cargo test -p spb-experiments --test grid_golden -- --ignored`).
 
-use spb_experiments::grid::Grid;
-use spb_experiments::Budget;
-use spb_sim::sweep::{SweepRecord, SweepReport};
+use spb_experiments::{Budget, Evaluation};
+use spb_sim::sweep::{SweepOptions, SweepRecord, SweepReport};
 use spb_trace::profile::AppProfile;
 
 const GOLDEN_PATH: &str = concat!(
@@ -48,7 +47,7 @@ fn assert_same_cell(fresh: &SweepRecord, gold: &SweepRecord) {
 fn check_apps(apps: Vec<AppProfile>) {
     let gold = golden();
     let names: Vec<&str> = apps.iter().map(|a| a.name()).collect();
-    let grid = Grid::compute(apps.clone(), Budget::Quick);
+    let grid = Evaluation::new(Budget::Quick, SweepOptions::from_env()).grid(apps.clone());
     let fresh = grid.to_report("fresh").records;
     let expected: Vec<&SweepRecord> = gold
         .records

@@ -32,6 +32,8 @@
 //! assert!(FaultPlan::new(FaultConfig::none()).dram_spike().is_none());
 //! ```
 
+use spb_stats::hash::mix64;
+
 /// Rates and magnitudes of the injectable faults.
 ///
 /// Rates are probabilities in `[0, 1]` evaluated independently per
@@ -125,13 +127,6 @@ enum Site {
     BurstDrop = 4,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// A seeded, deterministic fault decision stream.
 ///
 /// Each query hashes `(seed, site, per-site counter)`, so the k-th
@@ -178,7 +173,7 @@ impl FaultPlan {
         let i = site as usize;
         let n = self.draws[i];
         self.draws[i] += 1;
-        let h = splitmix64(self.config.seed ^ ((i as u64) << 56) ^ n);
+        let h = mix64(self.config.seed ^ ((i as u64) << 56) ^ n);
         // Map to [0, 1): 53 explicitly-random bits, like rand's f64.
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         u < rate

@@ -73,6 +73,7 @@ impl Fnv1a64 {
 /// The splitmix64 finalizer: a bijective mixer that turns structured
 /// input (`seed ^ index ^ attempt`, say) into a value with no visible
 /// structure. Bijective ⇒ distinct inputs give distinct outputs.
+#[inline]
 pub fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -8,6 +8,7 @@
 //! stream is fully determined by its `u64` seed, which keeps the
 //! simulator's end-to-end determinism guarantee intact.
 
+use spb_stats::hash::mix64;
 use std::ops::{Range, RangeInclusive};
 
 /// A deterministic xoshiro256** generator seeded from a `u64`.
@@ -26,26 +27,14 @@ pub struct TraceRng {
     s: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl TraceRng {
     /// Expands `seed` into the full generator state via splitmix64 (the
     /// reference seeding procedure for the xoshiro family).
     pub fn seed_from_u64(seed: u64) -> Self {
-        let mut sm = seed;
+        // The i-th splitmix64 output is `mix64` of `seed + i·γ`.
+        let gamma = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         Self {
-            s: [
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-            ],
+            s: [0, 1, 2, 3].map(|i| mix64(seed.wrapping_add(gamma(i)))),
         }
     }
 

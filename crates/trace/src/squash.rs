@@ -29,6 +29,7 @@
 
 use crate::op::{MicroOp, OpKind, BLOCKS_PER_PAGE, BLOCK_BYTES, PAGE_BYTES};
 use crate::TraceSource;
+use spb_stats::hash::mix64;
 
 /// Base of the reserved wrong-path address region (well above every
 /// synthetic application footprint, which top out below a terabyte).
@@ -42,20 +43,9 @@ const WRONG_PATH_PC: u64 = 0xDEAD_0000;
 /// Fixed-point denominator for the trigger rate (1e-4 resolution).
 const RATE_DENOM: u64 = 10_000;
 
-/// SplitMix64 finalizer (local copy of the [`crate::rng`] idiom; that
-/// one is module-private and stateful, this one is used statelessly).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Stateless draw: a well-mixed 64-bit hash of `(a, b)`.
 fn hash2(a: u64, b: u64) -> u64 {
-    let mut s = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    splitmix64(&mut s)
+    mix64(a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// A seeded misprediction workload description.
