@@ -19,7 +19,7 @@ pub const SCHEMA: &str = "spb-bench-v1";
 /// Warn when a benchmark's minimum regresses by more than this factor.
 pub const REGRESSION_TOLERANCE: f64 = 1.15;
 
-/// Fail the bench gate when a benchmark's median regresses more than
+/// Fail the bench gate when a benchmark's minimum regresses more than
 /// this factor beyond the snapshot-wide median ratio (see
 /// [`BenchSnapshot::gate_failures`]).
 pub const GATE_TOLERANCE: f64 = 1.25;

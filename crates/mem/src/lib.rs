@@ -54,4 +54,4 @@ pub mod system;
 pub use checker::{InvariantKind, InvariantViolation};
 pub use fault::{FaultConfig, FaultCounts};
 pub use line::{CoherenceState, RfoOrigin};
-pub use system::{MemoryConfig, MemorySystem};
+pub use system::{MemWork, MemoryConfig, MemorySystem};

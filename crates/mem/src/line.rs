@@ -123,8 +123,6 @@ pub struct CacheLine {
     pub prefetch: Option<RfoOrigin>,
     /// Whether a demand access has touched the line since it was filled.
     pub used: bool,
-    /// LRU timestamp (larger = more recently used).
-    pub lru: u64,
 }
 
 impl CacheLine {
@@ -137,7 +135,6 @@ impl CacheLine {
             dirty: false,
             prefetch: None,
             used: false,
-            lru: 0,
         }
     }
 }

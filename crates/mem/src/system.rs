@@ -171,6 +171,22 @@ pub enum RfoResponse {
     Queued,
 }
 
+/// How much host-side work the memory system has done since it was
+/// built: exact, deterministic counters of the model's own bookkeeping,
+/// not of the simulated machine. They never reset (the simulation runner
+/// takes differences), stay out of [`MemStats`] and so out of every
+/// record, cache key and bit-identity comparison.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemWork {
+    /// [`MemorySystem::tick`] calls.
+    pub ticks: u64,
+    /// [`MemorySystem::check_invariants`] runs.
+    pub checker_runs: u64,
+    /// Blocks the incremental line check re-verified (one per pending
+    /// block per run, whether or not it was still in flight).
+    pub checker_blocks_visited: u64,
+}
+
 /// Aggregate counters exposed by the memory system.
 ///
 /// Per-[`RfoOrigin`] arrays are indexed by [`RfoOrigin::index`].
@@ -326,6 +342,7 @@ pub struct MemorySystem {
     /// Distribution of SPB burst lengths (blocks per enqueued burst).
     burst_lengths: Histogram,
     stats: MemStats,
+    work: MemWork,
     fault: FaultPlan,
     events: EventLog,
     obs: Observer,
@@ -407,6 +424,7 @@ impl MemorySystem {
             recently_evicted_l1: BlockMap::new(),
             burst_lengths: Histogram::new("burst_len_blocks", 8, 9),
             stats: MemStats::default(),
+            work: MemWork::default(),
             fault: FaultPlan::new(config.fault),
             events: EventLog::new(if config.checker_interval > 0 {
                 EVENT_LOG_CAPACITY
@@ -476,6 +494,11 @@ impl MemorySystem {
     /// Read access to the counters.
     pub fn stats(&self) -> &MemStats {
         &self.stats
+    }
+
+    /// The model's own work counters since construction (see [`MemWork`]).
+    pub fn work(&self) -> MemWork {
+        self.work
     }
 
     /// Whether `core` has a demand L1D miss outstanding at `now`.
@@ -648,6 +671,7 @@ impl MemorySystem {
     ///
     /// Returns the first violation found.
     pub fn check_invariants(&mut self, now: u64) -> Result<(), InvariantViolation> {
+        self.work.checker_runs += 1;
         self.check_directory_and_mshrs(now)?;
         self.check_spec_tags(now)?;
         if self.config.checker_interval > 0 {
@@ -833,16 +857,20 @@ impl MemorySystem {
         }
         let mut kept = 0;
         for i in 0..self.checker_pending.len() {
+            self.work.checker_blocks_visited += 1;
             let block = self.checker_pending[i];
             let mut transient = false;
             for ci in 0..self.cores.len() {
                 let c = &self.cores[ci];
-                for line in [c.l1.peek(block), c.l2.peek(block)].into_iter().flatten() {
-                    if line.ready > now {
+                for (state, ready) in [c.l1.peek_state(block), c.l2.peek_state(block)]
+                    .into_iter()
+                    .flatten()
+                {
+                    if ready > now {
                         transient = true;
                         continue;
                     }
-                    self.line_agrees(ci, block, line.state, now)?;
+                    self.line_agrees(ci, block, state, now)?;
                 }
             }
             if transient {
@@ -1879,6 +1907,7 @@ impl MemorySystem {
     /// One cycle of L1-controller work: drains the burst queues and
     /// periodically runs the invariant checker.
     pub fn tick(&mut self, now: u64) {
+        self.work.ticks += 1;
         let interval = self.config.checker_interval;
         // `next_check_at` caches the boundary so the per-cycle fast
         // path is one compare instead of a hardware division; the exact

@@ -162,6 +162,12 @@ pub struct KernelStats {
     pub core_cycles_replayed: u64,
     /// `Core::next_event_at` probes.
     pub probes: u64,
+    /// `MemorySystem::tick` calls.
+    pub mem_ticks: u64,
+    /// Invariant-checker runs.
+    pub checker_runs: u64,
+    /// Blocks the incremental invariant checker re-verified.
+    pub checker_blocks_visited: u64,
 }
 
 /// A run aborted by the coherence checker or the forward-progress
@@ -207,12 +213,18 @@ pub(crate) fn advance(
     watchdog: u64,
     kernel: KernelMode,
 ) -> Result<KernelStats, InvariantViolation> {
-    match kernel {
+    let start = mem.work();
+    let mut stats = match kernel {
         KernelMode::Tick => advance_tick(cores, mem, now, target, watchdog),
         KernelMode::Event | KernelMode::Wheel => {
             advance_skip_ahead(cores, mem, now, target, watchdog)
         }
-    }
+    }?;
+    let end = mem.work();
+    stats.mem_ticks = end.ticks - start.ticks;
+    stats.checker_runs = end.checker_runs - start.checker_runs;
+    stats.checker_blocks_visited = end.checker_blocks_visited - start.checker_blocks_visited;
+    Ok(stats)
 }
 
 /// Builds the forward-progress violation every kernel reports when no
@@ -780,7 +792,8 @@ mod tests {
     }
 
     /// Every core accounts each measured cycle exactly once, by a
-    /// `cycle` call or inside a `skip_span` replay. The lock-step kernel
+    /// `cycle` call or inside a `skip_span` replay, and both kernels run
+    /// the checker on the same cycles over the same blocks. The lock-step kernel
     /// never replays or probes; on the 8-core PARSEC apps per-core
     /// sleep replays a large share of the core-cycles instead of
     /// running them.
@@ -790,10 +803,12 @@ mod tests {
         let (mut run, mut replayed) = (0u64, 0u64);
         for name in PARSEC_MT {
             let app = AppProfile::by_name(name).unwrap();
+            let mut tick_checker = (0, 0);
             for kernel in [KernelMode::Tick, KernelMode::Wheel] {
                 let r =
                     Simulation::with_config(&app, &cfg.clone().with_kernel(kernel)).run_or_panic();
                 let k = r.kernel;
+                let checker = (k.checker_runs, k.checker_blocks_visited);
                 let cores = r.per_core.len() as u64;
                 assert_eq!(
                     k.core_cycles_run + k.core_cycles_replayed,
@@ -805,8 +820,12 @@ mod tests {
                     assert_eq!(k.core_cycles_replayed, 0, "{name}");
                     assert_eq!(k.probes, 0, "{name}");
                     assert_eq!(k.cycles_entered, r.cycles, "{name}");
+                    assert_eq!(k.mem_ticks, r.cycles, "{name}");
+                    tick_checker = checker;
                 } else {
                     assert!(k.cycles_entered <= r.cycles, "{name}: {k:?}");
+                    assert!(k.mem_ticks <= k.cycles_entered, "{name}: {k:?}");
+                    assert_eq!(checker, tick_checker, "{name}: same checker work");
                     run += k.core_cycles_run;
                     replayed += k.core_cycles_replayed;
                 }
@@ -814,6 +833,33 @@ mod tests {
         }
         let share = replayed as f64 / (run + replayed) as f64;
         assert!(share >= 0.4, "replayed share {share:.3}");
+    }
+
+    /// The memory layer's work counters for one memory-bound SPEC cell
+    /// at the paper budget and one 8-core PARSEC cell at the quick
+    /// budget, pinned exactly: a change to the cache or checker data
+    /// layout must do the same simulated work, tick for tick and block
+    /// for block. Both kernels run the same checker, so its counters
+    /// agree between them; only the tick count is the kernel's own.
+    #[test]
+    fn memory_work_counters_are_pinned() {
+        let cells = [
+            ("mcf", SimConfig::paper_default().with_sb(14)),
+            ("dedup", SimConfig::quick().with_sb(14)),
+        ];
+        let got: Vec<(&str, u64, u64, u64)> = cells
+            .iter()
+            .map(|(name, cfg)| {
+                let app = AppProfile::by_name(name).unwrap();
+                let k = Simulation::with_config(&app, cfg).run_or_panic().kernel;
+                (*name, k.mem_ticks, k.checker_runs, k.checker_blocks_visited)
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [("mcf", 687, 687, 247_252), ("dedup", 97, 97, 70_988)],
+            "(app, mem_ticks, checker_runs, checker_blocks_visited)"
+        );
     }
 
     /// A squash model at rate 0 must be indistinguishable — bit for

@@ -21,15 +21,10 @@ pub struct SuiteResult {
 }
 
 impl SuiteResult {
-    /// Runs `cfg` over all `apps`, parallelized per [`SweepOptions::from_env`]
-    /// (`SPB_JOBS` or the machine's available parallelism). Results are
-    /// identical to a [`SweepOptions::serial`] run except for wall-clock
-    /// fields.
-    pub fn run(apps: &[AppProfile], cfg: &SimConfig) -> Self {
-        Self::run_with(apps, cfg, &SweepOptions::from_env())
-    }
-
-    /// Runs `cfg` over all `apps` with explicit sweep options.
+    /// Runs `cfg` over all `apps` with explicit sweep options
+    /// ([`SweepOptions::from_env`] picks `SPB_JOBS` or the machine's
+    /// available parallelism). Results are identical to a
+    /// [`SweepOptions::serial`] run except for wall-clock fields.
     pub fn run_with(apps: &[AppProfile], cfg: &SimConfig, opts: &SweepOptions) -> Self {
         let cells: Vec<(&AppProfile, SimConfig)> = apps.iter().map(|a| (a, cfg.clone())).collect();
         Self {
@@ -120,7 +115,7 @@ mod tests {
     #[test]
     fn suite_runs_all_apps_and_tracks_sb_bound() {
         let apps = two_apps();
-        let s = SuiteResult::run(&apps, &tiny_cfg());
+        let s = SuiteResult::run_with(&apps, &tiny_cfg(), &SweepOptions::from_env());
         assert_eq!(s.runs.len(), 2);
         assert_eq!(s.sb_bound, vec![true, false]);
         assert!(s.get("x264").is_some());
@@ -130,7 +125,7 @@ mod tests {
     #[test]
     fn geomeans_partition_correctly() {
         let apps = two_apps();
-        let s = SuiteResult::run(&apps, &tiny_cfg());
+        let s = SuiteResult::run_with(&apps, &tiny_cfg(), &SweepOptions::from_env());
         let all = s.geomean_all(|r| r.ipc());
         let sb = s.geomean_sb_bound(|r| r.ipc());
         let x264_ipc = s.get("x264").unwrap().ipc();
@@ -141,7 +136,7 @@ mod tests {
     #[test]
     fn speedup_vs_self_is_one() {
         let apps = two_apps();
-        let s = SuiteResult::run(&apps, &tiny_cfg());
+        let s = SuiteResult::run_with(&apps, &tiny_cfg(), &SweepOptions::from_env());
         let speedups = s.speedup_vs(&s);
         assert!(speedups.iter().all(|&v| (v - 1.0).abs() < 1e-12));
         assert!((s.geomean_speedup_all(&s) - 1.0).abs() < 1e-12);
@@ -150,12 +145,13 @@ mod tests {
     #[test]
     fn spb_suite_speedup_at_small_sb_is_positive_for_sb_bound() {
         let apps = two_apps();
-        let base = SuiteResult::run(&apps, &tiny_cfg().with_sb(14));
-        let spb = SuiteResult::run(
+        let base = SuiteResult::run_with(&apps, &tiny_cfg().with_sb(14), &SweepOptions::from_env());
+        let spb = SuiteResult::run_with(
             &apps,
             &tiny_cfg()
                 .with_sb(14)
                 .with_policy(PolicyKind::spb_default()),
+            &SweepOptions::from_env(),
         );
         assert!(
             spb.geomean_speedup_sb_bound(&base) > 1.02,

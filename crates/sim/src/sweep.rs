@@ -532,7 +532,7 @@ pub fn run_cells_supervised(
 /// Runs every `(application, configuration)` cell and returns the
 /// results in input order.
 ///
-/// This is the execution core behind [`crate::suite::SuiteResult::run`]
+/// This is the execution core behind [`crate::suite::SuiteResult::run_with`]
 /// and the experiment grids: [`run_cells_supervised`] with one attempt,
 /// no deadline and no chaos. Results are identical to running the cells
 /// one by one in order (modulo the wall-clock fields). With

@@ -67,11 +67,12 @@ fn parallel_suite_equals_serial_across_seeds_and_job_counts() {
 
 #[test]
 fn default_run_path_equals_serial() {
-    // SuiteResult::run picks its job count from the environment; the
-    // results must still be the serial ones whatever it picked.
+    // `SweepOptions::from_env` picks the job count from the
+    // environment; the results must still be the serial ones whatever
+    // it picked.
     let cfg = small_cfg(42);
     let serial = SuiteResult::run_with(&apps(), &cfg, &SweepOptions::serial());
-    let auto = SuiteResult::run(&apps(), &cfg);
+    let auto = SuiteResult::run_with(&apps(), &cfg, &SweepOptions::from_env());
     for (a, s) in auto.runs.iter().zip(&serial.runs) {
         assert_runs_identical(a, s, "env-selected jobs");
     }

@@ -32,6 +32,7 @@
 //! and `spbsim verify fuzz --seed N --steps M` replays it exactly.
 
 use spb_mem::{FaultConfig, MemoryConfig, MemorySystem, RfoOrigin};
+use spb_stats::hash::mix64;
 use std::fmt;
 
 /// Blocks in the contended pool that every core touches.
@@ -188,20 +189,23 @@ impl fmt::Display for FuzzFailure {
 impl std::error::Error for FuzzFailure {}
 
 /// splitmix64 — the same generator family the fault plan uses, seeded
-/// independently per run.
+/// independently per run. [`mix64`] adds the golden-ratio increment
+/// before it mixes, so mixing the current state and then stepping it is
+/// exactly splitmix64's "step, then mix".
 struct Rng(u64);
+
+/// splitmix64's state increment (the golden ratio, as a 64-bit fraction).
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
 impl Rng {
     fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5bf0_3635_16f9_a3c1)
+        Rng(seed.wrapping_mul(GOLDEN_GAMMA) ^ 0x5bf0_3635_16f9_a3c1)
     }
 
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let out = mix64(self.0);
+        self.0 = self.0.wrapping_add(GOLDEN_GAMMA);
+        out
     }
 
     fn below(&mut self, n: u64) -> u64 {

@@ -8,7 +8,8 @@
 # `bench_snapshot --gate` against the committed baseline. The gate
 # compares per-bench MINIMA and calibrates by the snapshot-wide median
 # ratio, so a uniformly slower CI runner passes while any bench that
-# regressed >10% relative to its peers fails the job. This is the
+# regressed >25% relative to its peers (GATE_TOLERANCE, 1.25, in
+# crates/bench/src/snapshot.rs) fails the job. This is the
 # blocking counterpart of scripts/bench_smoke.sh (which stays advisory).
 set -euo pipefail
 cd "$(dirname "$0")/.."
