@@ -156,7 +156,8 @@ fn tune_cmd(o: &TuneCmd) -> Result<(), CliError> {
 
 /// `spbsim serve`: run the fault-tolerant sweep service until a client
 /// sends `shutdown`. Prints `serving on HOST:PORT` once the socket is
-/// bound (the smoke gate parses this line to find an ephemeral port).
+/// bound (the `serve_crash` test parses this line to find an ephemeral
+/// port).
 fn serve_cmd(
     addr: &str,
     dir: &str,
@@ -737,6 +738,19 @@ mod tests {
         )
         .unwrap();
         std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn trace_writes_a_chrome_trace() {
+        let dir = std::env::temp_dir().join(format!("spbsim-trace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.json");
+        let out = path.to_str().unwrap();
+        let argv = ["trace", "--app", "x264", "--policy", "spb", "--sb", "14"];
+        execute(parse(argv.into_iter().chain(["--out", out])).unwrap()).unwrap();
+        let written = std::fs::metadata(&path).unwrap().len();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(written > 0, "the trace file is empty");
     }
 
     #[test]

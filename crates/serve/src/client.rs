@@ -2,8 +2,8 @@
 //!
 //! One request = one connection: connect, send a single JSON line,
 //! read a single JSON line back. The server keeps connections open for
-//! pipelining, but the one-shot shape is all the CLI and the smoke
-//! gates need, and it makes client failure modes trivial (any error is
+//! pipelining, but the one-shot shape is all the CLI and the tests
+//! need, and it makes client failure modes trivial (any error is
 //! surfaced as an `Err(String)` with the transport or server message).
 
 use crate::spec::JobSpec;

@@ -84,7 +84,7 @@ pub struct JobSpec {
     /// Per-attempt deadline in milliseconds (`None` = server default).
     pub deadline_ms: Option<u64>,
     /// Injected transient-fault probability per attempt, in units of
-    /// 1/10000 (0 = chaos off). Used by chaos tests and the CI gate.
+    /// 1/10000 (0 = chaos off). Used by chaos tests.
     pub fault_rate_e4: u32,
     /// Seed for the injected-fault draw.
     pub fault_seed: u64,

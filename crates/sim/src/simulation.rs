@@ -373,22 +373,53 @@ mod tests {
         );
     }
 
-    #[test]
-    fn observing_a_run_changes_no_simulated_number() {
-        let app = AppProfile::by_name("x264").unwrap();
-        let cfg = SimConfig::quick()
-            .with_sb(14)
-            .with_policy(PolicyKind::spb_default());
-        let plain = Simulation::with_config(&app, &cfg).run().unwrap();
+    /// Runs `app` blind and observed, asserts the two agree on every
+    /// simulated number, and returns the observed run's events.
+    fn observed_events_of_an_unchanged_run(app: &str, cfg: &SimConfig) -> Vec<spb_obs::Event> {
+        let app = AppProfile::by_name(app).unwrap();
+        let plain = Simulation::with_config(&app, cfg).run().unwrap();
         let collector = Collector::new();
-        let observed = Simulation::with_config(&app, &cfg)
+        let observed = Simulation::with_config(&app, cfg)
             .observer(collector.observer())
             .run()
             .unwrap();
         assert_eq!(plain.cycles, observed.cycles);
         assert_eq!(plain.uops, observed.uops);
+        assert_eq!(plain.cpu, observed.cpu);
         assert_eq!(plain.mem, observed.mem);
-        assert!(!collector.is_empty(), "the observed run produced events");
+        let events = collector.take();
+        assert!(!events.is_empty(), "the observed run produced events");
+        events
+    }
+
+    #[test]
+    fn observing_a_run_changes_no_simulated_number() {
+        let cfg = SimConfig::quick()
+            .with_sb(14)
+            .with_policy(PolicyKind::spb_default());
+        let events = observed_events_of_an_unchanged_run("x264", &cfg);
+
+        // The exported Chrome trace is well-formed JSON and carries the
+        // headline events: SB stalls, SPB bursts, coherence messages.
+        let text = format!("{:#}", spb_obs::chrome_trace(&events));
+        let parsed = spb_stats::json::Json::parse(&text).expect("well-formed JSON");
+        let events = parsed.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+        let names: Vec<&str> = events
+            .iter()
+            .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
+            .collect();
+        for needle in ["stall:store-buffer", "spb-burst", "coh:"] {
+            assert!(
+                names.iter().any(|n| n.contains(needle)),
+                "the trace has no {needle:?} events"
+            );
+        }
+
+        // One multi-threaded PARSEC cell, at a quarter of the budget.
+        let mut parsec = cfg;
+        parsec.warmup_uops /= 4;
+        parsec.measure_uops /= 4;
+        observed_events_of_an_unchanged_run("dedup", &parsec);
     }
 
     #[test]

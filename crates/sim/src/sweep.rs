@@ -348,7 +348,8 @@ pub(crate) fn run_cell(
 ///
 /// Because the draw includes the attempt number, a chaos failure is
 /// genuinely transient — the retry redraws — which is what the retry
-/// supervisor's tests and the `serve_smoke` CI gate use to provoke the
+/// supervisor's tests and `spb-serve`'s
+/// `injected_faults_converge_with_zero_lost_cells` use to provoke the
 /// failure modes a production sweep service must absorb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosPlan {
@@ -384,7 +385,7 @@ pub struct Supervision {
     pub backoff_seed: u64,
     /// Per-attempt wall-clock deadline (None = unbounded).
     pub deadline_ms: Option<u64>,
-    /// Optional harness-level fault injection (tests, smoke gates).
+    /// Optional harness-level fault injection (chaos tests).
     pub chaos: Option<ChaosPlan>,
 }
 

@@ -111,25 +111,37 @@ proptest! {
 /// The committed golden grids survive a parse and a render byte for
 /// byte, and the checksummed rendering is the canonical text with the
 /// checksum as its last member, exactly where rendering the whole value
-/// puts it.
+/// puts it. A grid file may be in either form: the plain render must
+/// equal a file without a `"checksum"` member, the checksummed render
+/// one with it (`sweep_report` saves that form).
 #[test]
 fn golden_grids_render_back_byte_for_byte() {
     use spb_stats::hash::{fnv1a64, hex16};
     use spb_stats::json::Json;
     let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     for name in ["sweep-grid-quick", "sweep-grid-paper"] {
-        let text = std::fs::read_to_string(results.join(format!("{name}.json"))).unwrap();
-        let report = SweepReport::parse(&text).unwrap();
-        assert_eq!(report.to_json_string(), text, "{name}");
+        let file = std::fs::read_to_string(results.join(format!("{name}.json"))).unwrap();
+        let report = SweepReport::parse(&file).unwrap();
+        let mut whole = Json::parse(&file).unwrap();
+        let Json::Obj(pairs) = &mut whole else {
+            panic!("{name}: not an object")
+        };
+        let has_checksum = matches!(pairs.last(), Some((key, _)) if key == "checksum");
+        if has_checksum {
+            pairs.pop();
+        }
+        let text = report.to_json_string();
+        assert_eq!(text, format!("{whole:#}\n"), "{name}");
 
         let checksum = format!("fnv1a64:{}", hex16(fnv1a64(text.as_bytes())));
         assert_eq!(report.content_checksum(), checksum);
-        let mut whole = Json::parse(&text).unwrap();
         if let Json::Obj(pairs) = &mut whole {
             pairs.push(("checksum".into(), Json::str(checksum)));
         }
         let checksummed = report.to_json_string_checksummed();
         assert_eq!(checksummed, format!("{whole:#}\n"), "{name}");
+        let render = if has_checksum { &checksummed } else { &text };
+        assert_eq!(*render, file, "{name}");
         assert_eq!(report.to_json_checksummed(), (whole, checksummed.clone()));
         assert_eq!(SweepReport::parse(&checksummed).unwrap(), report);
     }

@@ -23,7 +23,8 @@
 //!
 //! Everything is deterministic for a fixed seed: the same invocation
 //! produces a byte-identical report whether its cells were simulated or
-//! served from cache (CI-gated by `tune_smoke.sh`).
+//! served from cache (gated end to end by `spb-cli`'s `tune_rerun`
+//! test, which runs `spbsim tune` twice on one cache).
 //!
 //! # Examples
 //!

@@ -4,8 +4,10 @@
 //! The JSON deliberately excludes everything nondeterministic — wall
 //! clock, cache hit/miss counts, worker counts — so running the same
 //! tune twice (one cold, one served from cache) produces **byte-equal**
-//! files. That property is CI-gated by `tune_smoke.sh` and lets a
-//! report's checksum stand in for the whole design-space evaluation.
+//! files. That property is gated by `tests/tune_determinism.rs` here
+//! and, through the `spbsim tune` command line, by `spb-cli`'s
+//! `tune_rerun` test; it lets a report's checksum stand in for the
+//! whole design-space evaluation.
 
 use crate::engine::TuneOutcome;
 use spb_sim::sweep::write_atomically;

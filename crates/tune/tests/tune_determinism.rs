@@ -1,7 +1,7 @@
 //! End-to-end tune determinism: the same invocation run twice against
 //! one cache directory must produce a byte-identical report, with the
-//! second run served entirely from cache — the property the CI
-//! `tune_smoke` gate checks at scale.
+//! second run served entirely from cache — the property `spb-cli`'s
+//! `tune_rerun` test checks at scale through `spbsim tune`.
 
 use spb_sim::config::SimConfig;
 use spb_sim::sweep::{Supervision, SweepOptions};

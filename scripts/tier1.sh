@@ -5,6 +5,12 @@
 #                             then the informational surface report
 #   scripts/tier1.sh --fast   skip the release build
 #
+# Every correctness gate is a `cargo test` (TESTING.md, "CI gates",
+# names the test behind each property): fault injection, zero-cost
+# tracing, the oracles and fuzzer, squash storms, serve kill -9
+# recovery and tune determinism included. CI adds only the benchmark
+# and the wall-time bench steps, which need a quiet host.
+#
 # The workspace has no external dependencies (everything external is
 # shimmed under crates/), so --offline always works.
 set -euo pipefail
