@@ -1,9 +1,10 @@
 //! Command execution for `spbsim`.
 
 use crate::{find_app, CliError, ClientAction, Command, RunOpts, TuneCmd, VerifyCmd};
+use spb_serve::{CacheKey, CellRunner, ResultCache};
 use spb_sim::config::SimConfig;
 use spb_sim::suite::SuiteResult;
-use spb_sim::sweep::{run_cells_supervised, Supervision, SweepRecord, SweepReport};
+use spb_sim::sweep::{Supervision, SweepReport};
 use spb_stats::json::Json;
 use spb_stats::{chart, Table};
 use spb_trace::file::{record, TraceReader};
@@ -11,9 +12,15 @@ use spb_trace::profile::{AppCatalog, Suite};
 use spb_trace::{OpKind, TraceSource};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
+use std::path::Path;
 
 /// Executes a parsed command; returns the process exit code.
 pub fn execute(cmd: Command) -> Result<(), CliError> {
+    execute_in(cmd, Path::new("results"))
+}
+
+/// [`execute`], with reports and the sweep cell store under `results`.
+fn execute_in(cmd: Command, results: &Path) -> Result<(), CliError> {
     match cmd {
         Command::Help => {
             print!("{}", crate::USAGE);
@@ -21,7 +28,7 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
         }
         Command::Apps => apps(),
         Command::Run { app, cfg, chart } => run(&app, &cfg, chart),
-        Command::Suite { suite, cfg } => suite_cmd(&suite, &cfg),
+        Command::Suite { suite, cfg } => suite_cmd(&suite, &cfg, results),
         Command::Record {
             app,
             ops,
@@ -38,16 +45,7 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
             chart,
             resume,
             retry,
-        } => sweep(
-            &app,
-            &sbs,
-            &policies,
-            &cfg,
-            chart,
-            resume,
-            retry,
-            std::path::Path::new("results"),
-        ),
+        } => sweep(&app, &sbs, &policies, &cfg, chart, resume, retry, results),
         Command::Trace { app, cfg, out } => trace_cmd(&app, &cfg, &out),
         Command::Experiment { name, quick } => experiment(&name, quick),
         Command::Verify(v) => verify(v),
@@ -111,8 +109,8 @@ fn tune_cmd(o: &TuneCmd) -> Result<(), CliError> {
         seed: o.seed,
         points: o.points,
         space,
-        base_cfg: base_cfg.clone(),
-        apps: apps.clone(),
+        base_cfg,
+        apps,
         sweep,
         supervision: Supervision::with_retries(o.retry),
     };
@@ -123,17 +121,7 @@ fn tune_cmd(o: &TuneCmd) -> Result<(), CliError> {
         .name
         .clone()
         .unwrap_or_else(|| format!("tune-{}-s{}-p{}", o.strategy.label(), o.seed, o.points));
-    let report = spb_tune::TuneReport {
-        name,
-        strategy: o.strategy.label().into(),
-        seed: o.seed,
-        points_requested: o.points,
-        warmup_uops: base_cfg.warmup_uops,
-        measure_uops: base_cfg.measure_uops,
-        workload_seed: base_cfg.seed,
-        apps: apps.iter().map(|a| a.name().to_string()).collect(),
-        outcome,
-    };
+    let report = spb_tune::TuneReport::new(name, &opts, outcome);
     print!("{}", report.to_text());
     // Cache traffic goes to the terminal only — the saved report must
     // stay byte-identical between a cold and a fully cached run.
@@ -141,7 +129,7 @@ fn tune_cmd(o: &TuneCmd) -> Result<(), CliError> {
         "cache: {} hit(s), {} computed",
         stats.cache_hits, stats.computed
     );
-    match report.save(std::path::Path::new(&o.out)) {
+    match report.save(Path::new(&o.out)) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write tune report: {e}"),
     }
@@ -271,40 +259,10 @@ fn verify(cmd: VerifyCmd) -> Result<(), CliError> {
     }
 }
 
-/// A digest of the sweep's base config: every field except the policy
-/// and SB size the sweep varies. Kept to 63 bits, since report counters
-/// are JSON integers.
-fn base_digest(opts: &RunOpts) -> u64 {
-    let base = opts
-        .to_sim_config()
-        .with_sb(0)
-        .with_policy(spb_sim::PolicyKind::AtCommit);
-    spb_stats::hash::fnv1a64(format!("{base:?}").as_bytes()) >> 1
-}
-
-/// Parses a prior sweep report for `--resume`, refusing one computed
-/// under other settings than `digest` (or saved without a digest).
-fn resumable(text: &str, digest: u64) -> Result<SweepReport, String> {
-    let report = SweepReport::parse(text)?;
-    let stated = report
-        .metrics
-        .as_ref()
-        .and_then(|m| m.get("sweep"))
-        .and_then(|c| c.get("counters"))
-        .and_then(|c| c.get("config_digest"))
-        .and_then(Json::as_u64);
-    match stated {
-        Some(d) if d == digest => Ok(report),
-        Some(d) => Err(format!(
-            "its cells were computed under other settings \
-             (config digest {d}, this sweep {digest}); re-run without --resume"
-        )),
-        None => Err("it records no config digest, so its settings are unknown; \
-                     re-run without --resume"
-            .into()),
-    }
-}
-
+/// `spbsim sweep`: one app over the `sbs × policies` grid, every cell
+/// stored in `<dir>/cache` by the [`CellRunner`]. `--resume` reads the
+/// store first, so only cells without a valid entry under their key
+/// (failed, never run, corrupt, or run under other settings) rerun.
 #[allow(clippy::too_many_arguments)]
 fn sweep(
     app: &str,
@@ -314,122 +272,82 @@ fn sweep(
     with_chart: bool,
     resume: bool,
     retry: u32,
-    dir: &std::path::Path,
+    dir: &Path,
 ) -> Result<(), CliError> {
     let profile = find_app(app)?;
     let name = format!("sweep-{app}");
-    let digest = base_digest(opts);
-
-    // With --resume, reload the prior (possibly partial) report; its
-    // completed cells are reused verbatim and only the rest re-run.
-    let prior = if resume {
-        let path = dir.join(format!("{name}.json"));
-        match std::fs::read_to_string(&path) {
-            Ok(text) => Some(
-                resumable(&text, digest)
-                    .map_err(|e| CliError(format!("cannot resume from {}: {e}", path.display())))?,
-            ),
-            Err(e) => {
-                eprintln!(
-                    "note: no prior report at {} ({e}); running the full sweep",
-                    path.display()
-                );
-                None
-            }
-        }
-    } else {
-        None
-    };
-
     // Flatten the sb × policy grid into one cell list (SB-major, policy
     // minor) so the worker pool covers the whole sweep at once.
-    let grid: Vec<SimConfig> = sbs
+    let grid: Vec<(usize, SimConfig)> = sbs
         .iter()
         .flat_map(|&sb| {
-            policies.iter().map(move |&policy| {
-                let mut cfg = opts.to_sim_config().with_sb(sb);
-                cfg.policy = policy;
-                cfg
-            })
+            policies
+                .iter()
+                .map(move |&policy| (0, opts.to_sim_config().with_sb(sb).with_policy(policy)))
         })
         .collect();
-    let todo: Vec<SimConfig> = grid
+    let keys: Vec<CacheKey> = grid
         .iter()
-        .filter(|c| {
-            prior
-                .as_ref()
-                .is_none_or(|p| !p.has_record(app, &c.policy.label(), c.effective_sb()))
-        })
-        .cloned()
+        .map(|(_, cfg)| CacheKey::for_cell(profile.name(), cfg))
         .collect();
-    if prior.is_some() {
+    let store = dir.join("cache");
+    let cache = ResultCache::open(&store).map_err(|e| {
+        CliError(format!(
+            "cannot open the cell store {}: {e}",
+            store.display()
+        ))
+    })?;
+    // --retry N re-runs transient failures (panics, deadline overruns)
+    // up to N attempts; invariant violations fail fast.
+    let runner = CellRunner {
+        cache: &cache,
+        sweep: &opts.sweep_options().progress(true),
+        supervision: &Supervision::with_retries(retry),
+        chunk: usize::MAX,
+        objectives: false,
+        probe: resume,
+    };
+    let cell_count = grid.len();
+    let mut stalls = vec![0.0; cell_count];
+    let (cells, tally) = runner
+        .run(
+            &keys,
+            || Ok((vec![profile.clone()], grid)),
+            |_, runs| {
+                for (i, run) in runs {
+                    stalls[*i] = run.sb_stall_ratio();
+                }
+            },
+        )
+        .map_err(CliError)?;
+    if resume {
         eprintln!(
-            "resuming {name}: {} of {} cells already done",
-            grid.len() - todo.len(),
-            grid.len()
+            "resuming {name}: {} of {cell_count} cells stored",
+            tally.hits
         );
     }
-    let cells: Vec<_> = todo.iter().map(|c| (&profile, c.clone())).collect();
-    // With --retry N, transiently failing cells (panics, deadline
-    // overruns) re-run up to N total attempts with deterministic
-    // backoff; invariant violations still fail fast. The attempt count
-    // lands in each failure record. retry == 1 is the old single-shot
-    // behavior.
-    let results: Vec<_> = run_cells_supervised(
-        &cells,
-        &opts.sweep_options().progress(true),
-        &Supervision::with_retries(retry),
-    )
-    .into_iter()
-    .map(|(outcome, _attempts)| outcome)
-    .collect();
+    let (records, failed): (Vec<_>, Vec<_>) = cells.into_iter().partition(Result::is_ok);
+    let records: Vec<_> = records.into_iter().flatten().collect();
+    let failed: Vec<_> = failed.into_iter().filter_map(Result::err).collect();
 
-    // Merge reused and fresh cells back into grid order. `todo`
-    // preserves grid order, so one forward iterator pairs each missing
-    // cell with its result.
-    let mut new_it = results.iter();
-    let mut records: Vec<SweepRecord> = Vec::new();
-    let mut failed = Vec::new();
-    let mut fresh_runs = Vec::new();
-    for c in &grid {
-        let policy = c.policy.label();
-        let sb = c.effective_sb();
-        let reused = prior.as_ref().and_then(|p| {
-            p.records
-                .iter()
-                .find(|r| r.app == app && r.policy == policy && r.sb == sb)
-        });
-        if let Some(r) = reused {
-            records.push(r.clone());
-        } else {
-            match new_it.next().expect("one result per missing cell") {
-                Ok(run) => {
-                    records.push(SweepRecord::from_run(run));
-                    fresh_runs.push(run);
-                }
-                Err(f) => failed.push(f.clone()),
-            }
-        }
-    }
-
-    if fresh_runs.len() == grid.len() {
-        // A complete fresh sweep: the detailed tables need the full
-        // RunResult stats, which reused records no longer carry.
+    if tally.computed as usize == cell_count {
+        // A complete fresh sweep: the SB-stall table needs the runs'
+        // stats, which stored records do not carry.
         let labels: Vec<String> = policies.iter().map(|p| p.label()).collect();
         let cols: Vec<&str> = labels.iter().map(String::as_str).collect();
         let mut cycles_t = Table::new(format!("{app} — cycles"), &cols);
         let mut stall_t = Table::new(format!("{app} — SB-stall %"), &cols);
-        for (i, &sb) in sbs.iter().enumerate() {
-            let row = &fresh_runs[i * policies.len()..(i + 1) * policies.len()];
+        let rows = records
+            .chunks(policies.len())
+            .zip(stalls.chunks(policies.len()));
+        for (&sb, (row, stall)) in sbs.iter().zip(rows) {
             cycles_t.push_row(
                 format!("SB{sb}"),
                 &row.iter().map(|r| r.cycles as f64).collect::<Vec<_>>(),
             );
             stall_t.push_row(
                 format!("SB{sb}"),
-                &row.iter()
-                    .map(|r| r.sb_stall_ratio() * 100.0)
-                    .collect::<Vec<_>>(),
+                &stall.iter().map(|s| s * 100.0).collect::<Vec<_>>(),
             );
         }
         cycles_t.set_precision(0);
@@ -452,10 +370,9 @@ fn sweep(
     let mut reg = spb_obs::MetricsRegistry::new();
     let total_wall: f64 = records.iter().map(|r| r.wall_ms).sum();
     reg.component("sweep")
-        .counter("cells", grid.len() as u64)
-        .counter("fresh", fresh_runs.len() as u64)
+        .counter("cells", cell_count as u64)
+        .counter("fresh", tally.computed)
         .counter("failures", failed.len() as u64)
-        .counter("config_digest", digest)
         .gauge("wall_ms", total_wall)
         .gauge("jobs", opts.sweep_options().jobs as f64);
     let report = SweepReport {
@@ -469,7 +386,7 @@ fn sweep(
         return Err(CliError(format!(
             "{} of {} cell(s) failed (the rest are saved; re-run with --resume to retry):\n  {}",
             failed.len(),
-            grid.len(),
+            cell_count,
             failed
                 .iter()
                 .map(ToString::to_string)
@@ -482,7 +399,7 @@ fn sweep(
 
 /// Writes a sweep report under `dir`, warning (not failing) if the
 /// directory is unwritable.
-fn save_report(report: &SweepReport, dir: &std::path::Path) {
+fn save_report(report: &SweepReport, dir: &Path) {
     match report.save(dir) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write sweep report: {e}"),
@@ -565,7 +482,7 @@ fn trace_cmd(app: &str, opts: &RunOpts, out: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-fn suite_cmd(suite: &str, opts: &RunOpts) -> Result<(), CliError> {
+fn suite_cmd(suite: &str, opts: &RunOpts, dir: &Path) -> Result<(), CliError> {
     let Some(apps) = AppCatalog::standard().suite_named(suite) else {
         return Err(CliError(format!(
             "unknown suite {suite:?} (expected spec | parsec)"
@@ -598,7 +515,7 @@ fn suite_cmd(suite: &str, opts: &RunOpts) -> Result<(), CliError> {
             format!("suite-{suite}-{}-sb{}", opts.policy.label(), opts.sb),
             &results.runs,
         ),
-        std::path::Path::new("results"),
+        dir,
     );
     Ok(())
 }
@@ -754,53 +671,62 @@ mod tests {
     }
 
     #[test]
-    fn sweep_resume_refuses_a_report_computed_under_other_settings() {
+    fn sweep_resume_reuses_only_valid_same_settings_cells() {
         let dir = std::env::temp_dir().join(format!("spbsim-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let run = |uops: &str, resume: bool| {
-            let mut args = vec![
-                "sweep",
-                "--app",
-                "povray",
-                "--sb",
-                "14",
-                "--policy",
-                "at-commit",
-                "--warmup",
-                "1000",
-                "--uops",
-                uops,
-            ];
-            if resume {
-                args.push("--resume");
-            }
-            match parse(args).unwrap() {
-                Command::Sweep {
-                    app,
-                    sbs,
-                    policies,
-                    cfg,
-                    chart,
-                    resume,
-                    retry,
-                } => sweep(&app, &sbs, &policies, &cfg, chart, resume, retry, &dir),
-                other => panic!("parsed as {other:?}"),
-            }
+        // Runs the two-cell sweep; returns how many cells it simulated.
+        let run = |flags: &str| {
+            let argv = "sweep --app povray --sb 14 --policy at-commit,spb --warmup 1000 ";
+            execute_in(parse((argv.to_owned() + flags).split(' ')).unwrap(), &dir).unwrap();
+            let text = std::fs::read_to_string(dir.join("sweep-povray.json")).unwrap();
+            let metrics = SweepReport::parse(&text).unwrap().metrics.unwrap();
+            let counters = metrics.get("sweep").and_then(|s| s.get("counters"));
+            counters.and_then(|c| c.get("fresh")?.as_u64()).unwrap()
         };
-        run("4000", false).unwrap();
-        // Same settings: the saved cell is reused.
-        run("4000", true).unwrap();
-        let err = run("8000", true).unwrap_err().to_string();
-        assert!(err.contains("other settings"), "{err}");
-
-        // A report saved without a digest cannot vouch for its settings.
-        let path = dir.join("sweep-povray.json");
-        let mut old = SweepReport::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        old.metrics = None;
-        old.save(&dir).unwrap();
-        let err = run("4000", true).unwrap_err().to_string();
-        assert!(err.contains("no config digest"), "{err}");
+        let store = || {
+            std::fs::read_dir(dir.join("cache"))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+        };
+        assert_eq!(run("--uops 4000"), 2);
+        assert_eq!(run("--uops 4000 --resume"), 0, "same settings: all hits");
+        // Prefix a digit to one stored cycle count: still valid JSON,
+        // but its checksum no longer holds.
+        let entry = store().next().unwrap();
+        let text = std::fs::read_to_string(&entry).unwrap();
+        std::fs::write(&entry, text.replacen("\"cycles\": ", "\"cycles\": 1", 1)).unwrap();
+        assert_eq!(run("--uops 4000 --resume"), 1, "the corrupt entry reruns");
+        let quarantined = store().filter(|p| p.extension().unwrap() == "quarantined");
+        assert_eq!(quarantined.count(), 1);
+        assert_eq!(run("--uops 8000 --resume"), 2, "other settings: no reuse");
+        assert_eq!(run("--uops 4000 --resume"), 0, "the rerun was stored");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cache_keys_are_pinned() {
+        // Entries already on disk stay reachable only while these cells
+        // hash to the same keys.
+        let run_key = |argv: &str| match parse(argv.split(' ')).unwrap() {
+            Command::Run { app, cfg, .. } => CacheKey::for_cell(&app, &cfg.to_sim_config()),
+            other => panic!("parsed as {other:?}"),
+        };
+        let (profiles, cells) = spb_serve::JobSpec::quick_grid().resolve().unwrap();
+        let burst3 = spb_sim::PolicyKind::parse("spb:burst=3").unwrap();
+        let tuned = spb_serve::Budget::Quick.sim_config().with_sb(14);
+        let keys = [
+            CacheKey::for_cell(profiles[cells[0].0].name(), &cells[0].1),
+            CacheKey::for_cell("x264", &tuned.with_policy(burst3)),
+            run_key("run --app x264 --policy spb --squash rate=0.1,depth=8..32,seed=5"),
+            run_key("run --app gcc --fault-rate 0.01"),
+        ];
+        let pinned = [
+            "f06f0b2c578c6ce9",
+            "2e38e4fae4c19aee",
+            "2e23d8b6d0bcf85c",
+            "f27db46035b380e0",
+        ];
+        assert_eq!(keys.map(|k| k.hex()), pinned);
     }
 
     #[test]

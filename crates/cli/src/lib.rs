@@ -708,8 +708,11 @@ to a serial run) and write a machine-readable JSON report under
 results/ (schema: {name, records: [{app, policy, sb, cycles, uops,
 ipc, wall_ms}]}; a \"failed\" array is appended when cells crashed).
 A cell that panics or trips the coherence checker fails alone: the
-other cells complete, the partial report is saved, and `sweep
---resume` re-runs only the missing or failed cells. With `--retry N`
+other cells complete, the partial report is saved, and every finished
+cell is kept in the cell store results/cache/ under its cache key.
+`sweep --resume` is a rerun against that warm store: only cells with
+no valid entry (failed, missing, corrupt, or run under other settings)
+are simulated. With `--retry N`
 transiently failing cells (panics, deadline overruns) are retried up
 to N total attempts with deterministic seeded backoff; the attempt
 count is recorded in each failure record. Invariant violations never

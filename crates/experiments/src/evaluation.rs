@@ -2,12 +2,12 @@
 //!
 //! A figure asks an [`Evaluation`] for the suites it needs; the
 //! evaluation simulates only the cells it has not seen before and
-//! serves the rest from memory. A cell is identified by its application
-//! and the `Debug` rendering of its whole [`SimConfig`] — the content
-//! the sweep service's cache key hashes — so two figures that build the
-//! same configuration by different routes share one run. The `all`
-//! binary passes one evaluation through every figure; `spbsim
-//! experiment` gives each run a fresh one.
+//! serves the rest from memory. A cell is identified by
+//! [`SimConfig::cell_identity`], the text the sweep service's cache key
+//! hashes, so two figures that build the same configuration by
+//! different routes share one run. The `all` binary passes one
+//! evaluation through every figure; `spbsim experiment` gives each run
+//! a fresh one.
 
 use crate::grid::{policies, Grid, SB_SIZES};
 use crate::Budget;
@@ -26,10 +26,6 @@ pub struct Evaluation {
     runs: HashMap<String, RunResult>,
     requested: usize,
     simulated: usize,
-}
-
-fn cell_key(app: &AppProfile, cfg: &SimConfig) -> String {
-    format!("{}|{cfg:?}", app.name())
 }
 
 impl Evaluation {
@@ -85,7 +81,7 @@ impl Evaluation {
     pub fn suites(&mut self, apps: &[AppProfile], configs: &[SimConfig]) -> Vec<SuiteResult> {
         let keys: Vec<Vec<String>> = configs
             .iter()
-            .map(|c| apps.iter().map(|a| cell_key(a, c)).collect())
+            .map(|c| apps.iter().map(|a| c.cell_identity(a.name())).collect())
             .collect();
         let mut missing: Vec<(&AppProfile, SimConfig)> = Vec::new();
         let mut pending = HashSet::new();
@@ -99,7 +95,7 @@ impl Evaluation {
         self.requested += apps.len() * configs.len();
         self.simulated += missing.len();
         for ((app, cfg), run) in missing.iter().zip(run_cells(&missing, &self.opts)) {
-            self.runs.insert(cell_key(app, cfg), run);
+            self.runs.insert(cfg.cell_identity(app.name()), run);
         }
         let sb_bound: Vec<bool> = apps.iter().map(AppProfile::is_sb_bound).collect();
         keys.iter()

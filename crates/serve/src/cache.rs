@@ -34,11 +34,16 @@
 //!   bit-identically (the simulator is deterministic). Lookups bump an
 //!   entry's file mtime, which is the recency the evictor sorts by.
 
+use crate::spec::ResolvedCells;
 use crate::CODE_VERSION;
 use spb_sim::config::SimConfig;
-use spb_sim::sweep::{write_atomically, SweepRecord};
+use spb_sim::sweep::{
+    run_cells_supervised, write_atomically, CellFailure, Supervision, SweepOptions, SweepRecord,
+};
+use spb_sim::RunResult;
 use spb_stats::hash::{fnv1a64, hex16, Fnv1a64};
 use spb_stats::json::Json;
+use spb_trace::profile::AppProfile;
 use std::path::{Path, PathBuf};
 
 /// The text `store` writes around an entry's body and checksum:
@@ -54,11 +59,13 @@ pub struct CacheKey(u64);
 
 impl CacheKey {
     /// Derives the key for `(app, cfg)` under the current code version
-    /// (`spb-<crate version>-g<N>`). The config digest covers the
-    /// `Debug` rendering of the *whole* [`SimConfig`] — any field that
-    /// could change the simulated numbers changes the key.
+    /// (`spb-<crate version>-g<N>`). It hashes
+    /// [`SimConfig::cell_identity`], which renders the *whole* config —
+    /// any field that could change the simulated numbers changes the
+    /// key.
     pub fn for_cell(app: &str, cfg: &SimConfig) -> Self {
-        Self(fnv1a64(format!("{CODE_VERSION}|{app}|{cfg:?}").as_bytes()))
+        let identity = cfg.cell_identity(app);
+        Self(fnv1a64(format!("{CODE_VERSION}|{identity}").as_bytes()))
     }
 
     /// The entry's file name under the cache directory.
@@ -304,6 +311,132 @@ impl ResultCache {
         q.push(".quarantined");
         let _ = std::fs::rename(path, PathBuf::from(q));
         Lookup::Corrupt(why)
+    }
+}
+
+/// What a [`CellRunner::run`] pass, or one step of it, did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Cells served from the cache.
+    pub hits: u64,
+    /// Entries that failed validation, were quarantined and recomputed.
+    pub corrupt: u64,
+    /// Cells simulated.
+    pub computed: u64,
+    /// Attempts beyond each simulated cell's first.
+    pub retries: u64,
+    /// Cells that failed.
+    pub failed: u64,
+    /// Computed records the cache could not store.
+    pub store_errors: u64,
+    /// What the lookups read.
+    pub(crate) work: ReadWork,
+}
+
+/// The one probe → simulate → store path of every cached caller (the
+/// service, the tuner and `spbsim sweep`): each cell's key is looked
+/// up, the misses run under [`run_cells_supervised`], and each computed
+/// record is stored under its key.
+#[derive(Debug, Clone, Copy)]
+pub struct CellRunner<'a> {
+    /// The store probed and written.
+    pub cache: &'a ResultCache,
+    /// Worker pool for the misses.
+    pub sweep: &'a SweepOptions,
+    /// Retry and deadline supervision for the misses.
+    pub supervision: &'a Supervision,
+    /// Misses per supervised batch; each batch is stored before the
+    /// next starts, so a crash loses at most one batch. `usize::MAX`
+    /// runs every miss in one batch.
+    pub chunk: usize,
+    /// Records carry the tune objectives
+    /// ([`SweepRecord::from_run_full`]), and an entry without them
+    /// counts as a miss, so its recompute rewrites it with them.
+    pub objectives: bool,
+    /// Probe the cache first; when off every cell is simulated, and
+    /// still stored.
+    pub probe: bool,
+}
+
+impl CellRunner<'_> {
+    /// Resolves `keys` to each cell's record, served from the cache or
+    /// simulated, or its failure, in request order. `resolve` yields
+    /// the cells' profiles and configs, index for index with `keys`; it
+    /// is called only when some cell misses, so an all-hit pass builds
+    /// no config. `on_step` sees what the probe did, then each batch's
+    /// counts and the runs it simulated, as `(cell index, run)`.
+    ///
+    /// # Errors
+    ///
+    /// `resolve`'s error, if it fails.
+    pub fn run(
+        &self,
+        keys: &[CacheKey],
+        resolve: impl FnOnce() -> Result<ResolvedCells, String>,
+        mut on_step: impl FnMut(&Tally, &[(usize, RunResult)]),
+    ) -> Result<(Vec<Result<SweepRecord, CellFailure>>, Tally), String> {
+        let mut total = Tally::default();
+        let mut results: Vec<Option<Result<SweepRecord, CellFailure>>> = vec![None; keys.len()];
+        let mut misses = Vec::new();
+        for (i, &key) in keys.iter().enumerate() {
+            let found = self
+                .probe
+                .then(|| self.cache.lookup_counted(key, &mut total.work));
+            match found {
+                Some(Lookup::Hit(r))
+                    if !self.objectives || r.energy_nj.is_some() && r.coh_msgs.is_some() =>
+                {
+                    total.hits += 1;
+                    results[i] = Some(Ok(r));
+                }
+                found => {
+                    total.corrupt += u64::from(matches!(found, Some(Lookup::Corrupt(_))));
+                    misses.push(i);
+                }
+            }
+        }
+        on_step(&total, &[]);
+        let (profiles, cells) = if misses.is_empty() {
+            ResolvedCells::default()
+        } else {
+            resolve()?
+        };
+        for batch in misses.chunks(self.chunk.max(1)) {
+            let batch_cells: Vec<(&AppProfile, SimConfig)> = batch
+                .iter()
+                .map(|&i| (&profiles[cells[i].0], cells[i].1.clone()))
+                .collect();
+            let outcomes = run_cells_supervised(&batch_cells, self.sweep, self.supervision);
+            let (mut step, mut runs) = (Tally::default(), Vec::new());
+            for ((outcome, attempts), &i) in outcomes.into_iter().zip(batch) {
+                step.retries += u64::from(attempts.saturating_sub(1));
+                results[i] = Some(outcome.map(|run| {
+                    let record = if self.objectives {
+                        SweepRecord::from_run_full(&run)
+                    } else {
+                        SweepRecord::from_run(&run)
+                    };
+                    // A failed store is not fatal: the record still goes
+                    // to the caller, the cell just is not kept.
+                    let app = profiles[cells[i].0].name();
+                    if let Err(e) = self.cache.store(keys[i], app, &record) {
+                        eprintln!("warning: cache store failed for {}: {e}", keys[i].hex());
+                        step.store_errors += 1;
+                    }
+                    step.computed += 1;
+                    runs.push((i, run));
+                    record
+                }));
+            }
+            step.failed = batch.len() as u64 - step.computed;
+            on_step(&step, &runs);
+            total.computed += step.computed;
+            total.retries += step.retries;
+            total.failed += step.failed;
+            total.store_errors += step.store_errors;
+        }
+        let results = results.into_iter().map(|r| r.expect("every cell resolved"));
+        Ok((results.collect(), total))
     }
 }
 

@@ -63,7 +63,7 @@ pub mod journal;
 pub mod service;
 pub mod spec;
 
-pub use cache::{CacheKey, Lookup, ResultCache};
+pub use cache::{CacheKey, CellRunner, Lookup, ResultCache, Tally};
 pub use journal::{Journal, Recovery};
 pub use service::{ServeConfig, Server};
 pub use spec::{Budget, CellSpec, JobSpec};

@@ -6,8 +6,9 @@
 //! [`spb_sim::sweep::SweepReport`]-schema results. The robustness
 //! pieces compose here:
 //!
-//! - every cell goes through the [`crate::cache::ResultCache`] first —
-//!   hits skip simulation entirely and are bit-identical to a fresh
+//! - every cell goes through the [`crate::cache::CellRunner`], which
+//!   probes the [`crate::cache::ResultCache`] first — hits skip
+//!   simulation entirely and are bit-identical to a fresh
 //!   deterministic run. A cell's key is derived once per base config
 //!   and then memoized, so a repeat job (in any cell order) formats its
 //!   base config once instead of one `SimConfig` per cell; every hit
@@ -22,16 +23,12 @@
 //!   explicit `overloaded` rejection immediately — the server never
 //!   accepts work it cannot promise to journal and run.
 
-use crate::cache::{CacheKey, Lookup, ReadWork, ResultCache};
+use crate::cache::{CacheKey, CellRunner, ResultCache, Tally};
 use crate::journal::Journal;
-use crate::spec::{CellSpec, JobSpec, ResolvedCells};
+use crate::spec::{CellSpec, JobSpec};
 use spb_obs::SharedCounters;
-use spb_sim::config::SimConfig;
-use spb_sim::sweep::{
-    run_cells_supervised, ChaosPlan, Supervision, SweepOptions, SweepRecord, SweepReport,
-};
+use spb_sim::sweep::{ChaosPlan, Supervision, SweepOptions, SweepReport};
 use spb_stats::json::Json;
-use spb_trace::profile::AppProfile;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -102,21 +99,13 @@ struct KeyMemo {
     keys: HashMap<CellSpec, CacheKey>,
 }
 
-/// A job's cell keys, in request order.
-struct JobKeys {
-    keys: Vec<CacheKey>,
-    /// The resolved job, if deriving a key needed it.
-    resolved: Option<ResolvedCells>,
-    /// Keys derived rather than found in the memo.
-    derived: u64,
-}
-
 impl KeyMemo {
-    /// The key of every cell of `job`. The job is resolved only when a
-    /// cell's key is not memoized; a cell that is memoized resolved
-    /// before, so a bad cell is still an error here, before any
-    /// lookup.
-    fn keys(&mut self, job: &JobSpec) -> Result<JobKeys, String> {
+    /// The key of every cell of `job`, in request order, and how many
+    /// were derived rather than found in the memo. The job is resolved
+    /// only when a cell's key is not memoized; a cell that is memoized
+    /// resolved before, so a bad cell is still an error here, before
+    /// any lookup.
+    fn keys(&mut self, job: &JobSpec) -> Result<(Vec<CacheKey>, u64), String> {
         let base = format!("{:?}", job.base_config()?);
         if base != self.base {
             self.keys.clear();
@@ -127,32 +116,22 @@ impl KeyMemo {
             .iter()
             .map(|cell| self.keys.get(cell).copied())
             .collect();
-        if keys.iter().all(Option::is_some) {
-            return Ok(JobKeys {
-                keys: keys.into_iter().flatten().collect(),
-                resolved: None,
-                derived: 0,
-            });
-        }
-        let resolved = job.resolve()?;
-        let (profiles, cells) = &resolved;
         let mut derived = 0;
-        for ((slot, cell), (pi, cfg)) in keys.iter_mut().zip(&job.cells).zip(cells) {
-            if slot.is_none() {
-                let key = CacheKey::for_cell(profiles[*pi].name(), cfg);
-                if self.keys.len() >= KEY_MEMO_ENTRIES {
-                    self.keys.clear();
+        if keys.iter().any(Option::is_none) {
+            let (profiles, cells) = job.resolve()?;
+            for ((slot, cell), (pi, cfg)) in keys.iter_mut().zip(&job.cells).zip(&cells) {
+                if slot.is_none() {
+                    let key = CacheKey::for_cell(profiles[*pi].name(), cfg);
+                    if self.keys.len() >= KEY_MEMO_ENTRIES {
+                        self.keys.clear();
+                    }
+                    self.keys.insert(cell.clone(), key);
+                    *slot = Some(key);
+                    derived += 1;
                 }
-                self.keys.insert(cell.clone(), key);
-                *slot = Some(key);
-                derived += 1;
             }
         }
-        Ok(JobKeys {
-            keys: keys.into_iter().flatten().collect(),
-            resolved: Some(resolved),
-            derived,
-        })
+        Ok((keys.into_iter().flatten().collect(), derived))
     }
 }
 
@@ -452,53 +431,16 @@ impl Server {
         }
     }
 
-    /// Executes one job: cache pass, supervised computation of the
-    /// misses, cache stores, report assembly in request order.
+    /// Executes one job through the [`CellRunner`]: cache pass,
+    /// supervised computation of the misses, cache stores, report
+    /// assembly in request order.
     fn run_job(&self, job: &JobSpec) -> String {
         let memoized = self.key_memo.lock().expect("key memo poisoned").keys(job);
-        let JobKeys {
-            keys,
-            resolved,
-            derived,
-        } = match memoized {
+        let (keys, derived) = match memoized {
             Ok(k) => k,
             Err(e) => return Self::error(format!("bad job: {e}")),
         };
         self.stats.add("cache_keys_derived", derived);
-        let mut records: Vec<Option<SweepRecord>> = vec![None; keys.len()];
-        let mut misses: Vec<usize> = Vec::new();
-        let (mut hits, mut corrupt) = (0u64, 0u64);
-        let mut work = ReadWork::default();
-        for (i, &key) in keys.iter().enumerate() {
-            match self.cache.lookup_counted(key, &mut work) {
-                Lookup::Hit(record) => {
-                    hits += 1;
-                    records[i] = Some(record);
-                }
-                Lookup::Miss => misses.push(i),
-                Lookup::Corrupt(_) => {
-                    corrupt += 1;
-                    misses.push(i);
-                }
-            }
-        }
-        self.stats.add("cache_hits", hits);
-        self.stats.add("cache_corrupt", corrupt);
-        self.stats.add("cache_entries_read", work.entries_read);
-        self.stats
-            .add("cache_checksums_rendered", work.checksums_rendered);
-
-        // Misses need the profiles and configs, which a job whose keys
-        // were all memoized has not resolved yet.
-        let (profiles, resolved) = match resolved {
-            Some(r) => r,
-            None if misses.is_empty() => ResolvedCells::default(),
-            None => match job.resolve() {
-                Ok(r) => r,
-                Err(e) => return Self::error(format!("bad job: {e}")),
-            },
-        };
-
         let supervision = Supervision {
             max_attempts: job.retry.max(self.cfg.retry).max(1),
             deadline_ms: job.deadline_ms.or(self.cfg.deadline_ms),
@@ -508,64 +450,35 @@ impl Server {
             }),
             ..Supervision::default()
         };
-        let opts = SweepOptions::with_jobs(self.cfg.jobs);
-
-        // Misses run in worker-pool-sized chunks, and each chunk's
-        // results hit the cache (and the counters) before the next one
-        // starts: a crash mid-job loses at most one chunk of work, so
-        // restart recovery re-simulates only the cells that never made
-        // it to disk.
-        let (mut computed, mut retries, mut failed_count) = (0u64, 0u64, 0u64);
-        let mut failed = Vec::new();
-        for miss_chunk in misses.chunks(self.cfg.jobs.max(1)) {
-            let cells: Vec<(&AppProfile, SimConfig)> = miss_chunk
-                .iter()
-                .map(|&i| (&profiles[resolved[i].0], resolved[i].1.clone()))
-                .collect();
-            let outcomes = run_cells_supervised(&cells, &opts, &supervision);
-            let (mut chunk_computed, mut chunk_retries, mut chunk_failed) = (0u64, 0u64, 0u64);
-            for ((outcome, attempts), &i) in outcomes.into_iter().zip(miss_chunk) {
-                chunk_retries += u64::from(attempts.saturating_sub(1));
-                match outcome {
-                    Ok(run) => {
-                        let record = SweepRecord::from_run(&run);
-                        // A store failure is not fatal: the result still
-                        // goes into this report, the cell just isn't
-                        // durable for the next job.
-                        if self
-                            .cache
-                            .store(keys[i], profiles[resolved[i].0].name(), &record)
-                            .is_err()
-                        {
-                            self.stats.inc("cache_store_errors");
-                        }
-                        chunk_computed += 1;
-                        records[i] = Some(record);
-                    }
-                    Err(f) => {
-                        chunk_failed += 1;
-                        failed.push(f);
-                    }
-                }
-            }
-            self.stats.add("cells_computed", chunk_computed);
-            self.stats.add("cell_retries", chunk_retries);
-            self.stats.add("cells_failed", chunk_failed);
-            computed += chunk_computed;
-            retries += chunk_retries;
-            failed_count += chunk_failed;
-        }
-
+        // Worker-pool-sized chunks, each stored (and counted) before
+        // the next: a crash mid-job loses at most one chunk of work.
+        let runner = CellRunner {
+            cache: &self.cache,
+            sweep: &SweepOptions::with_jobs(self.cfg.jobs),
+            supervision: &supervision,
+            chunk: self.cfg.jobs,
+            objectives: false,
+            probe: true,
+        };
+        // The job is resolved only if a cell misses: an all-hit job
+        // builds no config.
+        let (cells, tally) = match runner.run(&keys, || job.resolve(), |step, _| self.count(step)) {
+            Ok(done) => done,
+            Err(e) => return Self::error(format!("bad job: {e}")),
+        };
+        let (records, failed): (Vec<_>, Vec<_>) = cells.into_iter().partition(Result::is_ok);
+        let records: Vec<_> = records.into_iter().flatten().collect();
+        let failed: Vec<_> = failed.into_iter().filter_map(Result::err).collect();
         let job_stats = Json::obj([
-            ("cache_hits", Json::from(hits)),
-            ("cache_corrupt", Json::from(corrupt)),
-            ("computed", Json::from(computed)),
-            ("retries", Json::from(retries)),
-            ("failed", Json::from(failed_count)),
+            ("cache_hits", Json::from(tally.hits)),
+            ("cache_corrupt", Json::from(tally.corrupt)),
+            ("computed", Json::from(tally.computed)),
+            ("retries", Json::from(tally.retries)),
+            ("failed", Json::from(tally.failed)),
         ]);
         let report = SweepReport {
             name: job.name.clone(),
-            records: records.into_iter().flatten().collect(),
+            records,
             failed,
             metrics: Some(Json::obj([("serve_job", job_stats.clone())])),
         };
@@ -582,6 +495,25 @@ impl Server {
             ("stats", job_stats),
         ])
         .to_string()
+    }
+
+    /// Adds one step of a job's cell pass to the health counters.
+    fn count(&self, step: &Tally) {
+        for (name, n) in [
+            ("cache_hits", step.hits),
+            ("cache_corrupt", step.corrupt),
+            ("cache_entries_read", step.work.entries_read),
+            ("cache_checksums_rendered", step.work.checksums_rendered),
+            ("cells_computed", step.computed),
+            ("cell_retries", step.retries),
+            ("cells_failed", step.failed),
+        ] {
+            self.stats.add(name, n);
+        }
+        // Registered only once a store fails, as it always was.
+        if step.store_errors > 0 {
+            self.stats.add("cache_store_errors", step.store_errors);
+        }
     }
 }
 
@@ -637,14 +569,13 @@ mod tests {
         for (b, job) in bases.iter().enumerate() {
             for (pass, seed) in [(0, b as u64), (1, 100 + b as u64)] {
                 let job = shuffled(job.clone(), seed);
-                let out = memo.keys(&job).unwrap();
-                assert_eq!(out.keys, derived_keys(&job), "base {b}, pass {pass}");
-                assert_eq!(out.keys.len(), 230);
-                // A new base derives every key; its repeat derives none
-                // and leaves the job unresolved.
+                let (keys, derived) = memo.keys(&job).unwrap();
+                assert_eq!(keys, derived_keys(&job), "base {b}, pass {pass}");
+                assert_eq!(keys.len(), 230);
+                // A new base derives every key; its repeat derives none,
+                // so it resolves nothing (`keys` resolves only to derive).
                 let cold = pass == 0;
-                assert_eq!(out.derived, if cold { 230 } else { 0 }, "base {b}");
-                assert_eq!(out.resolved.is_some(), cold, "base {b}");
+                assert_eq!(derived, if cold { 230 } else { 0 }, "base {b}");
             }
         }
     }
@@ -660,7 +591,7 @@ mod tests {
             policy: "spb".into(),
             sb: 14,
         });
-        let err = memo.keys(&job).err().expect("bad cell");
+        let err = memo.keys(&job).expect_err("bad cell");
         assert!(err.contains("not-a-benchmark"), "{err}");
 
         let cells = (1..=KEY_MEMO_ENTRIES + 10)
@@ -671,8 +602,8 @@ mod tests {
             })
             .collect();
         let wide = JobSpec::new("wide", Budget::Quick, cells);
-        let out = memo.keys(&wide).unwrap();
-        assert_eq!(out.keys, derived_keys(&wide));
+        let (keys, _) = memo.keys(&wide).unwrap();
+        assert_eq!(keys, derived_keys(&wide));
         assert!(memo.keys.len() <= KEY_MEMO_ENTRIES, "{}", memo.keys.len());
     }
 }

@@ -323,6 +323,14 @@ impl SimConfig {
         }
     }
 
+    /// The identity text of the cell that runs `app` under this config:
+    /// the app name and the `Debug` rendering of the whole config. Every
+    /// cell memo and cache key is derived from it, so two routes to one
+    /// configuration name one cell.
+    pub fn cell_identity(&self, app: &str) -> String {
+        format!("{app}|{self:?}")
+    }
+
     /// Returns a copy with a different SB size.
     #[must_use]
     pub fn with_sb(mut self, sb_entries: usize) -> Self {

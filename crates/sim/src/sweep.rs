@@ -699,8 +699,8 @@ pub struct SweepReport {
     /// One record per run, in sweep order.
     pub records: Vec<SweepRecord>,
     /// Cells that panicked or tripped the invariant checker (empty for a
-    /// clean sweep). Kept in the report so `--resume` knows what to
-    /// re-run.
+    /// clean sweep). A failed cell leaves no cache entry, so `spbsim
+    /// sweep --resume`, a rerun against the warm cell store, re-runs it.
     pub failed: Vec<CellFailure>,
     /// Optional sweep-level metrics (executor counters, host timings),
     /// serialized as-is under `"metrics"`.
@@ -716,15 +716,6 @@ impl SweepReport {
             failed: Vec::new(),
             metrics: None,
         }
-    }
-
-    /// Whether the report already holds a **successful** record for this
-    /// cell (failed cells don't count — they are what `--resume`
-    /// re-runs).
-    pub fn has_record(&self, app: &str, policy: &str, sb: usize) -> bool {
-        self.records
-            .iter()
-            .any(|r| r.app == app && r.policy == policy && r.sb == sb)
     }
 
     fn body_json(&self) -> Json {
@@ -970,12 +961,6 @@ mod tests {
         report.failed = out.iter().filter_map(|r| r.clone().err()).collect();
         assert_eq!(report.records.len(), 2);
         assert_eq!(report.failed.len(), 1);
-        let policy = quick.policy.label();
-        assert!(report.has_record("x264", &policy, quick.effective_sb()));
-        assert!(
-            !report.has_record("x264", &policy, 0),
-            "failures don't count"
-        );
 
         let text = report.to_json_string();
         assert!(text.contains("\"failed\""));

@@ -4,14 +4,15 @@
 //! Every candidate point is expanded into one sweep cell per app and
 //! pushed through the same machinery as `spbsim sweep`:
 //!
-//! - the **content-addressed cache** (`spb-serve`) is probed first —
-//!   a cell whose `(code version, app, full config)` key has a cached
-//!   record with objective fields costs nothing, so re-running a tune
-//!   (or sharing cells between tunes, or between a tune and the sweep
-//!   service) is a cache hit;
-//! - misses run under [`run_cells_supervised`] — retries with
-//!   backoff, fault classification, watchdog deadlines — and their
-//!   records (with energy/coherence objectives) are stored back.
+//! - the **content-addressed cache** (`spb-serve`) is probed first,
+//!   through the same [`CellRunner`] the service uses — a cell whose
+//!   `(code version, app, full config)` key has a cached record with
+//!   objective fields costs nothing, so re-running a tune (or sharing
+//!   cells between tunes, or between a tune and the sweep service) is a
+//!   cache hit;
+//! - misses run under `run_cells_supervised` — retries with backoff,
+//!   fault classification, watchdog deadlines — and their records
+//!   (with energy/coherence objectives) are stored back.
 //!
 //! Everything is deterministic for a fixed `(space, strategy, seed,
 //! points, budget, apps)`: candidate selection is a seeded shuffle,
@@ -20,9 +21,9 @@
 
 use crate::pareto::{pareto_frontier, Objectives};
 use crate::space::{TunePoint, TuneSpace};
-use spb_serve::{CacheKey, Lookup, ResultCache};
+use spb_serve::{CacheKey, CellRunner, ResultCache};
 use spb_sim::config::SimConfig;
-use spb_sim::sweep::{run_cells_supervised, Supervision, SweepOptions, SweepRecord};
+use spb_sim::sweep::{Supervision, SweepOptions};
 use spb_trace::profile::AppProfile;
 
 /// How candidate points are chosen from the space.
@@ -173,16 +174,8 @@ pub fn run_tune(opts: &TuneOptions, cache: &ResultCache) -> TuneOutcome {
         Strategy::Random => opts.space.sample(opts.seed, count),
         Strategy::Halving => {
             let sampled = opts.space.sample(opts.seed, count);
-            let screened = evaluate(
-                &sampled,
-                &screen_config(&opts.base_cfg),
-                &opts.apps,
-                cache,
-                &opts.sweep,
-                &opts.supervision,
-                &mut stats,
-                &mut failed,
-            );
+            let screen_cfg = screen_config(&opts.base_cfg);
+            let screened = evaluate(&sampled, &screen_cfg, opts, cache, &mut stats, &mut failed);
             // Keep the best quarter by total cycles; ties resolve by
             // candidate order (sort is stable).
             let survivors = count.div_ceil(4).max(1).min(screened.len());
@@ -193,16 +186,8 @@ pub fn run_tune(opts: &TuneOptions, cache: &ResultCache) -> TuneOutcome {
         }
     };
 
-    let mut points = evaluate(
-        &candidates,
-        &opts.base_cfg,
-        &opts.apps,
-        cache,
-        &opts.sweep,
-        &opts.supervision,
-        &mut stats,
-        &mut failed,
-    );
+    let base = &opts.base_cfg;
+    let mut points = evaluate(&candidates, base, opts, cache, &mut stats, &mut failed);
     let objectives: Vec<Objectives> = points.iter().map(|p| p.objectives).collect();
     let frontier = pareto_frontier(&objectives);
     for &i in &frontier {
@@ -226,95 +211,71 @@ fn screen_config(base: &SimConfig) -> SimConfig {
     cfg
 }
 
-/// Evaluates `points` at `cfg`'s budget: cache probe, supervised run of
-/// the misses, store-back, objective aggregation. Points whose cells
-/// all resolve come back in candidate order; failing points are moved
-/// to `failed`.
-#[allow(clippy::too_many_arguments)]
+/// Evaluates `points` at `cfg`'s budget through the [`CellRunner`]
+/// (cache probe, supervised run of the misses, store-back), then
+/// aggregates the objectives. Points whose cells all resolve come back
+/// in candidate order; failing points are moved to `failed`.
 fn evaluate(
     points: &[TunePoint],
     cfg: &SimConfig,
-    apps: &[AppProfile],
+    opts: &TuneOptions,
     cache: &ResultCache,
-    sweep: &SweepOptions,
-    supervision: &Supervision,
     stats: &mut TuneStats,
     failed: &mut Vec<PointFailure>,
 ) -> Vec<PointOutcome> {
-    // One slot per (point, app) cell, probed against the cache first.
-    let mut slots: Vec<Option<CellOutcome>> = Vec::with_capacity(points.len() * apps.len());
-    let mut misses: Vec<(usize, &AppProfile, SimConfig, CacheKey)> = Vec::new();
-    for point in points {
-        for app in apps {
+    let apps = &opts.apps;
+    // One cell per (point, app), point-major.
+    let cells: Vec<(usize, SimConfig)> = points
+        .iter()
+        .flat_map(|point| {
             let cell_cfg = cfg.clone().with_sb(point.sb).with_policy(point.policy);
-            let key = CacheKey::for_cell(app.name(), &cell_cfg);
-            let slot = slots.len();
-            match cache.lookup(key) {
-                // Only records that carry the objective fields can
-                // serve a tune; service-written records without them
-                // are recomputed (and upgraded in place).
-                Lookup::Hit(rec) if rec.energy_nj.is_some() && rec.coh_msgs.is_some() => {
-                    stats.cache_hits += 1;
-                    slots.push(Some(CellOutcome {
-                        app: app.name().to_string(),
-                        key: key.hex(),
-                        cycles: rec.cycles,
-                        energy_nj: rec.energy_nj.expect("checked"),
-                        coh_msgs: rec.coh_msgs.expect("checked"),
-                    }));
-                }
-                _ => {
-                    misses.push((slot, app, cell_cfg, key));
-                    slots.push(None);
-                }
-            }
-        }
-    }
-
-    // Simulate the misses through the supervised executor.
-    let cells: Vec<(&AppProfile, SimConfig)> =
-        misses.iter().map(|(_, a, c, _)| (*a, c.clone())).collect();
-    let results = run_cells_supervised(&cells, sweep, supervision);
-    let mut cell_errors: Vec<(usize, String)> = Vec::new();
-    for ((slot, app, _, key), (result, _attempts)) in misses.iter().zip(results) {
-        match result {
-            Ok(run) => {
-                stats.computed += 1;
-                let rec = SweepRecord::from_run_full(&run);
-                if let Err(e) = cache.store(*key, app.name(), &rec) {
-                    eprintln!("tune: cache store failed for {}: {e}", key.hex());
-                }
-                slots[*slot] = Some(CellOutcome {
-                    app: app.name().to_string(),
+            (0..apps.len()).map(move |a| (a, cell_cfg.clone()))
+        })
+        .collect();
+    let keys: Vec<CacheKey> = cells
+        .iter()
+        .map(|(a, c)| CacheKey::for_cell(apps[*a].name(), c))
+        .collect();
+    // Service-written entries lack the objectives: recomputed, upgraded.
+    let runner = CellRunner {
+        cache,
+        sweep: &opts.sweep,
+        supervision: &opts.supervision,
+        chunk: usize::MAX,
+        objectives: true,
+        probe: true,
+    };
+    let (results, tally) = runner
+        .run(&keys, || Ok((apps.clone(), cells)), |_, _| {})
+        .expect("tune cells resolve");
+    stats.cache_hits += tally.hits;
+    stats.computed += tally.computed;
+    let mut out = Vec::with_capacity(points.len());
+    let per_point = results.chunks(apps.len()).zip(keys.chunks(apps.len()));
+    for (point, (results, keys)) in points.iter().zip(per_point) {
+        // The first failing cell, if any, fails the point.
+        let cells: Result<Vec<CellOutcome>, String> = (results.iter().zip(keys).enumerate())
+            .map(|(a, (result, key))| match result {
+                Ok(rec) => Ok(CellOutcome {
+                    app: apps[a].name().to_string(),
                     key: key.hex(),
                     cycles: rec.cycles,
-                    energy_nj: rec.energy_nj.expect("from_run_full populates"),
-                    coh_msgs: rec.coh_msgs.expect("from_run_full populates"),
-                });
-            }
-            Err(f) => cell_errors.push((*slot, f.to_string())),
-        }
-    }
-
-    // Reassemble per point.
-    let mut out = Vec::with_capacity(points.len());
-    for (i, point) in points.iter().enumerate() {
-        let base = i * apps.len();
-        let point_slots = &slots[base..base + apps.len()];
-        if let Some((slot, reason)) = cell_errors
-            .iter()
-            .find(|(s, _)| (base..base + apps.len()).contains(s))
-        {
-            failed.push(PointFailure {
-                point: point.name(),
-                reason: format!("cell {}: {reason}", slot - base),
-            });
-            continue;
-        }
-        let cells: Vec<CellOutcome> = point_slots
-            .iter()
-            .map(|s| s.clone().expect("non-failing cell is filled"))
+                    energy_nj: rec.energy_nj.expect("tune records carry energy"),
+                    coh_msgs: rec.coh_msgs.expect("tune records carry coherence"),
+                }),
+                Err(f) => Err(format!("cell {a}: {f}")),
+            })
             .collect();
+        let cells = match cells {
+            Ok(cells) => cells,
+            Err(reason) => {
+                failed.push(PointFailure {
+                    point: point.name(),
+                    reason,
+                });
+                continue;
+            }
+        };
         let mut objectives = Objectives::zero();
         for c in &cells {
             objectives.add(c.cycles, c.energy_nj, c.coh_msgs);

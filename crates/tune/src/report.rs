@@ -9,7 +9,7 @@
 //! `tune_rerun` test; it lets a report's checksum stand in for the
 //! whole design-space evaluation.
 
-use crate::engine::TuneOutcome;
+use crate::engine::{TuneOptions, TuneOutcome};
 use spb_sim::sweep::write_atomically;
 use spb_stats::hash::{fnv1a64, hex16};
 use spb_stats::json::Json;
@@ -39,6 +39,21 @@ pub struct TuneReport {
 }
 
 impl TuneReport {
+    /// The report of `outcome`, a tune run under `opts`, named `name`.
+    pub fn new(name: impl Into<String>, opts: &TuneOptions, outcome: TuneOutcome) -> Self {
+        Self {
+            name: name.into(),
+            strategy: opts.strategy.label().into(),
+            seed: opts.seed,
+            points_requested: opts.points,
+            warmup_uops: opts.base_cfg.warmup_uops,
+            measure_uops: opts.base_cfg.measure_uops,
+            workload_seed: opts.base_cfg.seed,
+            apps: opts.apps.iter().map(|a| a.name().to_string()).collect(),
+            outcome,
+        }
+    }
+
     /// The report body (everything except the checksum).
     pub fn body_json(&self) -> Json {
         let point_row = |p: &crate::engine::PointOutcome| {

@@ -3,8 +3,9 @@
 //! second run served entirely from cache — the property `spb-cli`'s
 //! `tune_rerun` test checks at scale through `spbsim tune`.
 
+use spb_serve::{CacheKey, Lookup};
 use spb_sim::config::SimConfig;
-use spb_sim::sweep::{Supervision, SweepOptions};
+use spb_sim::sweep::{run_cells, Supervision, SweepOptions, SweepRecord};
 use spb_trace::profile::AppProfile;
 use spb_tune::engine::{run_tune, Strategy, TuneOptions};
 use spb_tune::report::TuneReport;
@@ -29,17 +30,7 @@ fn tiny_options(strategy: Strategy) -> TuneOptions {
 fn report_text(opts: &TuneOptions, cache: &spb_serve::ResultCache) -> (String, u64, u64) {
     let outcome = run_tune(opts, cache);
     let stats = outcome.stats;
-    let report = TuneReport {
-        name: "tune-test".into(),
-        strategy: opts.strategy.label().into(),
-        seed: opts.seed,
-        points_requested: opts.points,
-        warmup_uops: opts.base_cfg.warmup_uops,
-        measure_uops: opts.base_cfg.measure_uops,
-        workload_seed: opts.base_cfg.seed,
-        apps: opts.apps.iter().map(|a| a.name().to_string()).collect(),
-        outcome,
-    };
+    let report = TuneReport::new("tune-test", opts, outcome);
     (
         report.to_json_string_checksummed(),
         stats.cache_hits,
@@ -98,5 +89,37 @@ fn grid_strategy_respects_canonical_order() {
             .collect::<Vec<_>>()
     );
     assert!(!outcome.frontier.is_empty());
+    std::fs::remove_dir_all(cache.dir()).unwrap();
+}
+
+#[test]
+fn entries_without_objectives_are_recomputed_and_upgraded() {
+    // A service-written entry (`from_run`) lacks energy and coherence:
+    // a tune recomputes the cell and rewrites the entry with both.
+    let cache = tmp_cache("upgrade");
+    let mut opts = tiny_options(Strategy::Grid);
+    opts.points = 3;
+    let (app, base) = (&opts.apps[0], &opts.base_cfg);
+    let cells: Vec<(&AppProfile, SimConfig)> = TuneSpace::default().enumerate()[..3]
+        .iter()
+        .map(|p| (app, base.clone().with_sb(p.sb).with_policy(p.policy)))
+        .collect();
+    let keys: Vec<CacheKey> = cells
+        .iter()
+        .map(|(a, c)| CacheKey::for_cell(a.name(), c))
+        .collect();
+    for (key, run) in keys.iter().zip(run_cells(&cells, &opts.sweep)) {
+        let plain = SweepRecord::from_run(&run);
+        cache.store(*key, app.name(), &plain).unwrap();
+    }
+    let computed = |opts: &TuneOptions| report_text(opts, &cache).2;
+    assert_eq!(computed(&opts), 3, "plain entries cannot serve a tune");
+    for key in &keys {
+        let Lookup::Hit(rec) = cache.lookup(*key) else {
+            panic!("the entry was not rewritten");
+        };
+        assert!(rec.energy_nj.is_some() && rec.coh_msgs.is_some(), "{rec:?}");
+    }
+    assert_eq!(computed(&opts), 0, "the upgraded entries serve the rerun");
     std::fs::remove_dir_all(cache.dir()).unwrap();
 }
